@@ -9,19 +9,25 @@ stack.
 
 Division of labor per frame:
 
-* **event loop** -- incremental framing (:class:`FrameDecoder`), the
-  pre-decode gate (tenant quota + overload admission on the peeked JSON
-  preamble, before any tensor bytes are touched), shm control ops, chaos
-  gate, hello authentication, per-connection in-flight accounting.
-* **bounded executor** -- everything that touches tensors: payload decode,
-  request validation, ``execute`` engine runs, response encoding.  The
-  loop never blocks on kernels.
+* **event loop** -- everything a serving op needs besides the kernel:
+  incremental framing (:class:`FrameDecoder`), the pre-decode gate
+  (tenant quota + overload admission on the peeked JSON preamble, before
+  any tensor bytes are touched), shm control ops, chaos gate, hello
+  authentication, per-connection in-flight accounting, the zero-copy
+  tensor decode (:func:`attach_buffers`: memoryview slices, O(tensor
+  count) not O(bytes)), :meth:`ApiHandler.begin` (validate + submit) and
+  ``finish`` (response envelope), response encoding and the write.
 * **the service's scheduler thread** -- actual normalization work.
-  Serving ops are *submitted* (:meth:`ApiHandler.begin`), their
-  :class:`~repro.serving.batcher.ResponseFuture` done-callbacks bridged
-  onto the loop via ``call_soon_threadsafe`` -- which is what lets pending
-  requests from **all connections** pool in the continuous batching
-  scheduler and drain together each engine tick.
+  Serving ops are *submitted* from the loop, and their
+  :class:`~repro.serving.batcher.ResponseFuture` completions wake the loop
+  once per request via ``call_soon_threadsafe`` -- which is what lets
+  pending requests from **all connections** pool in the continuous
+  batching scheduler and drain together each engine tick.  A serving op
+  therefore crosses threads exactly twice: loop -> scheduler -> loop.
+* **bounded executor** -- only the ops that run kernels or build
+  snapshots inside :meth:`ApiHandler.handle` (``execute``,
+  ``execute_bulk``, ``telemetry``, ``spec``, ``hello``, ``ping``): one
+  hop each, so the loop never blocks on them.
 
 Shutdown mirrors the threaded core: :meth:`close` (callable from any
 thread, e.g. a SIGTERM handler) optionally drains admitted work for
@@ -50,17 +56,55 @@ from repro.api.envelopes import (
 from repro.api.framing import (
     MAX_FRAME_BYTES,
     FrameDecoder,
-    decode_payload,
+    attach_buffers,
     encode_frame,
     peek_payload,
 )
+
+# Not called here (admitted binary frames go through attach_buffers), but
+# perfbench/tracing.py times the server codec by wrapping this module's
+# decode_payload, so the name must exist on it.
+from repro.api.framing import decode_payload  # noqa: F401
 from repro.api.handler import SERVING_OPS, ApiHandler
 from repro.api.server import (
     SHM_CONTROL_OPS,
     _applied_degradation,
+    complete_work,
     shed_error_envelope,
 )
-from repro.tenancy.quota import estimate_rows
+
+
+async def _await_pendings(loop: asyncio.AbstractEventLoop, pendings) -> None:
+    """Await scheduler futures with one loop wake-up per request.
+
+    Each :class:`ResponseFuture` done-callback fires on the scheduler
+    thread and counts down under a lock there; only the last one issues
+    ``call_soon_threadsafe``, so a 16-tensor bulk frame costs one self-pipe
+    write, not sixteen.  Results/errors are *not* extracted here --
+    ``finish()`` does that through the shared taxonomy mapping.
+    """
+    waiter = loop.create_future()
+    remaining = len(pendings)
+    lock = threading.Lock()
+
+    def wake() -> None:
+        if not waiter.done():
+            waiter.set_result(None)
+
+    def on_future_done(_future) -> None:
+        nonlocal remaining
+        with lock:
+            remaining -= 1
+            if remaining:
+                return
+        try:
+            loop.call_soon_threadsafe(wake)
+        except RuntimeError:
+            pass  # loop already closed mid-shutdown; nothing to wake
+
+    for pending in pendings:
+        pending.add_done_callback(on_future_done)
+    await waiter
 
 
 class _AsyncConnection:
@@ -545,12 +589,10 @@ class AsyncNormServer:
                     )
                     continue
                 if is_binary:
-                    # Admitted: only now pay for the tensor buffers -- and
-                    # in the executor, never on the loop.
+                    # Admitted: only now attach the tensor buffers -- zero-copy
+                    # views, so this stays on the loop.
                     try:
-                        payload = await loop.run_in_executor(
-                            self._pool, decode_payload, body
-                        )
+                        payload = attach_buffers(body, payload)
                     except ApiError as error:
                         connection.inflight.release()
                         with self._lock:
@@ -575,91 +617,55 @@ class AsyncNormServer:
         nbytes: int = 0,
     ) -> None:
         """Dispatch-task body: handle one envelope, send its response frame."""
-        loop = asyncio.get_running_loop()
         started = time.perf_counter()
         try:
-            if connection.shm is not None:
-                try:
-                    payload = connection.shm.resolve_inbound(payload)
-                except ApiError as error:
-                    await self._try_send(
-                        connection, self._error_envelope(payload, error)
-                    )
-                    return
-            degrade_level = 0
-            if self.ladder is not None and is_work:
-                degrade_level = self.ladder.observe(self.admission.pressure())
-            tenant_name = (
-                connection.tenant.name if connection.tenant is not None else None
-            )
-            if payload.get("op") in SERVING_OPS:
-                # Submit into the batching scheduler and yield the loop
-                # while the engine works; handler.begin/finish run in the
-                # executor (they decode/encode tensors).
-                pendings, finish = await loop.run_in_executor(
-                    self._pool, self.handler.begin, payload, degrade_level, tenant_name
-                )
-                if pendings:
-                    await self._await_pendings(loop, pendings)
-                response = await loop.run_in_executor(self._pool, finish)
-            else:
-                # execute/spec/hello/ping/telemetry: one blocking handler
-                # call in the executor (execute runs kernels; telemetry
-                # snapshots can be large).
-                response = await loop.run_in_executor(
-                    self._pool, self.handler.handle, payload, degrade_level, tenant_name
-                )
-            if self.ladder is not None and is_work:
-                applied = _applied_degradation(response)
-                if applied is not None:
-                    self.ladder.record_applied(applied)
+            try:
+                response = await self._respond(connection, payload, is_work)
+            finally:
+                if is_work:
+                    complete_work(self, connection.tenant, payload, nbytes, started)
             sent = await self._try_send(connection, response)
             if sent:
                 with self._lock:
                     self.requests_served += 1
         finally:
-            elapsed = time.perf_counter() - started
-            if is_work:
-                self.admission.complete(elapsed)
-                if self.tenancy is not None:
-                    self.tenancy.charge_request(
-                        connection.tenant,
-                        rows=estimate_rows(payload),
-                        nbytes=nbytes,
-                        wall_seconds=elapsed,
-                    )
             with self._lock:
                 connection.inflight_count -= 1
             connection.inflight.release()
 
-    @staticmethod
-    async def _await_pendings(loop: asyncio.AbstractEventLoop, pendings) -> None:
-        """Await scheduler futures without blocking any thread.
-
-        Each :class:`ResponseFuture` done-callback fires on the scheduler's
-        executor thread; ``call_soon_threadsafe`` hops it onto the loop,
-        where the last one resolves a loop future this coroutine awaits.
-        Results/errors are *not* extracted here -- ``finish()`` does that
-        through the shared taxonomy mapping.
-        """
-        waiter = loop.create_future()
-        remaining = len(pendings)
-
-        def on_loop_done() -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0 and not waiter.done():
-                waiter.set_result(None)
-
-        def on_future_done(_future) -> None:
+    async def _respond(
+        self, connection: _AsyncConnection, payload: dict, is_work: bool
+    ) -> dict:
+        """The response envelope for one admitted frame."""
+        if connection.shm is not None:
             try:
-                loop.call_soon_threadsafe(on_loop_done)
-            except RuntimeError:
-                pass  # loop already closed mid-shutdown; nothing to wake
-
-        for pending in pendings:
-            pending.add_done_callback(on_future_done)
-        await waiter
+                payload = connection.shm.resolve_inbound(payload)
+            except ApiError as error:
+                return self._error_envelope(payload, error)
+        degrade_level = 0
+        if self.ladder is not None and is_work:
+            degrade_level = self.ladder.observe(self.admission.pressure())
+        tenant_name = connection.tenant.name if connection.tenant is not None else None
+        if payload.get("op") in SERVING_OPS:
+            # Validate and submit on the loop, yield it while the scheduler
+            # thread runs the batch, then build the envelope on the loop:
+            # binary and shm tensors are zero-copy views both ways.
+            pendings, finish = self.handler.begin(payload, degrade_level, tenant_name)
+            if pendings:
+                await _await_pendings(asyncio.get_running_loop(), pendings)
+            response = finish()
+        else:
+            # execute/spec/hello/ping/telemetry: one blocking handler call
+            # in the executor (execute runs kernels; telemetry snapshots
+            # can be large).
+            response = await asyncio.get_running_loop().run_in_executor(
+                self._pool, self.handler.handle, payload, degrade_level, tenant_name
+            )
+        if self.ladder is not None and is_work:
+            applied = _applied_degradation(response)
+            if applied is not None:
+                self.ladder.record_applied(applied)
+        return response
 
     def _error_envelope(self, payload: dict, error: BaseException) -> dict:
         return shed_error_envelope(

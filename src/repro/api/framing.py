@@ -128,75 +128,6 @@ def _encode_binary_frame(payload: Dict[str, Any], max_frame_bytes: int) -> bytes
     return b"".join(parts)
 
 
-def _decode_binary_payload(data: bytes) -> Dict[str, Any]:
-    """Decode a binary payload; tensor buffers become zero-copy memoryviews.
-
-    Every malformed input -- bad magic, lengths that do not fit, buffer
-    spans outside the payload, a preamble that is not a JSON object, or a
-    dangling buffer index -- raises :class:`TransportError`; nothing ever
-    escapes as a raw ``struct.error`` or numpy exception.
-    """
-    total = len(data)
-    if total < _PREAMBLE_AT + _U32.size or data[: len(BINARY_MAGIC)] != BINARY_MAGIC:
-        raise TransportError(
-            f"binary frame header is malformed or truncated "
-            f"({total}-byte payload, expected magic {BINARY_MAGIC!r})"
-        )
-    (preamble_len,) = _U32.unpack_from(data, len(BINARY_MAGIC))
-    pos = _PREAMBLE_AT
-    if preamble_len > total - pos - _U32.size:
-        raise TransportError(
-            f"binary frame preamble announces {preamble_len} bytes but only "
-            f"{max(total - pos - _U32.size, 0)} remain in the {total}-byte payload"
-        )
-    preamble_bytes = bytes(data[pos : pos + preamble_len])
-    pos += preamble_len
-    (buffer_count,) = _U32.unpack_from(data, pos)
-    pos += _U32.size
-    table_bytes = buffer_count * _BUFFER_ENTRY.size
-    if table_bytes > total - pos:
-        raise TransportError(
-            f"binary frame announces {buffer_count} buffers but its table "
-            f"needs {table_bytes} bytes and only {total - pos} remain"
-        )
-    body = memoryview(data)
-    buffers: List[memoryview] = []
-    buffers_start = pos + table_bytes
-    for index in range(buffer_count):
-        offset, length = _BUFFER_ENTRY.unpack_from(data, pos + index * _BUFFER_ENTRY.size)
-        if offset < buffers_start or offset + length > total:
-            raise TransportError(
-                f"binary frame buffer {index} spans bytes {offset}..{offset + length} "
-                f"outside the {total}-byte payload"
-            )
-        buffers.append(body[offset : offset + length])
-
-    try:
-        preamble = json.loads(preamble_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise TransportError(
-            f"binary frame preamble is not valid JSON: {error}"
-        ) from error
-    if not isinstance(preamble, dict):
-        raise TransportError(
-            f"binary frame preamble must be a JSON object, got "
-            f"{type(preamble).__name__}"
-        )
-
-    def _attach(tensor: Dict[str, Any]) -> Dict[str, Any]:
-        index = tensor["data"]
-        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < buffer_count:
-            raise TransportError(
-                f"binary tensor references buffer {index!r}; the frame "
-                f"carries {buffer_count} buffer(s)"
-            )
-        out = dict(tensor)
-        out["data"] = buffers[index]
-        return out
-
-    return rewrite_binary_tensors(preamble, _attach)
-
-
 def encode_frame(payload: Dict[str, Any], max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """Serialize one envelope into a length-prefixed frame.
 
@@ -236,25 +167,8 @@ def frame_kind(body: bytes) -> str:
     return "binary" if body[:1] == BINARY_MAGIC[:1] else "json"
 
 
-def peek_payload(data: bytes) -> tuple:
-    """``(envelope, is_binary)`` without materializing any tensor buffer.
-
-    The pre-decode gate (tenant quota + overload admission) runs on this:
-    for a **binary** frame only the magic, the u32 preamble length and the
-    JSON preamble itself are parsed -- the buffer table is never walked
-    and no buffer memoryview is created, so a rejected request's tensor
-    bytes are never touched (let alone ``np.frombuffer``-wrapped).  The
-    returned envelope's binary tensors keep their integer buffer indices
-    in ``data``; sizing/classification fields (op, request_id, shapes,
-    deadline_ms) are all present.  For a **JSON** frame the peek *is* the
-    full decode, so the caller can reuse the envelope as the final payload.
-
-    Malformed input raises the same :class:`ApiError` members as
-    :func:`decode_payload` -- peeking never widens what a hostile frame
-    can do.
-    """
-    if frame_kind(data) != "binary":
-        return decode_payload(data), False
+def _preamble_end(data: bytes) -> int:
+    """Validate a binary payload's header; the offset where its preamble ends."""
     total = len(data)
     if total < _PREAMBLE_AT + _U32.size or data[: len(BINARY_MAGIC)] != BINARY_MAGIC:
         raise TransportError(
@@ -268,9 +182,33 @@ def peek_payload(data: bytes) -> tuple:
             f"{max(total - _PREAMBLE_AT - _U32.size, 0)} remain in the "
             f"{total}-byte payload"
         )
-    preamble_bytes = bytes(data[_PREAMBLE_AT : _PREAMBLE_AT + preamble_len])
+    return _PREAMBLE_AT + preamble_len
+
+
+def peek_payload(data: bytes) -> tuple:
+    """``(envelope, is_binary)`` without materializing any tensor buffer.
+
+    The pre-decode gate (tenant quota + overload admission) runs on this:
+    for a **binary** frame only the magic, the u32 preamble length and the
+    JSON preamble itself are parsed -- the buffer table is never walked
+    and no buffer memoryview is created, so a rejected request's tensor
+    bytes are never touched (let alone ``np.frombuffer``-wrapped).  The
+    returned envelope's binary tensors keep their integer buffer indices
+    in ``data``; sizing/classification fields (op, request_id, shapes,
+    deadline_ms) are all present, and :func:`attach_buffers` completes
+    the decode of an admitted frame.  For a **JSON** frame the peek *is*
+    the full decode, so the caller can reuse the envelope as the final
+    payload.
+
+    Malformed input raises the same :class:`ApiError` members as
+    :func:`decode_payload` -- peeking never widens what a hostile frame
+    can do.
+    """
+    if frame_kind(data) != "binary":
+        return decode_payload(data), False
+    end = _preamble_end(data)
     try:
-        preamble = json.loads(preamble_bytes.decode("utf-8"))
+        preamble = json.loads(bytes(data[_PREAMBLE_AT:end]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise TransportError(
             f"binary frame preamble is not valid JSON: {error}"
@@ -283,10 +221,63 @@ def peek_payload(data: bytes) -> tuple:
     return preamble, True
 
 
+def attach_buffers(data: bytes, preamble: Dict[str, Any]) -> Dict[str, Any]:
+    """Finish decoding a binary payload whose preamble was already peeked.
+
+    ``preamble`` is the envelope :func:`peek_payload` returned for
+    ``data``; its JSON is not parsed again.  The buffer table is walked
+    and each binary tensor's integer ``data`` index is replaced by a
+    zero-copy memoryview slice of ``data``.  Every malformed input --
+    lengths that do not fit, buffer spans outside the payload, or a
+    dangling buffer index -- raises :class:`TransportError`; nothing ever
+    escapes as a raw ``struct.error`` or numpy exception.
+    """
+    total = len(data)
+    pos = _preamble_end(data)
+    (buffer_count,) = _U32.unpack_from(data, pos)
+    pos += _U32.size
+    table_bytes = buffer_count * _BUFFER_ENTRY.size
+    if table_bytes > total - pos:
+        raise TransportError(
+            f"binary frame announces {buffer_count} buffers but its table "
+            f"needs {table_bytes} bytes and only {total - pos} remain"
+        )
+    body = memoryview(data)
+    buffers: List[memoryview] = []
+    buffers_start = pos + table_bytes
+    for index in range(buffer_count):
+        offset, length = _BUFFER_ENTRY.unpack_from(data, pos + index * _BUFFER_ENTRY.size)
+        if offset < buffers_start or offset + length > total:
+            raise TransportError(
+                f"binary frame buffer {index} spans bytes {offset}..{offset + length} "
+                f"outside the {total}-byte payload"
+            )
+        buffers.append(body[offset : offset + length])
+
+    def _attach(tensor: Dict[str, Any]) -> Dict[str, Any]:
+        index = tensor["data"]
+        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < buffer_count:
+            raise TransportError(
+                f"binary tensor references buffer {index!r}; the frame "
+                f"carries {buffer_count} buffer(s)"
+            )
+        out = dict(tensor)
+        out["data"] = buffers[index]
+        return out
+
+    return rewrite_binary_tensors(preamble, _attach)
+
+
 def decode_payload(data: bytes) -> Dict[str, Any]:
-    """Decode one frame's payload bytes into an envelope dictionary."""
+    """Decode one frame's payload bytes into an envelope dictionary.
+
+    Binary payloads decode zero-copy: each tensor buffer becomes a
+    memoryview slice over ``data``, which ``TensorPayload.to_array`` wraps
+    with ``np.frombuffer``.
+    """
     if frame_kind(data) == "binary":
-        return _decode_binary_payload(data)
+        preamble, _ = peek_payload(data)
+        return attach_buffers(data, preamble)
     try:
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -315,8 +306,8 @@ class FrameDecoder:
     *bodies* (``bytes``) instead of envelopes, counters still tick per
     kind.  The server reader uses this so its pre-decode gate can
     :func:`peek_payload` a frame and shed it (quota, overload) before any
-    tensor buffer is materialized; admitted bodies then go through
-    :func:`decode_payload`.
+    tensor buffer is materialized; admitted binary bodies then go through
+    :func:`attach_buffers`, so their preamble is parsed once.
     """
 
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES, raw: bool = False):

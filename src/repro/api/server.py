@@ -43,7 +43,7 @@ from repro.api.envelopes import (
 from repro.api.framing import (
     MAX_FRAME_BYTES,
     FrameDecoder,
-    decode_payload,
+    attach_buffers,
     encode_frame,
     peek_payload,
 )
@@ -106,6 +106,23 @@ def _applied_degradation(response: dict) -> Optional[int]:
         if isinstance(value, int) and not isinstance(value, bool):
             return value
     return None
+
+
+def complete_work(server, tenant, payload: dict, nbytes: int, started: float) -> None:
+    """Retire one admitted work frame on either core: free its admission
+    slot and meter it against ``tenant``.
+
+    Both cores call this *before* writing the response frame, so a client
+    that has read its answer always finds its own charge in the ledger.
+    Modelled cycles/energy arrive separately, through the service's cost
+    observer, split exactly per batch.
+    """
+    elapsed = time.perf_counter() - started
+    server.admission.complete(elapsed)
+    if server.tenancy is not None:
+        server.tenancy.charge_request(
+            tenant, rows=estimate_rows(payload), nbytes=nbytes, wall_seconds=elapsed
+        )
 
 
 class _Connection:
@@ -643,9 +660,10 @@ class NormServer:
                         )
                         continue
                     if is_binary:
-                        # Admitted: only now pay for the tensor buffers.
+                        # Admitted: only now pay for the tensor buffers
+                        # (the peeked preamble is reused, not re-parsed).
                         try:
-                            payload = decode_payload(body)
+                            payload = attach_buffers(body, payload)
                         except ApiError as error:
                             connection.inflight.release()
                             with self._lock:
@@ -702,48 +720,41 @@ class NormServer:
         """Worker body: handle one envelope, send its response frame."""
         started = time.perf_counter()
         try:
-            if connection.shm is not None:
-                try:
-                    # Swap shm slab descriptors for zero-copy views over the
-                    # shared segment before the handler sees the envelope.
-                    payload = connection.shm.resolve_inbound(payload)
-                except ApiError as error:
-                    self._try_send(connection, self._error_envelope(payload, error))
-                    return
-            degrade_level = 0
-            if self.ladder is not None and is_work:
-                # Feed the ladder the queue pressure at execution time; it
-                # answers the fidelity level this request runs at.
-                degrade_level = self.ladder.observe(self.admission.pressure())
-            tenant_name = (
-                connection.tenant.name if connection.tenant is not None else None
-            )
-            response = self.handler.handle(payload, degrade_level, tenant_name)
-            if self.ladder is not None and is_work:
-                applied = _applied_degradation(response)
-                if applied is not None:
-                    self.ladder.record_applied(applied)
+            try:
+                response = self._respond(connection, payload, is_work)
+            finally:
+                if is_work:
+                    complete_work(self, connection.tenant, payload, nbytes, started)
             sent = self._try_send(connection, response)
             if sent:
                 with self._lock:
                     self.requests_served += 1
         finally:
-            elapsed = time.perf_counter() - started
-            if is_work:
-                self.admission.complete(elapsed)
-                if self.tenancy is not None:
-                    # Meter the served request against the connection's
-                    # tenant (modelled cycles/energy arrive separately via
-                    # the service's cost observer, split exactly per batch).
-                    self.tenancy.charge_request(
-                        connection.tenant,
-                        rows=estimate_rows(payload),
-                        nbytes=nbytes,
-                        wall_seconds=elapsed,
-                    )
             with self._lock:
                 connection.inflight_count -= 1
             connection.inflight.release()
+
+    def _respond(self, connection: _Connection, payload: dict, is_work: bool) -> dict:
+        """The response envelope for one admitted frame."""
+        if connection.shm is not None:
+            try:
+                # Swap shm slab descriptors for zero-copy views over the
+                # shared segment before the handler sees the envelope.
+                payload = connection.shm.resolve_inbound(payload)
+            except ApiError as error:
+                return self._error_envelope(payload, error)
+        degrade_level = 0
+        if self.ladder is not None and is_work:
+            # Feed the ladder the queue pressure at execution time; it
+            # answers the fidelity level this request runs at.
+            degrade_level = self.ladder.observe(self.admission.pressure())
+        tenant_name = connection.tenant.name if connection.tenant is not None else None
+        response = self.handler.handle(payload, degrade_level, tenant_name)
+        if self.ladder is not None and is_work:
+            applied = _applied_degradation(response)
+            if applied is not None:
+                self.ladder.record_applied(applied)
+        return response
 
     def _error_envelope(self, payload: dict, error: BaseException) -> dict:
         """An error envelope for a frame rejected before reaching the handler."""

@@ -96,8 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=8,
-        help="request-handling worker threads in --listen mode (the "
-        "server-side pipelining depth across all connections)",
+        help="worker threads in --listen mode: every request's handler on "
+        "the threaded core; on the async core only execute and snapshot ops "
+        "(normalize/bulk/stream never leave the event loop)",
     )
     parser.add_argument(
         "--max-inflight",

@@ -15,19 +15,26 @@ Covered here:
   flows on another connection;
 * graceful drain: in-flight work answered, post-drain work refused;
 * the tenancy handshake (token auth, typed rejection) and the chaos
-  ``FaultGate`` contract, both unchanged on the async core.
+  ``FaultGate`` contract, both unchanged on the async core;
+* the one-hop serving path: ``normalize`` / ``normalize_bulk`` /
+  ``stream`` over binary, JSON and shm frames never enter the executor,
+  ``execute`` enters it exactly once, and a bulk frame's scheduler futures
+  wake the loop once per request;
+* tenant metering lands before the response frame is written.
 """
 
 from __future__ import annotations
 
+import asyncio
 import socket
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.api.aserver import AsyncNormServer
+from repro.api.aserver import AsyncNormServer, _await_pendings
 from repro.api.client import NormClient
 from repro.api.envelopes import (
     ApiError,
@@ -39,6 +46,7 @@ from repro.api.envelopes import (
 from repro.api.server import NormServer
 from repro.chaos.gate import FaultGate
 from repro.chaos.plan import FaultPlan, FaultRule
+from repro.serving.batcher import ResponseFuture
 from repro.serving.registry import CalibrationRegistry
 from repro.serving.service import NormalizationService
 from repro.tenancy import QuotaPolicy, TenancyController, TenantDirectory, TenantSpec
@@ -332,6 +340,21 @@ class TestAsyncTenancy:
                     client.normalize(_rows(rng), "tiny")
         service.close()
 
+    def test_every_response_read_is_already_metered(self, registry, rng):
+        # The charge lands before the response frame is written, so a
+        # lock-step client sees its own request in the ledger the moment
+        # it has read the answer -- no sleep, no polling.
+        controller = _controller()
+        service = _service(registry)
+        with AsyncNormServer(service, tenancy=controller) as server:
+            with NormClient.connect(
+                server.host, server.port, token="tok-acme"
+            ) as client:
+                for read in range(1, 61):
+                    client.normalize(_rows(rng, 1), "tiny")
+                    assert controller.snapshot()["ledger"]["acme"]["requests"] == read
+        service.close()
+
     def test_authenticated_traffic_bit_identical_and_metered(self, registry, rng):
         controller = _controller(require_auth=True)
         service = _service(registry)
@@ -377,3 +400,131 @@ class TestAsyncChaos:
         finally:
             server.close()
             service.close()
+
+
+class TestOneHopServingPath:
+    """Serving ops run on the loop; only execute and snapshot ops hop."""
+
+    @staticmethod
+    def _count_hops(server):
+        """Count executor submits and loop wake-ups from now on."""
+        counts = {"submits": 0, "wakes": 0}
+        pool_submit = server._pool.submit
+        loop_wake = server._loop.call_soon_threadsafe
+
+        def submit(*args, **kwargs):
+            counts["submits"] += 1
+            return pool_submit(*args, **kwargs)
+
+        def call_soon_threadsafe(*args, **kwargs):
+            counts["wakes"] += 1
+            return loop_wake(*args, **kwargs)
+
+        server._pool.submit = submit
+        server._loop.call_soon_threadsafe = call_soon_threadsafe
+        return counts
+
+    @pytest.mark.parametrize(
+        "transport,encoding,frames",
+        [("socket", "binary", "binary"), ("socket", "base64", "json"), ("shm", "binary", "shm")],
+    )
+    def test_serving_ops_never_enter_the_executor(
+        self, registry, rng, transport, encoding, frames
+    ):
+        service = _service(registry)
+        with AsyncNormServer(service) as server:
+            with NormClient.connect(
+                server.host, server.port, transport=transport
+            ) as client:
+                # Warm-up: the hello handshake (a snapshot op) and the shm
+                # attach happen before counting starts.
+                client.normalize(_rows(rng), "tiny", encoding=encoding)
+                counts = self._count_hops(server)
+                payload = _rows(rng)
+                result = client.normalize(payload, "tiny", encoding=encoding)
+                np.testing.assert_array_equal(result.output, _golden(registry, payload))
+                bulk = [_rows(rng, 3), _rows(rng, 1), _rows(rng, 4)]
+                for got, sent in zip(
+                    client.normalize_bulk(bulk, "tiny", encoding=encoding), bulk
+                ):
+                    np.testing.assert_array_equal(got.output, _golden(registry, sent))
+                chunks = [_rows(rng, 2), _rows(rng, 3)]
+                for got, sent in zip(
+                    client.stream(iter(chunks), "tiny", encoding=encoding), chunks
+                ):
+                    np.testing.assert_array_equal(got.output, _golden(registry, sent))
+                assert counts["submits"] == 0
+                (connection,) = server.wire_snapshot()["per_connection"]
+                assert connection["encoding"] == frames
+        service.close()
+
+    def test_binary_execute_takes_exactly_one_hop(self, registry, rng):
+        service = _service(registry)
+        with AsyncNormServer(service) as server:
+            with NormClient.connect(server.host, server.port) as client:
+                served = client.fetch_spec("tiny")
+                counts = self._count_hops(server)
+                rows = _rows(rng)
+                output, _, _ = client.execute_spec(
+                    served.spec, rows, gamma=served.gamma, beta=served.beta,
+                    backend="reference",
+                )
+                np.testing.assert_array_equal(output, _golden(registry, rows))
+                assert counts["submits"] == 1
+        service.close()
+
+    def test_sixteen_tensor_bulk_wakes_the_loop_once(self, registry, rng):
+        service = _service(registry)
+        with AsyncNormServer(service) as server:
+            with NormClient.connect(server.host, server.port) as client:
+                client.normalize(_rows(rng), "tiny")  # hello off the count
+                counts = self._count_hops(server)
+                bulk = [_rows(rng, 2) for _ in range(16)]
+                results = client.normalize_bulk(bulk, "tiny")
+                assert counts == {"submits": 0, "wakes": 1}
+                for got, sent in zip(results, bulk):
+                    np.testing.assert_array_equal(got.output, _golden(registry, sent))
+        service.close()
+
+    def test_countdown_wakes_once_under_concurrent_resolution(self):
+        # More resolving threads than cores, switching every microsecond:
+        # a lost update on the countdown would either never wake the loop
+        # (the wait_for times out) or wake it more than once.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        loop = asyncio.new_event_loop()
+        wakes = []
+        wake = loop.call_soon_threadsafe
+
+        def counted(*args):
+            wakes.append(args)
+            return wake(*args)
+
+        loop.call_soon_threadsafe = counted
+
+        def resolve(part, start):
+            start.wait(timeout=10.0)
+            for future in part:
+                future.set_result(None)
+
+        try:
+            for _ in range(3):
+                wakes.clear()
+                futures = [ResponseFuture() for _ in range(8 * 1000)]
+                waiting = loop.create_task(_await_pendings(loop, futures))
+                loop.run_until_complete(asyncio.sleep(0))  # callbacks registered
+                start = threading.Barrier(8)
+                threads = [
+                    threading.Thread(target=resolve, args=(futures[i::8], start))
+                    for i in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                    assert not thread.is_alive()
+                loop.run_until_complete(asyncio.wait_for(waiting, timeout=10.0))
+                assert len(wakes) == 1
+        finally:
+            sys.setswitchinterval(interval)
+            loop.close()

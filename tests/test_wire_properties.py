@@ -22,6 +22,7 @@ the direct fuzz loops use fixed-seed generators.
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -53,8 +54,11 @@ from repro.api.framing import (
     BINARY_MAGIC,
     FRAME_HEADER,
     FrameDecoder,
+    attach_buffers,
+    decode_payload,
     encode_frame,
     frame_kind,
+    peek_payload,
 )
 from repro.api.handler import ApiHandler
 from repro.serving.registry import CalibrationRegistry
@@ -532,6 +536,133 @@ class TestBinaryFrameProperties:
         assert inner.sent["op"].startswith("corrupted[")
         assert has_binary_tensors(inner.sent)  # still a binary frame on the wire
         assert frame_kind(encode_frame(inner.sent)[4:]) == "binary"
+
+
+# ---------------------------------------------------------------------------
+# peek + attach_buffers: the server read path's one-parse binary decode
+# ---------------------------------------------------------------------------
+
+
+def _peek_then_attach(body: bytes) -> dict:
+    """What the server read path does: gate on the peek, then attach."""
+    payload, is_binary = peek_payload(body)
+    return attach_buffers(body, payload) if is_binary else payload
+
+
+def _outcome(decode, body: bytes):
+    """The envelope, or the ApiError member a hostile body raised."""
+    try:
+        return decode(body)
+    except ApiError as error:
+        return type(error)
+
+
+def _binary_body(
+    preamble: bytes, table, buffers: bytes = b"", magic: bytes = BINARY_MAGIC,
+    count=None,
+) -> bytes:
+    """A hand-assembled binary payload (no frame prefix), any field forged."""
+    head = magic + struct.pack(">I", len(preamble)) + preamble
+    head += struct.pack(">I", len(table) if count is None else count)
+    for offset, length in table:
+        head += struct.pack(">QQ", offset, length)
+    return head + buffers
+
+
+def _tensor_preamble(index) -> bytes:
+    return json.dumps(
+        {
+            "op": "normalize",
+            "tensor": {"encoding": "binary", "dtype": "float64", "shape": [1], "data": index},
+        }
+    ).encode()
+
+
+def _hostile_bodies():
+    """Forged binary payloads, each malformed in exactly one field."""
+    good = _tensor_preamble(0)
+    table_end = len(_binary_body(good, [(0, 0)]))
+    return {
+        "bad_magic": _binary_body(good, [(table_end, 8)], bytes(8), magic=b"\xabXX3"),
+        "header_truncated": BINARY_MAGIC + b"\x00\x00",
+        "preamble_overruns_payload": BINARY_MAGIC + struct.pack(">I", 1 << 20) + b"{}\x00\x00\x00\x00",
+        "preamble_not_utf8": _binary_body(b"\xff\xfe", []),
+        "preamble_not_json": _binary_body(b"{nope", []),
+        "preamble_not_object": _binary_body(b"[1, 2]", []),
+        "table_overruns_payload": _binary_body(good, [], count=1 << 28),
+        "buffer_past_the_end": _binary_body(good, [(table_end, 64)], bytes(8)),
+        "buffer_overlaps_table": _binary_body(good, [(0, 8)], bytes(8)),
+        "dangling_buffer_index": _binary_body(_tensor_preamble(3), [(table_end, 8)], bytes(8)),
+        "bool_buffer_index": _binary_body(_tensor_preamble(True), [(table_end, 8)], bytes(8)),
+        "string_buffer_index": _binary_body(_tensor_preamble("0"), [(table_end, 8)], bytes(8)),
+    }
+
+
+class TestPeekThenAttachMatchesDecode:
+    """``peek_payload`` + ``attach_buffers`` is one more input to the
+    hostile-frame cases above: on every body it either decodes to exactly
+    what :func:`decode_payload` returns or raises the same ApiError member."""
+
+    def test_well_formed_binary_body_decodes_identically(self):
+        array = np.arange(6.0).reshape(2, 3)
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "op": "normalize_bulk",
+            "request_id": 4,
+            "tensors": [TensorPayload.from_array(array, "binary").to_wire()] * 2,
+        }
+        body = encode_frame(envelope)[FRAME_HEADER.size :]
+        attached = _peek_then_attach(body)
+        assert attached == decode_payload(body)
+        for wire in attached["tensors"]:
+            assert TensorPayload.from_wire(wire).to_array().tobytes() == array.tobytes()
+
+    def test_attach_leaves_the_peeked_preamble_untouched(self):
+        wire = TensorPayload.from_array(np.arange(3.0), "binary").to_wire()
+        body = encode_frame({"op": "normalize", "tensor": wire})[FRAME_HEADER.size :]
+        preamble, is_binary = peek_payload(body)
+        assert is_binary
+        attach_buffers(body, preamble)
+        assert preamble["tensor"]["data"] == 0  # copy-on-write, not mutated
+
+    @pytest.mark.parametrize("case", sorted(_hostile_bodies()))
+    def test_forged_fields_fail_with_the_same_member(self, case):
+        body = _hostile_bodies()[case]
+        expected = _outcome(decode_payload, body)
+        assert isinstance(expected, type) and issubclass(expected, ApiError)
+        assert _outcome(_peek_then_attach, body) is expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), flips=st.integers(1, 8))
+    def test_corrupted_binary_bodies_agree_with_decode(self, seed, flips):
+        rng = np.random.default_rng(seed)
+        request = NormalizeBulkRequest(
+            model="m",
+            tensors=(
+                TensorPayload.from_array(rng.normal(size=(3, 5)), "binary"),
+                TensorPayload.from_array(rng.normal(size=(1, 5)), "binary"),
+            ),
+        )
+        body = bytearray(encode_frame(request.to_wire())[FRAME_HEADER.size :])
+        for position in rng.integers(0, len(body), size=flips):
+            body[int(position)] ^= int(rng.integers(1, 256))
+        body = bytes(body)
+        assert _outcome(_peek_then_attach, body) == _outcome(decode_payload, body)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16))
+    def test_truncated_binary_bodies_agree_with_decode(self, seed):
+        rng = np.random.default_rng(seed)
+        body = encode_frame(
+            NormalizeRequest(
+                model="m",
+                tensor=TensorPayload.from_array(rng.normal(size=(2, 4)), "binary"),
+            ).to_wire()
+        )[FRAME_HEADER.size :]
+        cut = body[: int(rng.integers(1, len(body)))]  # strict prefix
+        expected = _outcome(decode_payload, cut)
+        assert expected is TransportError
+        assert _outcome(_peek_then_attach, cut) is expected
 
 
 # ---------------------------------------------------------------------------
