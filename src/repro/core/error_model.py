@@ -23,11 +23,11 @@ The chain is:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
-from scipy import stats
 
 from repro.core.isd import IsdProfile
 from repro.core.predictor import IsdPredictor
@@ -92,11 +92,13 @@ def flip_probability(
 
     Decision margins (difference between the best and second-best choice
     log-likelihood) are modelled as Gaussian; a flip happens when the margin
-    is smaller than the logit perturbation.
+    is smaller than the logit perturbation.  The Gaussian CDF is evaluated in
+    closed form, ``Phi(z) = erfc(-z / sqrt(2)) / 2``.
     """
     if margin_std <= 0:
         return float(logit_perturbation >= margin_mean)
-    return float(stats.norm.cdf((logit_perturbation - margin_mean) / margin_std))
+    z = (logit_perturbation - margin_mean) / margin_std
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,26 @@ class TestErrorPropagation:
     def test_flip_probability_degenerate_margin(self):
         assert flip_probability(0.6, margin_mean=0.5, margin_std=0.0) == 1.0
         assert flip_probability(0.4, margin_mean=0.5, margin_std=0.0) == 0.0
+
+    # Reference standard normal CDF values, computed with scipy.stats.norm.cdf.
+    GOLDEN_PHI = {
+        -8.0: 6.22096057427174e-16,
+        -3.0: 0.0013498980316300933,
+        -1.0: 0.15865525393145707,
+        -0.5: 0.3085375387259869,
+        0.0: 0.5,
+        0.5: 0.6914624612740131,
+        1.0: 0.8413447460685429,
+        3.0: 0.9986501019683699,
+        8.0: 0.9999999999999993,
+    }
+
+    @pytest.mark.parametrize("z", sorted(GOLDEN_PHI))
+    def test_flip_probability_golden_normal_cdf(self, z):
+        phi = flip_probability(z, margin_mean=0.0, margin_std=1.0)
+        assert math.isclose(phi, self.GOLDEN_PHI[z], rel_tol=1e-13, abs_tol=1e-16)
+        mirrored = flip_probability(-z, margin_mean=0.0, margin_std=1.0)
+        assert math.isclose(mirrored, 1.0 - phi, rel_tol=1e-13, abs_tol=1e-16)
 
     def test_propagate_report_fields(self):
         profile = synthetic_profile(noise=0.005)
