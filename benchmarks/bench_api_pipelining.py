@@ -3,10 +3,21 @@
 Acceptance target of the pipelined protocol (ISSUE 5): **one** remote
 client over **one** pooled transport must reach at least 2x the requests/sec
 at pipeline depth >= 8 that it gets in lock-step (depth 1) against the same
-live server.  Depth 1 pays a full round trip plus the batcher's latency
-trigger per request; with depth 8 the requests overlap on the wire and
-coalesce into shared micro-batches server-side.  The bulk envelope
+live server.  Depth 1 pays a full round trip and one engine tick per
+request; with depth 8 the requests overlap on the wire and coalesce into
+shared batches server-side.  The bulk envelope
 (`normalize_bulk`: every payload in one frame) is measured alongside.
+
+The floor is checked against two placements of the same server:
+
+* ``in_process`` -- an ``AsyncNormServer`` in the client's own process;
+* ``child_process`` -- a ``haan-serve --listen`` child, as a remote client
+  would meet it.
+
+In process, client and server share one GIL: at depth 1 the process is
+already busy for the whole run (CPU time ~= wall time), so depth 8 can
+only win what batching saves per request, and on a 2-vCPU host that stays
+below the floor.  Both results are reported and both must pass.
 
 Every measured path must stay **bit-identical** to the in-process transport
 and the `reference` engine backend -- speed never buys approximation.
@@ -33,8 +44,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.api.aserver import AsyncNormServer
 from repro.api.client import NormClient
-from repro.api.server import NormServer
+from repro.fleet.supervisor import ReplicaProcess
 from repro.serving.batcher import BatcherConfig
 from repro.serving.registry import CalibrationRegistry
 from repro.serving.service import NormalizationService
@@ -84,71 +96,110 @@ def bench_api_pipelining(
         for payload in payloads
     ]
     with NormClient.in_process(registry=registry) as client:
-        in_process = [
+        transported = [
             client.normalize(payload, model_name).output for payload in payloads
         ]
 
-    config = BatcherConfig(max_batch_size=32, max_wait=0.002)
-    timings: Dict[str, float] = {}
     outputs: Dict[str, List[np.ndarray]] = {}
+    setups: Dict[str, Dict[str, object]] = {}
+
+    config = BatcherConfig(max_batch_size=32)
     with NormalizationService(registry=registry, config=config) as service:
-        with NormServer(service, workers=8, max_inflight=64) as server:
-            with NormClient.connect(server.host, server.port) as client:
-
-                def lockstep():
-                    outputs["depth-1"] = [
-                        r.output
-                        for r in client.normalize_many(payloads, model_name, depth=1)
-                    ]
-
-                def pipelined():
-                    outputs[f"depth-{PIPELINE_DEPTH}"] = [
-                        r.output
-                        for r in client.normalize_many(
-                            payloads, model_name, depth=PIPELINE_DEPTH
-                        )
-                    ]
-
-                def bulk():
-                    outputs["bulk"] = [
-                        r.output
-                        for r in client.normalize_bulk(payloads, model_name)
-                    ]
-
-                timings["depth-1"] = _measure(lockstep)
-                timings[f"depth-{PIPELINE_DEPTH}"] = _measure(pipelined)
-                timings["bulk"] = _measure(bulk)
+        with AsyncNormServer(service, workers=8, max_inflight=64) as server:
+            setups["in_process"] = _measure_paths(
+                server.host, server.port, payloads, model_name, outputs, "in-process"
+            )
+    child = ReplicaProcess(model=model_name, max_inflight=64, max_batch_size=32)
+    try:
+        host, port = child.start().rsplit(":", 1)
+        setups["child_process"] = _measure_paths(
+            host, int(port), payloads, model_name, outputs, "child-process"
+        )
+    finally:
+        child.stop()
 
     # Bit-identity: every wire path == in-process == reference, exactly.
     mismatches = []
     for name, outs in outputs.items():
-        for index, (out, ref, inproc) in enumerate(zip(outs, reference, in_process)):
+        for index, (out, ref, inproc) in enumerate(zip(outs, reference, transported)):
             if not (np.array_equal(out, ref) and np.array_equal(out, inproc)):
                 mismatches.append(f"{name}[{index}]")
-    rps = {name: requests / seconds for name, seconds in timings.items()}
     return {
         "requests": requests,
         "rows_per_request": rows_per_request,
         "pipeline_depth": PIPELINE_DEPTH,
-        "seconds": timings,
-        "requests_per_second": rps,
-        "pipeline_speedup": rps[f"depth-{PIPELINE_DEPTH}"] / rps["depth-1"],
-        "bulk_speedup": rps["bulk"] / rps["depth-1"],
+        "setups": setups,
         "bit_identical": not mismatches,
         "mismatches": mismatches,
         "floor": PIPELINE_SPEEDUP_FLOOR,
     }
 
 
+def _measure_paths(
+    host: str,
+    port: int,
+    payloads: List[np.ndarray],
+    model_name: str,
+    outputs: Dict[str, List[np.ndarray]],
+    label: str,
+) -> Dict[str, object]:
+    """Depth-1, depth-N and bulk req/s of one client against one server."""
+    timings: Dict[str, float] = {}
+    with NormClient.connect(host, port) as client:
+        client.wait_until_ready()
+
+        def lockstep():
+            outputs[f"{label} depth-1"] = [
+                r.output for r in client.normalize_many(payloads, model_name, depth=1)
+            ]
+
+        def pipelined():
+            outputs[f"{label} depth-{PIPELINE_DEPTH}"] = [
+                r.output
+                for r in client.normalize_many(
+                    payloads, model_name, depth=PIPELINE_DEPTH
+                )
+            ]
+
+        def bulk():
+            outputs[f"{label} bulk"] = [
+                r.output for r in client.normalize_bulk(payloads, model_name)
+            ]
+
+        timings["depth-1"] = _measure(lockstep)
+        timings[f"depth-{PIPELINE_DEPTH}"] = _measure(pipelined)
+        timings["bulk"] = _measure(bulk)
+    rps = {name: len(payloads) / seconds for name, seconds in timings.items()}
+    return {
+        "seconds": timings,
+        "requests_per_second": rps,
+        "pipeline_speedup": rps[f"depth-{PIPELINE_DEPTH}"] / rps["depth-1"],
+        "bulk_speedup": rps["bulk"] / rps["depth-1"],
+    }
+
+
+def _meets_floor(result: Dict[str, object]) -> bool:
+    return result["bit_identical"] and all(
+        setup["pipeline_speedup"] >= PIPELINE_SPEEDUP_FLOOR
+        and setup["bulk_speedup"] >= PIPELINE_SPEEDUP_FLOOR
+        for setup in result["setups"].values()
+    )
+
+
 def _report(result: Dict[str, object]) -> None:
     print(f"requests: {result['requests']} x {result['rows_per_request']} row(s)")
-    for name, value in result["requests_per_second"].items():
-        print(f"  {name:>10}: {value:8.0f} req/s   ({1e3 * result['seconds'][name]:.1f} ms)")
-    print(
-        f"pipeline speedup (depth {result['pipeline_depth']} vs 1): "
-        f"{result['pipeline_speedup']:.2f}x  (floor {result['floor']:.1f}x)"
-    )
-    print(f"bulk speedup: {result['bulk_speedup']:.2f}x")
+    for label, setup in result["setups"].items():
+        print(f"{label}:")
+        for name, value in setup["requests_per_second"].items():
+            print(
+                f"  {name:>10}: {value:8.0f} req/s   "
+                f"({1e3 * setup['seconds'][name]:.1f} ms)"
+            )
+        print(
+            f"  pipeline speedup (depth {result['pipeline_depth']} vs 1): "
+            f"{setup['pipeline_speedup']:.2f}x  (floor {result['floor']:.1f}x)"
+        )
+        print(f"  bulk speedup: {setup['bulk_speedup']:.2f}x")
     print(f"bit-identical to in-process + reference: {result['bit_identical']}")
 
 
@@ -158,10 +209,11 @@ def test_api_pipelining_speedup():
     print()
     _report(result)
     assert result["bit_identical"], result["mismatches"]
-    assert result["pipeline_speedup"] >= PIPELINE_SPEEDUP_FLOOR
-    # The bulk envelope must not regress below the pipelined floor either:
-    # it is the "whole batch in one frame" fast path.
-    assert result["bulk_speedup"] >= PIPELINE_SPEEDUP_FLOOR
+    for label, setup in result["setups"].items():
+        assert setup["pipeline_speedup"] >= PIPELINE_SPEEDUP_FLOOR, (label, setup)
+        # The bulk envelope must not regress below the pipelined floor
+        # either: it is the "whole batch in one frame" fast path.
+        assert setup["bulk_speedup"] >= PIPELINE_SPEEDUP_FLOOR, (label, setup)
 
 
 def main(argv=None) -> int:
@@ -184,12 +236,7 @@ def main(argv=None) -> int:
     if args.output:
         Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.output}")
-    ok = (
-        result["bit_identical"]
-        and result["pipeline_speedup"] >= PIPELINE_SPEEDUP_FLOOR
-        and result["bulk_speedup"] >= PIPELINE_SPEEDUP_FLOOR
-    )
-    return 0 if ok else 1
+    return 0 if _meets_floor(result) else 1
 
 
 if __name__ == "__main__":

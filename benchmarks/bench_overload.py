@@ -14,11 +14,13 @@ server *does* accept still finish in budget.  Without the bound every
 request is admitted, the queue grows past the deadline horizon, and
 almost nothing useful comes back -- the classic goodput collapse.
 
-The server shape is deliberately *capacity-bound*, not CPU-bound (same
-regime as ``bench_fleet.py``): a ``normalize`` handler parks in the
-micro-batcher for up to ``max_wait`` while occupying a worker slot, so
-capacity is roughly ``workers / max_wait`` frames/sec regardless of core
-count, and a single-core CI runner measures admission policy, not numpy.
+The server shape is deliberately *capacity-bound*, not CPU-bound: every
+request runs on a benchmark-local backend (:mod:`row_cost_backend`) that
+is the ``vectorized`` kernel plus a ``ROW_MS`` sleep per batch row, so the
+engine serves ``1 / ROW_MS`` rows/sec and capacity is
+``1 / (ROW_MS * ROWS)`` requests/sec (50/s) on any host that fits the real
+work inside that time; a single-core CI runner measures admission policy,
+not numpy.
 
 Results are written to a machine-readable ``BENCH_7.json``.  Runs
 standalone::
@@ -44,21 +46,24 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.api.aserver import AsyncNormServer
 from repro.api.client import NormClient
 from repro.api.envelopes import ApiError, OverloadedError
-from repro.api.server import NormServer
+from repro.engine.backends import VectorizedBackend
 from repro.serving.batcher import BatcherConfig
 from repro.serving.registry import CalibrationRegistry
 from repro.serving.service import NormalizationService
+from row_cost_backend import register_row_cost
 
 #: Acceptance floor asserted by this benchmark (and by the CI job).
 OVERLOAD_GOODPUT_FLOOR = 1.5
 
-#: Capacity-bound server shape: ~``WORKERS / MAX_WAIT`` frames/sec.
-WORKERS = 2
-MAX_WAIT_MS = 40.0
+#: Capacity-bound server shape: ``1 / (ROW_MS * ROWS)`` requests/sec.
+ROW_MS = 10.0
+ROWS = 2
 MAX_BATCH = 64
-CAPACITY_RPS = WORKERS / (MAX_WAIT_MS / 1000.0)
+CAPACITY_RPS = 1000.0 / (ROW_MS * ROWS)
+BACKEND = "overload-row-cost"
 
 #: Offered load is this multiple of capacity (the ISSUE's "2x" point).
 OVERLOAD_FACTOR = 2.0
@@ -67,7 +72,6 @@ OVERLOAD_FACTOR = 2.0
 DEADLINE_MS = 250.0
 
 MODEL = "tiny"
-ROWS = 2
 
 
 def _seconds() -> float:
@@ -77,15 +81,14 @@ def _seconds() -> float:
         return 3.0
 
 
-def _serve(registry: CalibrationRegistry, max_queue_depth: int) -> NormServer:
+def _serve(registry: CalibrationRegistry, max_queue_depth: int) -> AsyncNormServer:
     """One capacity-bound server over a child of the shared registry."""
     service = NormalizationService(
         registry=CalibrationRegistry(loader=lambda m, d: registry.get(m, d)),
-        config=BatcherConfig(max_batch_size=MAX_BATCH, max_wait=MAX_WAIT_MS / 1000.0),
+        config=BatcherConfig(max_batch_size=MAX_BATCH),
     )
-    server = NormServer(
+    server = AsyncNormServer(
         service,
-        workers=WORKERS,
         max_inflight=4096,  # the queue must build server-side, not as TCP backpressure
         max_queue_depth=max_queue_depth,
     ).start()
@@ -123,7 +126,7 @@ def _drive(
         with NormClient.connect(server.host, server.port, timeout=120.0) as client:
             client.wait_until_ready(timeout=30.0)
             # Warm the path (connection, engine cache) outside the timed window.
-            client.normalize(payloads[0], MODEL)
+            client.normalize(payloads[0], MODEL, backend=BACKEND)
 
             good = 0
             late = 0
@@ -182,7 +185,7 @@ def _drive(
                     time.sleep(delay)
                 sent = time.perf_counter()
                 handle = client.submit_normalize(
-                    payload, MODEL, deadline_ms=deadline
+                    payload, MODEL, backend=BACKEND, deadline_ms=deadline
                 )
                 pending.put((index, sent, handle))
             pending.put(None)
@@ -216,13 +219,14 @@ def _drive(
 def bench_overload(seconds: Optional[float] = None, seed: int = 0) -> Dict[str, object]:
     """Goodput at 2x capacity, with and without admission control."""
     seconds = seconds or _seconds()
+    register_row_cost(BACKEND, VectorizedBackend, ROW_MS / 1000.0)
     # One parent registry: Algorithm 1 runs once, both runs reuse it.
     registry = CalibrationRegistry()
     registry.get(MODEL, "default")
 
     # Queue bound sized to the deadline budget: work beyond
     # deadline / per-frame service time cannot finish in time anyway.
-    per_frame = MAX_WAIT_MS / WORKERS
+    per_frame = ROW_MS * ROWS
     bounded_depth = max(2, int(DEADLINE_MS / per_frame) // 2)
 
     with_shedding = _drive(
@@ -242,8 +246,8 @@ def bench_overload(seconds: Optional[float] = None, seed: int = 0) -> Dict[str, 
         "deadline_ms": DEADLINE_MS,
         "seconds": seconds,
         "server": {
-            "workers": WORKERS,
-            "max_wait_ms": MAX_WAIT_MS,
+            "row_ms": ROW_MS,
+            "rows_per_request": ROWS,
             "max_batch_size": MAX_BATCH,
             "bounded_queue_depth": bounded_depth,
         },

@@ -1,24 +1,28 @@
 """Noisy-neighbor isolation and exact metering under per-tenant quotas.
 
-Acceptance targets of the tenancy tier (ISSUE 9), on one ``NormServer``
-with a :class:`~repro.tenancy.TenancyController` attached:
+Acceptance targets of the tenancy tier, on one ``AsyncNormServer`` with
+a :class:`~repro.tenancy.TenancyController` attached:
 
 * a **noisy** tenant flooding open-loop at **4x** its request quota must
   not degrade a **within-quota** tenant's p99 latency by more than
-  **1.5x** versus running alone -- the quota gate sheds the flood in the
-  reader thread *before* decode/admission, so the noisy tenant never
-  occupies worker slots beyond its paid rate;
+  **1.5x** versus running alone -- the quota gate sheds the flood on the
+  event loop *before* decode/admission, so the noisy tenant never
+  occupies engine ticks beyond its paid rate;
 * every accepted response stays **bit-identical** to the locally rebuilt
   reference engine (tenancy is pure control plane);
 * the per-tenant ledger's modelled cycles/energy must sum **exactly** --
-  integer cycles, rational energy -- to the simulated backend's own
+  integer cycles, rational energy -- to the cost-modelling backend's own
   aggregate ``NormCostRecord`` totals: metering invents or loses nothing.
 
 The server shape is capacity-bound, not CPU-bound (same regime as
-``bench_overload.py``): a ``normalize`` parks in the micro-batcher for up
-to ``max_wait`` while occupying a worker slot, so capacity is roughly
-``workers / max_wait`` frames/sec and a single-core CI runner measures
-quota policy, not numpy.
+``bench_overload.py``): every request runs on a benchmark-local backend
+(:mod:`row_cost_backend`) that is the ``simulated`` cost model plus a
+``ROW_MS`` sleep per batch row, so the engine serves ``1 / ROW_MS`` rows/sec
+and capacity is ``1 / (ROW_MS * ROWS)`` requests/sec (200/s); a single-core
+CI runner measures quota policy, not numpy.  The cost scales with the rows
+in a batch, as a kernel's does, so the neighbour's admitted requests hold
+the one engine only for their own rows: the steady tenant seldom finds it
+busy, and then waits for one request, not for a whole batch's time.
 
 Results are written to a machine-readable ``BENCH_9.json``.  Runs
 standalone::
@@ -45,14 +49,16 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.api.aserver import AsyncNormServer
 from repro.api.client import NormClient
 from repro.api.envelopes import ApiError, QuotaExceededError
 from repro.api.retry import RetryPolicy
-from repro.api.server import NormServer
+from repro.engine.backends import SimulatedBackend
 from repro.serving.batcher import BatcherConfig
 from repro.serving.registry import CalibrationRegistry
 from repro.serving.service import NormalizationService
 from repro.tenancy import QuotaPolicy, TenancyController, TenantDirectory, TenantSpec
+from row_cost_backend import register_row_cost
 
 #: Acceptance ceiling: contended p99 over alone p99 for the steady tenant.
 ISOLATION_P99_CEILING = 1.5
@@ -61,11 +67,11 @@ ISOLATION_P99_CEILING = 1.5
 #: ratio a coin flip on shared CI runners).
 P99_FLOOR_SECONDS = 1e-3
 
-#: Capacity-bound server shape: ~``WORKERS / MAX_WAIT`` frames/sec.
-WORKERS = 4
-MAX_WAIT_MS = 20.0
+#: Capacity-bound server shape: ``1 / (ROW_MS * ROWS)`` requests/sec.
+ROW_MS = 2.5
+ROWS = 2
 MAX_BATCH = 64
-CAPACITY_RPS = WORKERS / (MAX_WAIT_MS / 1000.0)
+CAPACITY_RPS = 1000.0 / (ROW_MS * ROWS)
 
 #: The steady tenant stays well inside its quota and the server capacity.
 STEADY_RPS = 20.0
@@ -78,8 +84,8 @@ NOISY_QUOTA_RPS = 20.0
 NOISY_FLOOD_FACTOR = 4.0
 
 MODEL = "tiny"
-ROWS = 2
-BACKEND = "simulated"
+#: The ``simulated`` cost model behind the row cost (see the module docstring).
+BACKEND = "tenancy-row-cost"
 ACCELERATOR = "haan-v1"
 
 STEADY_TOKEN = "bench-steady-token"
@@ -177,6 +183,7 @@ def _drive(
 def bench_tenancy(seconds: Optional[float] = None, seed: int = 0) -> Dict[str, object]:
     """Steady-tenant p99 alone vs under a 4x-quota noisy flood, plus metering."""
     seconds = seconds or _seconds()
+    register_row_cost(BACKEND, SimulatedBackend, ROW_MS / 1000.0)
     rng = np.random.default_rng(seed)
     registry = CalibrationRegistry()
     artifact = registry.get(MODEL, "default")
@@ -190,12 +197,10 @@ def bench_tenancy(seconds: Optional[float] = None, seed: int = 0) -> Dict[str, o
         ]
 
     service = NormalizationService(
-        registry=registry,
-        config=BatcherConfig(max_batch_size=MAX_BATCH, max_wait=MAX_WAIT_MS / 1000.0),
+        registry=registry, config=BatcherConfig(max_batch_size=MAX_BATCH)
     )
-    server = NormServer(
+    server = AsyncNormServer(
         service,
-        workers=WORKERS,
         max_inflight=4096,
         max_queue_depth=10**6,  # isolation must come from the quota, not admission
         tenancy=tenancy,
@@ -276,8 +281,8 @@ def bench_tenancy(seconds: Optional[float] = None, seed: int = 0) -> Dict[str, o
         "capacity_rps": round(CAPACITY_RPS, 1),
         "seconds": seconds,
         "server": {
-            "workers": WORKERS,
-            "max_wait_ms": MAX_WAIT_MS,
+            "row_ms": ROW_MS,
+            "rows_per_request": ROWS,
             "max_batch_size": MAX_BATCH,
         },
         "quotas": {

@@ -36,10 +36,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.api.aserver import AsyncNormServer
 from repro.api.client import NormClient
 from repro.api.envelopes import SCHEMA_VERSION, TensorPayload
 from repro.api.framing import MAX_FRAME_BYTES, FrameDecoder, encode_frame, frame_kind
-from repro.api.server import NormServer
 from repro.serving.batcher import BatcherConfig
 from repro.serving.registry import CalibrationRegistry
 from repro.serving.service import NormalizationService
@@ -164,12 +164,12 @@ def bench_transports(
     with NormClient.in_process(registry=registry) as client:
         golden = [client.normalize(payload, model_name).output for payload in payloads]
 
-    config = BatcherConfig(max_batch_size=32, max_wait=0.002)
+    config = BatcherConfig(max_batch_size=32)
     timings: Dict[str, float] = {}
     outputs: Dict[str, List[np.ndarray]] = {}
     encodings: Dict[str, str] = {}
     with NormalizationService(registry=registry, config=config) as service:
-        with NormServer(service, workers=8, max_inflight=64) as server:
+        with AsyncNormServer(service, workers=8, max_inflight=64) as server:
 
             def run(name: str, transport: str, encoding: Optional[str]) -> None:
                 with NormClient.connect(

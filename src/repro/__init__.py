@@ -16,11 +16,11 @@ Package layout
 * :mod:`repro.eval` -- accuracy, perplexity, latency-breakdown and
   end-to-end harnesses plus the experiment registry mapping every table and
   figure of the paper to a callable.
-* :mod:`repro.serving` -- the online serving runtime: dynamic
-  micro-batching of normalization requests, the calibration artifact
+* :mod:`repro.serving` -- the online serving runtime: continuous
+  batching of normalization requests, the calibration artifact
   registry, telemetry, and the ``haan-serve`` CLI.
 * :mod:`repro.api` -- the versioned public client/server API:
-  ``NormClient`` with in-process and socket transports, ``NormServer``
+  ``NormClient`` with in-process and socket transports, ``AsyncNormServer``
   (``haan-serve --listen``), the wire envelopes, and the ``haan-client``
   CLI; the engine's ``remote`` backend rides the same protocol.
 """

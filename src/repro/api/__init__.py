@@ -14,10 +14,11 @@ One facade, two transports, one pipelined wire protocol:
   (pooled + thread-safe: length-prefixed JSON frames over N TCP
   connections, many requests in flight demultiplexed by ``request_id``,
   transparent reconnect).
-* :mod:`repro.api.server` -- :class:`NormServer`, the TCP front of a
-  service (``haan-serve --listen``): a worker pool handles pipelined
-  frames concurrently (responses in completion order), and the shared
-  :class:`~repro.api.handler.ApiHandler` both transports dispatch through.
+* :mod:`repro.api.aserver` -- :class:`AsyncNormServer`, the TCP front of
+  a service (``haan-serve --listen``): an asyncio event loop handles
+  pipelined frames concurrently (responses in completion order), through
+  the shared :class:`~repro.api.handler.ApiHandler` both transports
+  dispatch through.
 
 Exports resolve lazily (PEP 562), mirroring :mod:`repro.engine`: the
 envelope layer is a leaf, but the client/server layers reach into
@@ -87,7 +88,6 @@ _EXPORTS = {
     "ClientNormResult": "client",
     "PendingNormResult": "client",
     "ServedSpec": "client",
-    "NormServer": "server",
     "AsyncNormServer": "aserver",
     "parse_address": "server",
 }

@@ -2,8 +2,9 @@
 
 An overloaded server that keeps accepting work converts *every* request
 into a timeout; one that sheds early keeps its goodput.  The
-:class:`AdmissionController` sits in :class:`~repro.api.server.NormServer`'s
-reader thread, *before* any tensor decode: it sees only the raw envelope
+:class:`AdmissionController` sits in
+:class:`~repro.api.aserver.AsyncNormServer`'s frame loop, *before* any
+tensor decode: it sees only the raw envelope
 dict (cheap JSON already parsed by the frame decoder) and decides in
 O(1) whether the request can plausibly meet its deadline.
 
@@ -42,7 +43,7 @@ WORK_OPS = frozenset(
 
 
 class AdmissionController:
-    """Pre-decode load shedding for :class:`~repro.api.server.NormServer`.
+    """Pre-decode load shedding for :class:`~repro.api.aserver.AsyncNormServer`.
 
     Thread-safe; one instance is shared by every connection's reader
     thread.  The clock is injectable for deterministic tests.
@@ -79,7 +80,7 @@ class AdmissionController:
     def check(self, payload: Dict[str, Any]) -> None:
         """Admit or shed one raw envelope; raises ``OverloadedError`` to shed.
 
-        Called from the reader thread before any decode beyond the JSON
+        Called from the server's frame loop before any decode beyond the JSON
         parse the framing layer already did.  On success the request is
         counted in-flight; the server must pair every successful
         ``check`` with exactly one :meth:`complete`.
@@ -167,7 +168,7 @@ class PreDecodeGate:
 
     Composes per-tenant quota shedding (:mod:`repro.tenancy`) with the
     overload :class:`AdmissionController` behind one ``check`` call in the
-    reader thread, so both policies see the same peeked envelope (binary
+    frame loop, so both policies see the same peeked envelope (binary
     frames: JSON preamble only) and both reject before any tensor buffer
     is materialized.
 

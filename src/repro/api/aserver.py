@@ -1,11 +1,11 @@
-"""`AsyncNormServer`: the asyncio server core.
+"""`AsyncNormServer`: the normalization service behind a TCP socket.
 
-Functionally identical to the threaded :class:`~repro.api.server.NormServer`
--- same wire protocol, same pre-decode shedding gate, same error taxonomy,
-same telemetry section keys, bit-identical responses -- but connections are
-coroutines on one event loop instead of a reader thread each, so holding
-10k mostly-idle connections costs kilobytes apiece rather than a thread
-stack.
+The one wire server core (``haan-serve --listen``).  Connections are
+coroutines on one event loop, so holding 10k mostly-idle connections costs
+kilobytes apiece rather than a thread stack.  A connection may have many
+requests in flight (bounded by ``max_inflight``; excess becomes TCP
+backpressure) and responses go out in completion order, demultiplexed by
+``request_id`` on the client.
 
 Division of labor per frame:
 
@@ -29,8 +29,8 @@ Division of labor per frame:
   ``execute_bulk``, ``telemetry``, ``spec``, ``hello``, ``ping``): one
   hop each, so the loop never blocks on them.
 
-Shutdown mirrors the threaded core: :meth:`close` (callable from any
-thread, e.g. a SIGTERM handler) optionally drains admitted work for
+Shutdown: :meth:`close` (callable from any thread, e.g. a SIGTERM
+handler) optionally drains admitted work for
 ``drain_timeout`` seconds -- new frames are answered with a typed
 ``overloaded`` "draining" error -- then tears the loop down and joins every
 thread it started.
@@ -50,6 +50,7 @@ from repro.api.admission import WORK_OPS, AdmissionController, PreDecodeGate
 from repro.api.envelopes import (
     ApiError,
     AuthenticationError,
+    BadSchemaError,
     ErrorResponse,
     OverloadedError,
 )
@@ -108,7 +109,7 @@ async def _await_pendings(loop: asyncio.AbstractEventLoop, pendings) -> None:
 
 
 class _AsyncConnection:
-    """Per-connection pipelining state (the coroutine twin of _Connection)."""
+    """Per-connection pipelining state: send lock + in-flight bound."""
 
     __slots__ = (
         "writer",
@@ -140,8 +141,8 @@ class _AsyncConnection:
         self.send_lock = asyncio.Lock()
         #: The reader coroutine awaits this once ``max_inflight`` requests
         #: are being handled: reading pauses, the kernel buffer fills and
-        #: the client feels TCP backpressure -- exactly the threaded
-        #: server's contract, minus the blocked thread.
+        #: the client feels TCP backpressure instead of the server
+        #: buffering without bound.
         self.inflight = asyncio.Semaphore(max_inflight)
         self.inflight_count = 0
         self.peak_inflight = 0
@@ -159,11 +160,9 @@ class _AsyncConnection:
 class AsyncNormServer:
     """Serve one :class:`NormalizationService` on an asyncio event loop.
 
-    Drop-in for :class:`~repro.api.server.NormServer`: same constructor
-    surface (``workers`` sizes the executor that replaces the thread
-    pool), same ``start`` / ``close(drain_timeout=...)`` lifecycle, same
-    ``wire_snapshot`` keys.  Requires a *threaded* service (its scheduler
-    must drain itself; nothing pumps queues between submit and resolve).
+    ``workers`` sizes the executor that runs the non-serving ops (see the
+    module docstring).  Requires a *threaded* service (its scheduler must
+    drain itself; nothing pumps queues between submit and resolve).
     """
 
     def __init__(
@@ -306,10 +305,9 @@ class AsyncNormServer:
         """Stop accepting, optionally drain, tear the loop down, join threads.
 
         Callable from any thread (the ``haan-serve`` SIGTERM handler calls
-        it from the main thread).  Semantics match the threaded core:
-        ``drain_timeout`` > 0 lets admitted frames finish (new work is
-        answered with a typed ``overloaded`` "draining" error) before the
-        connections are cut.
+        it from the main thread).  ``drain_timeout`` > 0 lets admitted
+        frames finish (new work is answered with a typed ``overloaded``
+        "draining" error) before the connections are cut.
         """
         with self._lock:
             if self._closing:
@@ -340,8 +338,7 @@ class AsyncNormServer:
         thread.join(timeout=10.0)
         self._pool.shutdown(wait=True)
         # Freeze the final wire gauges so the shutdown summary still reports
-        # session totals without pinning this closed server (mirror of the
-        # threaded core).
+        # session totals without pinning this closed server.
         attach = getattr(self.service.telemetry, "attach_section", None)
         if attach is not None:
             final_snapshot = self.wire_snapshot()
@@ -380,7 +377,7 @@ class AsyncNormServer:
     # -- telemetry -----------------------------------------------------------
 
     def wire_snapshot(self) -> Dict[str, object]:
-        """Pipelining/wire gauges; keys identical to the threaded core's."""
+        """Pipelining/wire gauges (the telemetry ``wire`` section)."""
         with self._lock:
             live = sorted(self._connections.values(), key=lambda c: c.conn_id)
             frames_json = self._retired_frames_json
@@ -450,8 +447,8 @@ class AsyncNormServer:
                 self._retired_frames_binary += decoder.frames_binary
             # Mark closed under the send lock first: a dispatch task
             # holding this connection re-checks ``closed`` under the same
-            # lock before writing (the threaded core's fd-reuse guard,
-            # translated to transports).
+            # lock before writing, so no response lands on a closed
+            # transport.
             async with connection.send_lock:
                 connection.closed = True
                 try:
@@ -468,7 +465,7 @@ class AsyncNormServer:
         connection: _AsyncConnection,
         decoder: FrameDecoder,
     ) -> None:
-        """The reader state machine -- step-for-step the threaded server's."""
+        """The per-connection reader state machine."""
         loop = asyncio.get_running_loop()
         while True:
             try:
@@ -497,7 +494,18 @@ class AsyncNormServer:
                         connection, ErrorResponse.from_exception(error).to_wire()
                     )
                     return
-                if payload.get("op") in SHM_CONTROL_OPS:
+                op = payload.get("op")
+                if not isinstance(op, str):
+                    # Checked before any set lookup: a list or dict ``op``
+                    # is unhashable and would otherwise kill this coroutine.
+                    await self._try_send(
+                        connection,
+                        self._error_envelope(
+                            payload, BadSchemaError("envelope 'op' must be a string")
+                        ),
+                    )
+                    continue
+                if op in SHM_CONTROL_OPS:
                     await self._handle_shm_control(connection, payload)
                     continue
                 if self.fault_gate is not None:
@@ -512,7 +520,7 @@ class AsyncNormServer:
                             continue
                         if action.kind == "kill":
                             return
-                if self.tenancy is not None and payload.get("op") == "hello":
+                if self.tenancy is not None and op == "hello":
                     token = payload.get("token")
                     try:
                         connection.tenant = self.tenancy.authenticate(
@@ -523,7 +531,7 @@ class AsyncNormServer:
                             connection, self._error_envelope(payload, error)
                         )
                         continue
-                is_work = payload.get("op") in WORK_OPS
+                is_work = op in WORK_OPS
                 if (
                     is_work
                     and self.tenancy is not None

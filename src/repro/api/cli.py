@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--bulk",
         action="store_true",
         help="ship all payloads in one normalize_bulk frame (fills the "
-        "server's micro-batcher from a single client)",
+        "server's batching scheduler from a single client)",
     )
     parser.add_argument(
         "--pool",

@@ -4,7 +4,7 @@ The client encodes ndarray payloads into versioned envelopes, sends them
 through a pluggable :class:`~repro.api.transport.Transport`, and decodes
 the responses back into arrays -- so the exact same calling code runs
 against an in-process :class:`NormalizationService` or a remote
-:class:`~repro.api.server.NormServer`::
+:class:`~repro.api.aserver.AsyncNormServer`::
 
     with NormClient.in_process() as client:          # local
         result = client.normalize(rows, "tiny")
@@ -149,7 +149,7 @@ class NormClient:
     def connect(
         cls, host: str, port: int, pool_size: int = 1, transport: str = "socket", **kwargs
     ) -> "NormClient":
-        """Client over TCP against a running :class:`NormServer`.
+        """Client over TCP against a running :class:`AsyncNormServer`.
 
         The transport is pooled and thread-safe: concurrent callers may
         share one client, and ``pool_size`` connections carry their
@@ -175,7 +175,7 @@ class NormClient:
 
     @classmethod
     def connect_fleet(cls, addresses, **kwargs) -> "NormClient":
-        """Client over a **fleet** of :class:`NormServer` replicas.
+        """Client over a **fleet** of :class:`AsyncNormServer` replicas.
 
         ``addresses`` is a sequence of ``host:port`` strings; requests
         route by consistent hash with health-gated failover, hedged
@@ -353,7 +353,7 @@ class NormClient:
     ) -> List[ClientNormResult]:
         """Normalize many tensors with **one** frame (the v2 bulk op).
 
-        The whole list lands in the server's micro-batcher at once, so a
+        The whole list lands in the server's scheduler at once, so a
         single client fills batches by itself instead of relying on
         cross-client coalescing.  Results come back in payload order.
         """

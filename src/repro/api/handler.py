@@ -2,9 +2,9 @@
 
 The single place wire requests become :class:`NormalizationService` calls.
 Both transports share it -- :class:`~repro.api.transport.InProcessTransport`
-invokes it directly and :class:`~repro.api.server.NormServer` invokes it per
-received frame -- so local and remote clients run the *same* validation,
-error taxonomy and execution path, which is what makes the bit-equivalence
+invokes it directly and :class:`~repro.api.aserver.AsyncNormServer` invokes
+it per received frame -- so local and remote clients run the *same*
+validation, error taxonomy and execution path, which is what makes the bit-equivalence
 guarantee between transports structural rather than tested-by-luck.
 
 Validation failures never escape as raw exceptions: every handled request
@@ -58,9 +58,10 @@ from repro.api.envelopes import (
 )
 
 
-#: Ops that flow through the service's batching scheduler.  The async
-#: server submits these via :meth:`ApiHandler.begin` (futures bridged onto
-#: the event loop) instead of blocking an executor thread in ``handle``.
+#: Ops that flow through the service's batching scheduler.  Their one
+#: dispatch path is :meth:`ApiHandler.begin` + ``finish``: the async server
+#: bridges the futures onto its event loop, :meth:`ApiHandler.handle` blocks
+#: on them.
 SERVING_OPS = frozenset({"normalize", "normalize_bulk", "stream"})
 
 
@@ -132,7 +133,16 @@ class ApiHandler:
         envelope arrived on (None = anonymous); serving ops carry it into
         the service so the cost ledger can attribute the batch's modelled
         cycles/energy per tenant.  It never affects the computation.
+
+        Serving ops go through :meth:`begin`, then block until their
+        futures resolve, then ``finish`` -- the same path as the async
+        server, which only replaces the blocking wait with an await.
         """
+        op = payload.get("op") if isinstance(payload, dict) else None
+        if isinstance(op, str) and op in SERVING_OPS:
+            pendings, finish = self.begin(payload, degrade_level, tenant)
+            self.service.wait(pendings)
+            return finish()
         request_id, echo_version = self._preamble(payload)
         try:
             request = parse_request(payload)
@@ -141,9 +151,7 @@ class ApiHandler:
                 ErrorResponse.from_exception(error, request_id).to_wire(), echo_version
             )
         try:
-            return self._stamp(
-                self._dispatch(request, degrade_level, tenant).to_wire(), echo_version
-            )
+            return self._stamp(self._dispatch(request).to_wire(), echo_version)
         except BaseException as error:  # noqa: BLE001 -- one envelope per request
             if not isinstance(error, Exception):
                 raise  # KeyboardInterrupt / SystemExit propagate to the server
@@ -182,23 +190,22 @@ class ApiHandler:
     ):
         """Submit a serving op without blocking on its result.
 
-        The non-blocking counterpart of :meth:`handle` for the ops in
-        :data:`SERVING_OPS` (the ones that flow through the batching
-        scheduler).  Validates and decodes the envelope, submits into the
-        service, and returns ``(pendings, finish)``:
+        The one dispatch path of the ops in :data:`SERVING_OPS` (the ones
+        that flow through the batching scheduler).  Validates and decodes
+        the envelope, submits into the service, and returns
+        ``(pendings, finish)``:
 
         * ``pendings`` -- the :class:`ResponseFuture` objects the request
           enqueued (empty when validation already failed);
         * ``finish()`` -- builds the response envelope; the caller must
           invoke it only once every pending future is done (the async
-          server awaits their done-callbacks), after which it never
-          blocks.
+          server awaits their done-callbacks, :meth:`handle` calls the
+          service's ``wait``), after which it never blocks.
 
-        Never raises: failures become error envelopes exactly as in
-        :meth:`handle`, with the same taxonomy mapping -- both entry points
-        produce bit-identical envelopes for the same request.  Requires a
-        service whose scheduler drains itself (threaded mode): nothing
-        pumps the queues between ``begin`` and ``finish``.
+        Never raises: failures become error envelopes with the same
+        taxonomy mapping as every other op.  Nothing pumps an inline
+        (``threaded=False``) service's queue between ``begin`` and
+        ``finish``; the caller drains it (``service.wait`` does).
         """
         request_id, echo_version = self._preamble(payload)
         try:
@@ -242,13 +249,7 @@ class ApiHandler:
 
         return pendings, finish
 
-    def _dispatch(self, request, degrade_level: int = 0, tenant: Optional[str] = None):
-        if isinstance(request, NormalizeRequest):
-            return self._normalize(request, degrade_level, tenant)
-        if isinstance(request, NormalizeBulkRequest):
-            return self._normalize_bulk(request, degrade_level, tenant)
-        if isinstance(request, StreamChunkRequest):
-            return self._stream(request, degrade_level, tenant)
+    def _dispatch(self, request):
         if isinstance(request, SpecRequest):
             return self._spec(request)
         if isinstance(request, ExecuteSpecRequest):
@@ -293,21 +294,6 @@ class ApiHandler:
 
     # -- ops ----------------------------------------------------------------
 
-    def _normalize(
-        self,
-        request: NormalizeRequest,
-        degrade_level: int = 0,
-        tenant: Optional[str] = None,
-    ) -> NormalizeResponse:
-        self._check_backend(request.backend)
-        self._check_model(request.model)
-        self._check_size(request.tensor)
-        array = self._decode_rows(request.tensor, "normalize")
-        response = self._service_normalize(
-            array, request, degrade=degrade_level, tenant=tenant
-        )
-        return self._build_normalize(request, response)
-
     @staticmethod
     def _build_normalize(
         request: NormalizeRequest, response
@@ -351,28 +337,9 @@ class ApiHandler:
         except (ValueError, IndexError) as error:
             raise BadSchemaError(str(error)) from error
 
-    def _service_normalize(
-        self, array: np.ndarray, request, context=None, degrade: int = 0, tenant=None
-    ):
-        return self._call_service(
-            self.service.normalize,
-            array,
-            request.model,
-            layer_index=request.layer_index,
-            dataset=request.dataset,
-            reference=request.reference,
-            backend=request.backend,
-            accelerator=request.accelerator,
-            context=context,
-            degrade=degrade,
-            tenant=tenant,
-            deadline_ms=request.deadline_ms,
-        )
-
     def _service_submit(
         self, array: np.ndarray, request, context=None, degrade: int = 0, tenant=None
     ):
-        """Non-blocking twin of :meth:`_service_normalize` (async path)."""
         return self._call_service(
             self.service.submit,
             array,
@@ -394,8 +361,8 @@ class ApiHandler:
         ``result(0)`` never blocks (callers only invoke this after the
         done-callback fired); execution failures surface here and map onto
         the same :class:`ApiError` members as the synchronous path, so the
-        async server's error envelopes are bit-identical to the threaded
-        server's.
+        async server's error envelopes are bit-identical to the in-process
+        transport's.
         """
         return self._call_service(future.result, 0)
 
@@ -415,34 +382,6 @@ class ApiHandler:
         return [future], lambda: self._build_normalize(
             request, self._resolve(future)
         )
-
-    def _normalize_bulk(
-        self,
-        request: NormalizeBulkRequest,
-        degrade_level: int = 0,
-        tenant: Optional[str] = None,
-    ) -> NormalizeBulkResponse:
-        self._check_backend(request.backend)
-        self._check_model(request.model)
-        self._check_bulk_size(request)
-        arrays = self._decode_bulk(request)
-        # normalize_many lands the whole list in the micro-batcher under
-        # one lock acquisition -- a single remote frame fills a batch by
-        # itself instead of waiting for cross-client coalescing.
-        responses = self._call_service(
-            self.service.normalize_many,
-            arrays,
-            request.model,
-            layer_index=request.layer_index,
-            dataset=request.dataset,
-            reference=request.reference,
-            backend=request.backend,
-            accelerator=request.accelerator,
-            degrade=degrade_level,
-            tenant=tenant,
-            deadline_ms=request.deadline_ms,
-        )
-        return self._build_bulk(request, responses)
 
     def _check_bulk_size(self, request: NormalizeBulkRequest) -> None:
         # Size-check the whole request (per tensor AND aggregate) before any
@@ -517,27 +456,6 @@ class ApiHandler:
             batch_latency=float(response.batch_latency),
             degradation=response.degradation,
         )
-
-    def _stream(
-        self,
-        request: StreamChunkRequest,
-        degrade_level: int = 0,
-        tenant: Optional[str] = None,
-    ) -> StreamChunkResponse:
-        from repro.llm.hooks import ActivationContext
-
-        self._check_backend(request.backend)
-        self._check_model(request.model)
-        self._check_size(request.tensor)
-        array = self._decode_rows(request.tensor, "stream")
-        # A fresh context per chunk mirrors ``NormalizationService.stream``:
-        # chunks are independent token groups, so cross-layer ISD state must
-        # not leak between them (nor between interleaved streams).
-        response = self._service_normalize(
-            array, request, context=ActivationContext(), degrade=degrade_level,
-            tenant=tenant,
-        )
-        return self._build_stream(request, response)
 
     def _build_stream(
         self, request: StreamChunkRequest, response

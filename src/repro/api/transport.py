@@ -4,7 +4,7 @@ A transport is two methods -- blocking ``request(envelope) -> envelope``
 and pipelined ``submit(envelope) -> PendingReply`` -- so
 :class:`~repro.api.client.NormClient` code is identical whether it talks to
 a :class:`NormalizationService` in this process or to a
-:class:`~repro.api.server.NormServer` on another host:
+:class:`~repro.api.aserver.AsyncNormServer` on another host:
 
 * :class:`InProcessTransport` hands the envelope straight to a shared
   :class:`~repro.api.handler.ApiHandler` (no socket, no JSON bytes on the

@@ -5,7 +5,7 @@ Everything here is driven by a seeded, JSON-serializable
 fault schedule whether applied client-side
 (:class:`~repro.chaos.transport.ChaosTransport`, wrapping any pooled
 transport) or server-side (:class:`~repro.chaos.gate.FaultGate`, hooked
-into ``NormServer``'s frame loop).  The ``haan-chaos`` CLI
+into ``AsyncNormServer``'s frame loop).  The ``haan-chaos`` CLI
 (:mod:`repro.chaos.cli`) drives golden-checked traffic under a plan and
 asserts the robustness contract: every response is bit-identical to the
 fault-free run or a *typed* failure from the API error taxonomy --

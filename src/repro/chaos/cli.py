@@ -37,9 +37,9 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.api.aserver import AsyncNormServer
 from repro.api.client import NormClient
 from repro.api.envelopes import ApiError, OverloadedError
-from repro.api.server import NormServer
 from repro.api.transport import SocketTransport
 from repro.chaos.gate import FaultGate
 from repro.chaos.plan import FaultPlan, canned_plan
@@ -127,7 +127,7 @@ def _load_plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Fau
 
 
 class _Replicas:
-    """N in-process NormServers over one shared calibration artifact."""
+    """N in-process AsyncNormServers over one shared calibration artifact."""
 
     def __init__(
         self,
@@ -139,7 +139,7 @@ class _Replicas:
         # One parent registry: Algorithm 1 runs once, every replica reuses it.
         self.registry = CalibrationRegistry()
         self.services: List[NormalizationService] = []
-        self.servers: List[NormServer] = []
+        self.servers: List[AsyncNormServer] = []
         try:
             for index in range(count):
                 service = NormalizationService(
@@ -147,7 +147,7 @@ class _Replicas:
                         loader=lambda m, d: self.registry.get(m, d)
                     )
                 )
-                server = NormServer(
+                server = AsyncNormServer(
                     service,
                     workers=workers,
                     max_queue_depth=max_queue_depth,

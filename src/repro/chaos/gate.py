@@ -1,7 +1,7 @@
-"""Server-side fault injection: the gate inside NormServer's frame loop.
+"""Server-side fault injection: the gate inside AsyncNormServer's frame loop.
 
 :class:`FaultGate` adapts a :class:`~repro.chaos.plan.FaultPlan` to the
-action set :class:`~repro.api.server.NormServer` consumes per received
+action set :class:`~repro.api.aserver.AsyncNormServer` consumes per received
 frame -- ``delay`` (sleep, then handle normally), ``drop`` (swallow the
 frame; the client's deadline fires), ``corrupt`` (answer with the rule's
 deterministic garbage bytes; the client's frame decoder fails closed) and
@@ -23,7 +23,7 @@ from repro.chaos.plan import FaultAction, FaultPlan
 
 __all__ = ["FaultGate"]
 
-#: Rule kind -> the action kind NormServer's frame loop understands.
+#: Rule kind -> the action kind AsyncNormServer's frame loop understands.
 _SERVER_ACTIONS = {
     "delay": "delay",
     "slow_drain": "delay",
@@ -34,7 +34,7 @@ _SERVER_ACTIONS = {
 
 
 class FaultGate:
-    """Consulted once per received frame by ``NormServer``'s reader."""
+    """Consulted once per received frame by ``AsyncNormServer``'s reader."""
 
     def __init__(self, plan: FaultPlan, scope: str = "wire", replica: Optional[str] = None):
         self.plan = plan

@@ -197,7 +197,7 @@ class FaultAction:
 
     ``kind`` is the rule kind on the client side; the server-side
     :class:`~repro.chaos.gate.FaultGate` translates it to the action set
-    :class:`~repro.api.server.NormServer` consumes (``delay`` / ``drop`` /
+    :class:`~repro.api.aserver.AsyncNormServer` consumes (``delay`` / ``drop`` /
     ``corrupt`` / ``kill``).  ``data`` carries the deterministic garbage
     bytes of a ``corrupt`` fault.
     """

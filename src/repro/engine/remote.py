@@ -3,7 +3,7 @@
 The ROADMAP's ``remote`` backend: instead of running the kernel locally,
 ``run`` ships the plan's serialized :class:`~repro.engine.spec.EngineSpec`
 plus the affine parameters and the stacked rows to a live
-:class:`~repro.api.server.NormServer` (the ``execute`` op of the wire
+:class:`~repro.api.aserver.AsyncNormServer` (the ``execute`` op of the wire
 protocol) and decodes ``(output, mean, isd)`` from the response.  Because
 the server rebuilds the engine from the shipped spec, the remote host needs
 no model or calibration state -- the spec *is* the execution contract --
@@ -28,7 +28,7 @@ from repro.numerics import kernels
 
 
 class RemoteBackend(NormBackend):
-    """Forward batches to a :class:`NormServer` over the wire protocol.
+    """Forward batches to a :class:`AsyncNormServer` over the wire protocol.
 
     Parameters
     ----------

@@ -682,7 +682,7 @@ def run_api_roundtrip(
     * the service directly (the golden path),
     * ``NormClient`` over :class:`InProcessTransport`,
     * ``NormClient`` over :class:`SocketTransport` against a live
-      :class:`~repro.api.server.NormServer` -- lock-step with v3 binary
+      :class:`~repro.api.aserver.AsyncNormServer` -- lock-step with v3 binary
       frames (the default) and with legacy base64 JSON frames, pipelined
       (depth 8, many requests in flight on one connection), and bulk (all
       payloads in one ``normalize_bulk`` frame),
@@ -695,8 +695,8 @@ def run_api_roundtrip(
     """
     import time as _time
 
+    from repro.api.aserver import AsyncNormServer
     from repro.api.client import NormClient
-    from repro.api.server import NormServer
     from repro.serving.registry import CalibrationRegistry
     from repro.serving.service import NormalizationService
 
@@ -747,7 +747,7 @@ def run_api_roundtrip(
     outputs = {}
     timings = {"direct": direct_seconds, "in-process": in_process_seconds}
     with NormalizationService(registry=registry) as service:
-        with NormServer(service) as server:
+        with AsyncNormServer(service) as server:
             # Time only the request span on every socket path (connect +
             # hello handshake excluded), so the rows compare like for like.
             with NormClient.connect(server.host, server.port) as client:
@@ -847,8 +847,8 @@ def run_fleet_parity(
     """
     import time as _time
 
+    from repro.api.aserver import AsyncNormServer
     from repro.api.client import NormClient
-    from repro.api.server import NormServer
     from repro.fleet.transport import FleetTransport
     from repro.serving.registry import CalibrationRegistry
     from repro.serving.service import NormalizationService
@@ -872,7 +872,7 @@ def run_fleet_parity(
     outputs = {}
 
     services = [NormalizationService(registry=registry) for _ in range(replicas)]
-    servers = [NormServer(service) for service in services]
+    servers = [AsyncNormServer(service) for service in services]
     try:
         for server in servers:
             server.start()

@@ -1,4 +1,4 @@
-"""Fleet tier: N `NormServer` replicas behind one client transport.
+"""Fleet tier: N `AsyncNormServer` replicas behind one client transport.
 
 The subsystem that takes the serving stack from one process to a replica
 set, bit-identically to a single server:

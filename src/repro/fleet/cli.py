@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     """Argument parser of the ``haan-fleet`` command."""
     parser = argparse.ArgumentParser(
         prog="haan-fleet",
-        description="Launch and drive N NormServer replicas behind the fleet transport.",
+        description="Launch and drive N AsyncNormServer replicas behind the fleet transport.",
     )
     parser.add_argument(
         "--replicas", type=int, default=3, help="local replicas to launch"
@@ -77,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--rows", type=int, default=4, help="rows per synthetic tensor")
     parser.add_argument("--depth", type=int, default=8, help="pipelining depth")
     parser.add_argument("--seed", type=int, default=0, help="synthetic payload RNG seed")
-    parser.add_argument("--workers", type=int, default=8, help="worker threads per replica")
     parser.add_argument(
-        "--max-wait-ms", type=float, default=2.0, help="per-replica micro-batch window"
+        "--workers", type=int, default=8,
+        help="executor threads per replica (execute and snapshot ops)",
     )
     parser.add_argument(
         "--timeout", type=float, default=60.0, help="per-request client timeout"
@@ -149,7 +149,6 @@ def _serve(args: argparse.Namespace) -> int:
         model=args.model,
         dataset=args.dataset,
         workers=args.workers,
-        max_wait_ms=args.max_wait_ms,
     )
     interrupted = signal.getsignal(signal.SIGTERM)
 
@@ -201,7 +200,6 @@ def _traffic(args: argparse.Namespace, attach: Optional[List[str]]) -> int:
             model=args.model,
             dataset=args.dataset,
             workers=args.workers,
-            max_wait_ms=args.max_wait_ms,
         )
     try:
         if supervisor is not None:

@@ -1,4 +1,4 @@
-"""Launch and supervise N local `NormServer` replicas as subprocesses.
+"""Launch and supervise N local `AsyncNormServer` replicas as subprocesses.
 
 Each replica is one ``haan-serve --listen 127.0.0.1:0`` process
 (:mod:`repro.serving.cli`): its own interpreter, its own
@@ -36,7 +36,6 @@ class ReplicaProcess:
         workers: int = 8,
         max_inflight: int = 32,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         registry_capacity: int = 4,
         host: str = "127.0.0.1",
         extra_args: Sequence[str] = (),
@@ -64,8 +63,6 @@ class ReplicaProcess:
             str(max_inflight),
             "--max-batch-size",
             str(max_batch_size),
-            "--max-wait-ms",
-            str(max_wait_ms),
             "--registry-capacity",
             str(registry_capacity),
             *extra_args,

@@ -80,7 +80,7 @@ class KernelWorkspace:
     scratch allocations.
 
     The workspace is **not** thread-safe: one workspace belongs to one
-    executor (the micro-batcher runs batches on a single worker thread, or
+    executor (the batching scheduler runs batches on a single worker thread, or
     inline on the draining caller).  Buffers hand out *views*; their
     contents are only valid until the next request for the same name.
     """

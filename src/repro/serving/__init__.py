@@ -5,9 +5,10 @@ turns it into a serving system:
 
 * :class:`~repro.serving.service.NormalizationService` -- front door for
   single, bulk and streaming normalization requests.
-* :class:`~repro.serving.batcher.MicroBatcher` -- dynamic micro-batching
-  (size trigger + latency trigger, FIFO size-bucketed queues) coalescing
-  requests into single vectorized kernel calls.
+* :class:`~repro.serving.batcher.ContinuousBatcher` -- continuous
+  batching (engine-tick release, earliest-deadline-first with an aging
+  bound, FIFO size-bucketed queues) coalescing requests into single
+  vectorized kernel calls.
 * :class:`~repro.serving.registry.CalibrationRegistry` -- LRU cache of
   calibrated artifacts so Algorithm 1 never runs in the request path.
 * :mod:`~repro.serving.telemetry` -- latency histograms, skip/subsample
@@ -20,7 +21,7 @@ The batched path is bit-identical to the per-request
 tests in ``tests/test_serving.py`` enforce that contract.
 """
 
-from repro.serving.batcher import BatcherConfig, MicroBatcher, PendingRequest
+from repro.serving.batcher import BatcherConfig, ContinuousBatcher, PendingRequest
 from repro.serving.registry import (
     CalibrationArtifact,
     CalibrationRegistry,
@@ -35,7 +36,7 @@ from repro.serving.throughput import ThroughputPoint, measure_serving_throughput
 
 __all__ = [
     "BatcherConfig",
-    "MicroBatcher",
+    "ContinuousBatcher",
     "PendingRequest",
     "CalibrationArtifact",
     "CalibrationRegistry",

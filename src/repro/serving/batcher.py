@@ -1,18 +1,36 @@
-"""Dynamic micro-batching scheduler.
+"""Continuous cross-connection batching scheduler.
 
 Requests accumulate in per-bucket FIFO queues; a bucket is one
 :class:`~repro.serving.request.RequestKey` (model / dataset / layer / path)
-plus a payload size class, so single-token traffic never queues behind
-large sequence chunks while chunks of similar size still coalesce.
+plus a power-of-two payload size class, so single-token traffic never
+queues behind large sequence chunks while chunks of similar size still
+coalesce.
 
-A batch is released when either
+Release follows an engine-tick discipline: whenever the engine is free,
+the best releasable batch drains immediately.  Requests only queue while a
+batch is executing, which is exactly the window in which coalescing is
+free -- the scheduler never trades latency for batch size, it only
+harvests batching that concurrency already paid for.  Because every
+server connection submits into one scheduler, batches form *across*
+connections each tick.
 
-* the oldest bucket holds ``max_batch_size`` requests (size trigger), or
-* the oldest waiting request has aged past ``max_wait`` (latency trigger),
+Bucket selection is earliest-deadline-first with an aging bound:
 
-whichever comes first -- the classic dynamic-batching contract.  Buckets
-are served oldest-head-first, which preserves arrival order within a bucket
-and approximates global FIFO across buckets.
+``urgency(head) = min(deadline_at, enqueued_at + aging_window)``
+
+and the bucket whose head has the smallest urgency wins the tick.  The
+``enqueued_at + aging_window`` term is the starvation-freedom guarantee:
+a request with no (or a distant) deadline acquires an urgency bound that
+is *fixed* at enqueue time, while every later arrival's bound is strictly
+larger -- so under a sustained flood of hot-bucket traffic the oldest
+bucket still wins every tick after ``aging_window`` seconds of waiting.
+
+Deadline expiry is enforced at release time: a request whose
+``deadline_at`` has passed is shed with a typed
+:class:`~repro.api.envelopes.DeadlineExceededError` *before* execution --
+the engine never burns a tick on work nobody is waiting for.  Batch
+composition never affects outputs (row-independent kernels, the golden
+contract), so every served request is bit-identical to running it alone.
 
 The batcher runs either threaded (a worker drains continuously; submitters
 block on futures) or inline (no thread; callers pump :meth:`drain_once` /
@@ -28,6 +46,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
+from repro.api.envelopes import DeadlineExceededError
 from repro.serving.request import NormRequest, RequestKey
 
 
@@ -118,23 +137,28 @@ class ResponseFuture:
                     return
         callback(self)
 
-    def result(self, timeout: Optional[float] = None):
-        """Block until resolved; raises the stored exception if any."""
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until resolved (or ``timeout`` seconds); whether it is done."""
         if not self._done:
             if self._event is None:
                 with ResponseFuture._EVENT_LOCK:
                     if self._event is None:
                         self._event = threading.Event()
             # Re-check after publishing the event: a setter that missed the
-            # event has already flipped _done by now (GIL ordering).
-            if not self._done and not self._event.wait(timeout):
-                # A timed-out wait is not proof of an unresolved future:
-                # the setter may have flipped _done between wait() giving
-                # up and this raise (it sets _done before set()), so
-                # re-check once more -- raising here would be a *spurious*
-                # timeout on a request that actually completed in time.
-                if not self._done:
-                    raise TimeoutError("normalization request timed out")
+            # event has already flipped _done by now (GIL ordering).  A
+            # timed-out wait is not proof of an unresolved future either:
+            # the setter may have flipped _done between wait() giving up
+            # and the return (it sets _done before set()), so the final
+            # answer is _done itself -- never a *spurious* timeout on a
+            # request that actually completed in time.
+            if not self._done:
+                self._event.wait(timeout)
+        return self._done
+
+    def result(self, timeout: Optional[float] = None):
+        """Block until resolved; raises the stored exception if any."""
+        if not self.wait(timeout):
+            raise TimeoutError("normalization request timed out")
         if self._error is not None:
             raise self._error
         return self._value
@@ -142,30 +166,23 @@ class ResponseFuture:
 
 @dataclass(frozen=True)
 class BatcherConfig:
-    """Scheduling knobs of the micro-batcher."""
+    """Batch-composition caps of the scheduler."""
 
-    #: Size trigger: a bucket reaching this many requests is released.
+    #: Most requests released together as one batch.
     max_batch_size: int = 32
-    #: Latency trigger (seconds): the oldest request never waits longer.
-    max_wait: float = 0.002
     #: Cap on stacked rows per batch (bounds kernel working-set size).
     max_batch_rows: int = 8192
-    #: Round payload row counts to a power of two when forming buckets.
-    size_bucketing: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be at least 1")
-        if self.max_wait < 0:
-            raise ValueError("max_wait must be non-negative")
         if self.max_batch_rows < 1:
             raise ValueError("max_batch_rows must be at least 1")
 
-    def size_class(self, num_rows: int) -> int:
-        """Bucket id of a payload size (next power of two, or 0 when off)."""
-        if not self.size_bucketing:
-            return 0
-        return 1 << (max(1, num_rows) - 1).bit_length()
+
+def size_class(num_rows: int) -> int:
+    """Bucket id of a payload size: its row count rounded up to a power of two."""
+    return 1 << (max(1, num_rows) - 1).bit_length()
 
 
 class PendingRequest(ResponseFuture):
@@ -195,11 +212,6 @@ class PendingRequest(ResponseFuture):
             None if deadline_ms is None else enqueued_at + deadline_ms / 1000.0
         )
 
-    @property
-    def future(self) -> "PendingRequest":
-        """Backwards-compatible alias: the pending request is the future."""
-        return self
-
 
 BucketKey = Tuple[RequestKey, int]
 #: Batch executor callback: ``(request_key, batch, total_rows)``.  The
@@ -208,8 +220,8 @@ BucketKey = Tuple[RequestKey, int]
 ExecuteFn = Callable[[RequestKey, List[PendingRequest], int], None]
 
 
-class MicroBatcher:
-    """Coalesces normalization requests into micro-batches.
+class ContinuousBatcher:
+    """Deadline-aware, starvation-free continuous batching scheduler.
 
     Parameters
     ----------
@@ -218,22 +230,26 @@ class MicroBatcher:
         resolve every pending future (the batcher fails them if the
         callback raises).
     config:
-        Scheduling configuration.
+        Batch-composition caps.
     clock:
         Monotonic time source (injectable for deterministic timeout tests).
+    aging_window:
+        Seconds after which a deadline-less (or distant-deadline) request
+        becomes at least as urgent as any deadline could make it.  Bounds
+        worst-case queueing delay under adversarial hot-bucket floods.
     """
-
-    #: Worker thread name; subclasses override so operators can tell the
-    #: schedulers apart in thread dumps.
-    _THREAD_NAME = "haan-micro-batcher"
 
     def __init__(
         self,
         execute: ExecuteFn,
         config: Optional[BatcherConfig] = None,
         clock: Callable[[], float] = time.monotonic,
+        aging_window: float = 0.020,
     ):
+        if aging_window <= 0:
+            raise ValueError("aging_window must be positive")
         self.config = config or BatcherConfig()
+        self.aging_window = aging_window
         self._execute = execute
         self._clock = clock
         self._queues: "OrderedDict[BucketKey, Deque[PendingRequest]]" = OrderedDict()
@@ -243,6 +259,8 @@ class MicroBatcher:
         self._closed = False
         self.batches_executed = 0
         self.requests_executed = 0
+        #: Requests shed at release time because their deadline expired.
+        self.requests_shed = 0
 
     # -- submission --------------------------------------------------------
 
@@ -253,7 +271,6 @@ class MicroBatcher:
     def submit_many(self, requests: Sequence[NormRequest]) -> List[ResponseFuture]:
         """Enqueue a burst of requests under a single lock acquisition."""
         now = self._clock()
-        size_class = self.config.size_class
         pendings = [PendingRequest(request, now) for request in requests]
         with self._cond:
             if self._closed:
@@ -288,50 +305,74 @@ class MicroBatcher:
 
     # -- batch formation ---------------------------------------------------
 
-    def _pop_batch_locked(
-        self, now: float, force: bool
-    ) -> Tuple[Optional[Tuple[RequestKey, List[PendingRequest], int]], Optional[float]]:
-        """Pop a releasable batch, or report how long the head may still wait.
+    def _urgency(self, head: PendingRequest) -> float:
+        """Scheduling priority of a bucket head (smaller = sooner)."""
+        aged = head.enqueued_at + self.aging_window
+        deadline = head.deadline_at
+        return aged if deadline is None else min(deadline, aged)
 
-        The size trigger is checked across *every* bucket (oldest full
-        bucket first) so a full batch never stalls behind an older,
-        still-filling bucket; the latency trigger applies to the globally
-        oldest head.
+    @staticmethod
+    def _fail_expired(expired: List[PendingRequest]) -> None:
+        for pending in expired:
+            budget_ms = pending.request.deadline_ms
+            pending.set_exception(
+                DeadlineExceededError(
+                    f"deadline_ms={budget_ms:g} expired before request "
+                    f"{pending.request.request_id} reached the engine"
+                )
+            )
+
+    def _pop_batch_locked(
+        self, now: float
+    ) -> Optional[Tuple[RequestKey, List[PendingRequest], int]]:
+        """Pop the most urgent releasable batch, shedding expired requests.
+
+        The engine tick *is* the trigger: whenever anything is queued a
+        batch is released immediately.  ``None`` means the queues are truly
+        empty and the worker should block until the next submit.
+
+        Expired requests are failed inside the scheduling pass (their
+        ``set_exception`` fires done-callbacks, which must not block -- the
+        :class:`ResponseFuture` contract) so a deadline-blown request can
+        never delay, nor ride along with, live work.
         """
-        full_bucket: Optional[BucketKey] = None
-        full_time = float("inf")
-        oldest_bucket: Optional[BucketKey] = None
-        oldest_time = float("inf")
-        for bucket, queue in self._queues.items():
-            if not queue:
-                continue
-            head = queue[0].enqueued_at
-            if head < oldest_time:
-                oldest_bucket, oldest_time = bucket, head
-            if len(queue) >= self.config.max_batch_size and head < full_time:
-                full_bucket, full_time = bucket, head
-        if oldest_bucket is None:
-            return None, None
-        bucket = full_bucket
-        if bucket is None:
-            age = now - oldest_time
-            if not force and age < self.config.max_wait:
-                return None, self.config.max_wait - age
-            bucket = oldest_bucket
-        queue = self._queues[bucket]
-        batch: List[PendingRequest] = [queue.popleft()]
-        rows = batch[0].request.num_rows
-        while (
-            queue
-            and len(batch) < self.config.max_batch_size
-            and rows + queue[0].request.num_rows <= self.config.max_batch_rows
-        ):
-            pending = queue.popleft()
-            batch.append(pending)
-            rows += pending.request.num_rows
-        if not queue:
-            del self._queues[bucket]
-        return (bucket[0], batch, rows), None
+        shed: List[PendingRequest] = []
+        try:
+            while True:
+                best_bucket: Optional[BucketKey] = None
+                best_urgency = float("inf")
+                for bucket, queue in self._queues.items():
+                    urgency = self._urgency(queue[0])
+                    if urgency < best_urgency:
+                        best_bucket, best_urgency = bucket, urgency
+                if best_bucket is None:
+                    return None
+                queue = self._queues[best_bucket]
+                while queue and (
+                    queue[0].deadline_at is not None and queue[0].deadline_at <= now
+                ):
+                    shed.append(queue.popleft())
+                if not queue:
+                    del self._queues[best_bucket]
+                    continue  # whole bucket expired; rescore the rest
+                batch: List[PendingRequest] = [queue.popleft()]
+                rows = batch[0].request.num_rows
+                while queue and len(batch) < self.config.max_batch_size:
+                    head = queue[0]
+                    if head.deadline_at is not None and head.deadline_at <= now:
+                        shed.append(queue.popleft())
+                        continue
+                    if rows + head.request.num_rows > self.config.max_batch_rows:
+                        break
+                    batch.append(queue.popleft())
+                    rows += head.request.num_rows
+                if not queue:
+                    del self._queues[best_bucket]
+                return best_bucket[0], batch, rows
+        finally:
+            if shed:
+                self.requests_shed += len(shed)
+                self._fail_expired(shed)
 
     def _run_batch(self, key: RequestKey, batch: List[PendingRequest], rows: int) -> None:
         try:
@@ -347,21 +388,20 @@ class MicroBatcher:
 
     # -- inline draining ---------------------------------------------------
 
-    def drain_once(self, force: bool = True) -> int:
+    def drain_once(self) -> int:
         """Form and execute one batch inline; returns requests executed."""
         with self._cond:
-            ready, _ = self._pop_batch_locked(self._clock(), force=force)
+            ready = self._pop_batch_locked(self._clock())
         if ready is None:
             return 0
-        key, batch, rows = ready
-        self._run_batch(key, batch, rows)
-        return len(batch)
+        self._run_batch(*ready)
+        return len(ready[1])
 
     def drain_all(self) -> int:
         """Execute every queued request inline; returns requests executed."""
         total = 0
         while True:
-            executed = self.drain_once(force=True)
+            executed = self.drain_once()
             if executed == 0:
                 return total
             total += executed
@@ -377,7 +417,7 @@ class MicroBatcher:
                 return
             self._running = True
         self._thread = threading.Thread(
-            target=self._worker, name=self._THREAD_NAME, daemon=True
+            target=self._worker, name="haan-continuous-batcher", daemon=True
         )
         self._thread.start()
 
@@ -398,11 +438,25 @@ class MicroBatcher:
             with self._cond:
                 if not self._running:
                     return
-                ready, wait_hint = self._pop_batch_locked(self._clock(), force=False)
+                ready = self._pop_batch_locked(self._clock())
                 if ready is None:
-                    # wait_hint is None when the queues are empty (block
-                    # until a submit arrives) and a deadline otherwise.
-                    self._cond.wait(timeout=wait_hint)
+                    self._cond.wait()
                     continue
-            key, batch, rows = ready
-            self._run_batch(key, batch, rows)
+            self._run_batch(*ready)
+
+    # -- introspection -----------------------------------------------------
+
+    def snapshot(self) -> dict:
+        """Scheduler counters for the telemetry ``scheduler`` section."""
+        with self._cond:
+            pending = sum(len(q) for q in self._queues.values())
+            buckets = len(self._queues)
+        return {
+            "policy": "continuous",
+            "aging_window_ms": self.aging_window * 1000.0,
+            "pending": pending,
+            "buckets": buckets,
+            "batches_executed": self.batches_executed,
+            "requests_executed": self.requests_executed,
+            "requests_shed": self.requests_shed,
+        }

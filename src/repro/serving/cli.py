@@ -4,7 +4,7 @@ Installed as the ``haan-serve`` console script, next to
 ``haan-experiments`` (:mod:`repro.eval.cli`)::
 
     haan-serve --model tiny --requests 512
-    haan-serve --model tiny --rows 4 --max-batch-size 64 --max-wait-ms 1
+    haan-serve --model tiny --rows 4 --max-batch-size 64
     haan-serve --model tiny --backend simulated --accelerator haan-v2
     haan-serve --model tiny --compare-loop
     haan-serve --model tiny --listen 127.0.0.1:8471
@@ -12,15 +12,15 @@ Installed as the ``haan-serve`` console script, next to
 The command calibrates the model through the
 :class:`~repro.serving.registry.CalibrationRegistry` (cache miss on first
 use, Algorithm 1 runs once), fires synthetic activation traffic through the
-threaded micro-batching service, cross-checks a sample of responses against
+threaded continuous-batching service, cross-checks a sample of responses against
 the single-request golden path bit-for-bit, and prints the telemetry
 summary.  ``--compare-loop`` additionally measures requests/sec of the
-micro-batched path against the per-request loop.
+batched path against the per-request loop.
 
 ``--listen HOST:PORT`` switches to server mode: instead of synthetic
 traffic, the service is exposed over the versioned wire protocol
-(:mod:`repro.api`) until SIGINT/SIGTERM, then shuts down cleanly and prints
-the telemetry summary.  ``haan-client`` is the matching client.
+(:class:`~repro.api.aserver.AsyncNormServer`) until SIGINT/SIGTERM, then
+shuts down cleanly and prints the telemetry summary.  ``haan-client`` is the matching client.
 """
 
 from __future__ import annotations
@@ -76,29 +76,19 @@ def build_parser() -> argparse.ArgumentParser:
         "synthetic traffic (stop with SIGINT/SIGTERM)",
     )
     parser.add_argument(
-        "--core",
-        choices=("async", "threads"),
-        default="async",
-        help="server core in --listen mode: 'async' (default; asyncio event "
-        "loop, continuous cross-connection batching, cheap idle "
-        "connections) or 'threads' (the previous thread-per-connection "
-        "core with the fixed-trigger micro-batcher, kept for one release)",
-    )
-    parser.add_argument(
         "--aging-window-ms",
         type=float,
         default=20.0,
         help="continuous scheduler's starvation bound (ms): a queued "
         "request is released at most this long after older traffic, "
-        "however hot the competing buckets (async core only)",
+        "however hot the competing buckets",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=8,
-        help="worker threads in --listen mode: every request's handler on "
-        "the threaded core; on the async core only execute and snapshot ops "
-        "(normalize/bulk/stream never leave the event loop)",
+        help="executor threads in --listen mode for the execute and "
+        "snapshot ops (normalize/bulk/stream never leave the event loop)",
     )
     parser.add_argument(
         "--max-inflight",
@@ -161,9 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         "http://127.0.0.1:PORT/metrics in --listen mode (0: ephemeral "
         "port, printed at startup)",
     )
-    parser.add_argument("--max-batch-size", type=int, default=32, help="micro-batch size trigger")
     parser.add_argument(
-        "--max-wait-ms", type=float, default=2.0, help="micro-batch latency trigger (ms)"
+        "--max-batch-size", type=int, default=32, help="most requests per batch"
     )
     parser.add_argument(
         "--registry-capacity",
@@ -254,9 +243,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
 
-    config = BatcherConfig(
-        max_batch_size=args.max_batch_size, max_wait=args.max_wait_ms / 1000.0
-    )
+    config = BatcherConfig(max_batch_size=args.max_batch_size)
     if args.listen is not None:
         return _serve_forever(args, registry, config)
 
@@ -270,7 +257,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         for _ in range(args.requests)
     ]
 
-    with NormalizationService(registry=registry, config=config) as service:
+    with NormalizationService(
+        registry=registry, config=config, aging_window=args.aging_window_ms / 1000.0
+    ) as service:
         futures = [
             service.submit(
                 payload,
@@ -335,7 +324,8 @@ def _serve_forever(
     closed, queued requests flushed, telemetry printed -- and exit code 0,
     which the CI smoke job asserts.
     """
-    from repro.api.server import NormServer, parse_address
+    from repro.api.aserver import AsyncNormServer
+    from repro.api.server import parse_address
 
     try:
         host, port = parse_address(args.listen)
@@ -352,14 +342,8 @@ def _serve_forever(
         signum: signal.signal(signum, _signal_handler)
         for signum in (signal.SIGINT, signal.SIGTERM)
     }
-    # The async core pairs with the continuous scheduler (engine-tick
-    # draining across all connections); the threaded core keeps the PR-1
-    # fixed-trigger micro-batcher, preserving last release's behavior.
     service = NormalizationService(
-        registry=registry,
-        config=config,
-        scheduler="continuous" if args.core == "async" else "micro",
-        aging_window=args.aging_window_ms / 1000.0,
+        registry=registry, config=config, aging_window=args.aging_window_ms / 1000.0
     )
     ladder = None
     if args.degrade:
@@ -378,13 +362,9 @@ def _serve_forever(
             print(f"haan-serve: bad tenant file {args.tenants}: {error}", file=sys.stderr)
             return 2
     metrics = None
-    if args.core == "async":
-        from repro.api.aserver import AsyncNormServer as server_cls
-    else:
-        server_cls = NormServer
     try:
         try:
-            server = server_cls(
+            server = AsyncNormServer(
                 service,
                 host=host,
                 port=port,
@@ -421,7 +401,6 @@ def _serve_forever(
             print(
                 f"haan-serve: listening on {server.host}:{server.port} "
                 f"(model {args.model!r}, dataset {args.dataset!r}; "
-                f"{args.core} core, "
                 f"{args.workers} workers, {args.max_inflight} in-flight "
                 f"per connection, queue bound {args.max_queue_depth}"
                 f"{', degradation ladder on' if ladder is not None else ''}"

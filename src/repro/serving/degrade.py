@@ -127,7 +127,7 @@ class DegradationLadder:
     slower than up by default: recovering fidelity too eagerly re-enters
     overload immediately.
 
-    Thread-safe; shared by every connection's reader thread.
+    Thread-safe; shared by every connection of the server.
     """
 
     def __init__(

@@ -1,8 +1,8 @@
 """`NormalizationService`: the serving front door.
 
 Accepts single, bulk and streaming normalization requests, coalesces them
-through the :class:`~repro.serving.batcher.MicroBatcher`, resolves each
-micro-batch against a :class:`~repro.serving.registry.CalibrationRegistry`
+through the :class:`~repro.serving.batcher.ContinuousBatcher`, resolves each
+batch against a :class:`~repro.serving.registry.CalibrationRegistry`
 artifact, and executes the layer's compiled
 :class:`~repro.engine.registry.Engine` on the backend the request selected
 (``vectorized`` by default) -- one ndarray call per batch instead of one
@@ -13,10 +13,11 @@ and telemetry tags every batch with the backend that ran it.
 
 Two execution modes:
 
-* **threaded** (default): a background worker drains the queues; callers
-  block on futures and the latency/size triggers of the batcher apply.
-* **inline** (``threaded=False``): nothing runs until the caller drains;
-  deterministic, used by tests and benchmarks.
+* **threaded** (default): a background worker drains the queues every
+  engine tick; callers block on futures.
+* **inline** (``threaded=False``): nothing runs until the caller drains
+  (:meth:`NormalizationService.wait` does); deterministic, used by tests
+  and benchmarks.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.numerics.kernels import KernelWorkspace
 from repro.serving.degrade import MAX_LEVEL, degraded_spec
 from repro.serving.batcher import (
     BatcherConfig,
-    MicroBatcher,
+    ContinuousBatcher,
     PendingRequest,
     ResponseFuture,
 )
@@ -52,7 +53,6 @@ class NormalizationService:
         config: Optional[BatcherConfig] = None,
         telemetry: Optional[ServingTelemetry] = None,
         threaded: bool = True,
-        scheduler: str = "micro",
         aging_window: float = 0.020,
     ):
         # `is not None`, not truthiness: an empty registry has len() == 0.
@@ -84,29 +84,13 @@ class NormalizationService:
         #: tenancy ledger wires itself here (``haan-serve --tenants``) to
         #: split modelled cycles/energy across tenants exactly.
         self.cost_observer = None
-        if scheduler == "micro":
-            self.batcher = MicroBatcher(
-                self._execute_batch, config, clock=self._queue_clock
-            )
-        elif scheduler == "continuous":
-            from repro.serving.continuous import ContinuousBatcher
-
-            self.batcher = ContinuousBatcher(
-                self._execute_batch,
-                config,
-                clock=self._queue_clock,
-                aging_window=aging_window,
-            )
-        else:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; pick 'micro' (fixed "
-                f"size+wait triggers) or 'continuous' (engine-tick draining, "
-                f"deadline-aware)"
-            )
-        self.scheduler = scheduler
-        snapshot = getattr(self.batcher, "snapshot", None)
-        if snapshot is not None:
-            self.telemetry.attach_section("scheduler", snapshot)
+        self.batcher = ContinuousBatcher(
+            self._execute_batch,
+            config,
+            clock=self._queue_clock,
+            aging_window=aging_window,
+        )
+        self.telemetry.attach_section("scheduler", self.batcher.snapshot)
         self._threaded = threaded
         if threaded:
             self.batcher.start()
@@ -116,7 +100,7 @@ class NormalizationService:
     def close(self) -> None:
         """Stop the batcher (flushing every queued request) in both modes.
 
-        ``MicroBatcher.stop`` handles the never-started inline case too, so
+        ``ContinuousBatcher.stop`` handles the never-started inline case too, so
         a post-close submit raises instead of queueing a request nothing
         will ever drain.
         """
@@ -237,11 +221,21 @@ class NormalizationService:
 
             resolve_accelerator_config(key.accelerator)
 
+    def wait(self, futures: Iterable[ResponseFuture]) -> None:
+        """Block until every future is resolved.
+
+        An inline service (``threaded=False``) has no worker, so the
+        calling thread drains the queue first.
+        """
+        if not self._threaded:
+            self.batcher.drain_all()
+        for future in futures:
+            future.wait()
+
     def normalize(self, payload: np.ndarray, model: str, **kwargs) -> NormResponse:
         """Normalize one tensor synchronously."""
         future = self.submit(payload, model, **kwargs)
-        if not self._threaded:
-            self.batcher.drain_all()
+        self.wait((future,))
         return future.result()
 
     def normalize_many(
@@ -249,8 +243,7 @@ class NormalizationService:
     ) -> List[NormResponse]:
         """Normalize a bulk of independent tensors, coalesced into batches."""
         futures = self.submit_many(payloads, model, **kwargs)
-        if not self._threaded:
-            self.batcher.drain_all()
+        self.wait(futures)
         return [future.result() for future in futures]
 
     def stream(
@@ -294,8 +287,7 @@ class NormalizationService:
             )
             for chunk in chunks
         ]
-        if not self._threaded:
-            self.batcher.drain_all()
+        self.wait(futures)
         for future in futures:
             yield future.result()
 
@@ -304,7 +296,7 @@ class NormalizationService:
     def _execute_batch(
         self, key: RequestKey, batch: List[PendingRequest], total_rows: int
     ) -> None:
-        """Resolve one micro-batch against the registry and run the kernel."""
+        """Resolve one batch against the registry and run the kernel."""
         with self._execute_lock:
             self._execute_batch_locked(key, batch, total_rows)
 
@@ -448,6 +440,7 @@ class NormalizationService:
         # cross-layer state.
         mean.flags.writeable = False
         isd.flags.writeable = False
+        self.telemetry.count_served(batch_size, total_rows)
         offset = 0
         for pending, count, wait in zip(good, counts, queue_waits):
             segment = slice(offset, offset + count)

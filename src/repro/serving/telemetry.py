@@ -257,7 +257,7 @@ class ServingTelemetry:
     ) -> None:
         """Merge ``provider()`` into every snapshot under key ``name``.
 
-        Lets the transport layer (e.g. :class:`~repro.api.server.NormServer`)
+        Lets the transport layer (e.g. :class:`~repro.api.aserver.AsyncNormServer`)
         surface its pipelining/pool gauges next to the serving metrics
         without the telemetry module knowing about sockets.  Re-attaching a
         name replaces the provider (a restarted server re-registers).
@@ -272,6 +272,18 @@ class ServingTelemetry:
 
     # -- recording ---------------------------------------------------------
 
+    def count_served(self, num_requests: int, num_rows: int) -> None:
+        """Count one executed batch's requests and rows.
+
+        The service calls this *before* it resolves the batch's futures, so
+        a client that already holds its response never reads a telemetry
+        snapshot that misses it; the rest of the batch is folded in by
+        :meth:`observe_batch` afterwards, off the response's critical path.
+        """
+        with self._lock:
+            self.requests_total.increment(num_requests)
+            self.rows_total.increment(num_rows)
+
     def observe_batch(
         self,
         num_requests: int,
@@ -283,7 +295,10 @@ class ServingTelemetry:
         backend: str = "vectorized",
         cost=None,
     ) -> None:
-        """Fold one executed micro-batch into the aggregates.
+        """Fold one executed batch into the aggregates (bar the totals).
+
+        ``requests_total`` / ``rows_total`` are counted by
+        :meth:`count_served` before the batch's responses are released.
 
         ``cost`` is the batch's
         :class:`~repro.engine.backends.NormCostRecord` when a cost-modelling
@@ -295,8 +310,6 @@ class ServingTelemetry:
             if self._first_at is None:
                 self._first_at = now - batch_seconds
             self._last_at = now
-            self.requests_total.increment(num_requests)
-            self.rows_total.increment(num_rows)
             self.batches_total.increment()
             per_backend = self.backend_counts.setdefault(
                 backend, {"requests": 0, "rows": 0, "batches": 0}

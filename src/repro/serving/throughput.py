@@ -134,7 +134,7 @@ def _run_service(
 ) -> None:
     service = NormalizationService(
         registry=registry,
-        config=BatcherConfig(max_batch_size=batch_size, max_wait=0.0),
+        config=BatcherConfig(max_batch_size=batch_size),
         threaded=False,
     )
     futures = service.submit_many(

@@ -8,7 +8,7 @@ the three things that takes and the serving tiers below stay unaware of:
   every connection stamped with a :class:`TenantContext`
   (:mod:`repro.tenancy.tenants`);
 * **Quotas** -- per-tenant token buckets over requests/rows/bytes,
-  enforced in the server reader thread *before* frame decode and
+  enforced in the server frame loop *before* frame decode and
   composed with overload shedding behind one
   :class:`~repro.api.admission.PreDecodeGate`
   (:mod:`repro.tenancy.quota`);
@@ -21,7 +21,7 @@ the three things that takes and the serving tiers below stay unaware of:
   (:mod:`repro.tenancy.metrics`).
 
 :class:`TenancyController` (:mod:`repro.tenancy.control`) composes the
-first three behind the hooks :class:`~repro.api.server.NormServer` and
+first three behind the hooks :class:`~repro.api.aserver.AsyncNormServer` and
 :class:`~repro.serving.service.NormalizationService` expose.
 """
 

@@ -35,7 +35,7 @@ __all__ = ["TenancyController"]
 
 
 class TenancyController:
-    """Auth, quotas and metering for one :class:`~repro.api.server.NormServer`."""
+    """Auth, quotas and metering for one :class:`~repro.api.aserver.AsyncNormServer`."""
 
     def __init__(
         self,

@@ -5,9 +5,9 @@ allowance (``burst_seconds`` worth of rate, accumulated while idle).  Each
 tenant owns three :class:`TokenBucket` instances -- requests, rows, bytes --
 grouped in a :class:`TenantQuota` that admits a request *atomically*: either
 all three buckets are debited or none is, so a rejection never leaks
-partial charge and concurrent reader threads can never over-admit.
+partial charge and concurrent callers can never over-admit.
 
-The gate runs in the server's reader thread **before** frame decode.  The
+The gate runs in the server's frame loop **before** frame decode.  The
 row estimate therefore comes from :func:`estimate_rows`, a structural walk
 over the peeked envelope (for binary frames: the JSON preamble only) that
 reads tensor ``shape`` fields without ever materializing a buffer.

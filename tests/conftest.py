@@ -7,6 +7,8 @@ real code paths (forward passes, calibration, HAAN installation).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,35 @@ def small_token_batch(tiny_model) -> np.ndarray:
 def rng() -> np.random.Generator:
     """A fresh deterministic RNG per test."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def hold_engine():
+    """Hold a threaded service's batches in the engine until released.
+
+    ``entered, release = hold_engine(service)`` wraps the service's batch
+    executor (``service._execute_batch``): every batch sets ``entered``,
+    then blocks until the test sets ``release``.  Work held this way stays
+    in flight for exactly as long as the test says, with no timing window.
+    Tests set ``release`` before closing the service (its scheduler thread
+    is joined there); teardown sets it too, and a batch held for 30 s runs
+    anyway so a broken test fails instead of hanging.
+    """
+    releases = []
+
+    def hold(service):
+        entered, release = threading.Event(), threading.Event()
+        execute = service._execute_batch
+
+        def gated(key, batch, total_rows):
+            entered.set()
+            release.wait(timeout=30.0)
+            execute(key, batch, total_rows)
+
+        service.batcher._execute = gated
+        releases.append(release)
+        return entered, release
+
+    yield hold
+    for release in releases:
+        release.set()

@@ -9,7 +9,7 @@ The contracts under test, in order:
   over ``SocketTransport`` produces outputs bit-identical to calling
   ``NormalizationService`` directly;
 * the ``remote`` engine backend: ``engine.build(spec, backend="remote")``
-  round-trips through a live ``NormServer`` bit-identically to the local
+  round-trips through a live ``AsyncNormServer`` bit-identically to the local
   ``reference`` backend, for computed and skipped specs;
 * resilience: error taxonomy over the wire, payload-size rejection, and
   client reconnect after a server restart on the same port;
@@ -27,6 +27,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api.aserver import AsyncNormServer
 from repro.api.client import NormClient
 from repro.api.envelopes import (
     SCHEMA_VERSION,
@@ -48,7 +49,7 @@ from repro.api.envelopes import (
 )
 from repro.api.framing import FRAME_HEADER, encode_frame
 from repro.api.handler import ApiHandler
-from repro.api.server import NormServer, parse_address
+from repro.api.server import parse_address
 from repro.api.transport import InProcessTransport
 from repro.core.config import HaanConfig
 from repro.core.haan_norm import HaanNormalization
@@ -107,9 +108,9 @@ def service(registry):
 
 @pytest.fixture()
 def live_server(registry):
-    """A threaded service behind a real TCP NormServer on a free port."""
+    """A threaded service behind a real TCP AsyncNormServer on a free port."""
     svc = NormalizationService(registry=registry)
-    server = NormServer(svc).start()
+    server = AsyncNormServer(svc).start()
     yield server
     server.close()
     svc.close()
@@ -375,7 +376,7 @@ class TestSocketTransport:
 
     def test_reconnect_after_server_restart_on_same_port(self, registry, rng):
         svc = NormalizationService(registry=registry)
-        server = NormServer(svc).start()
+        server = AsyncNormServer(svc).start()
         port = server.port
         client = NormClient.connect(server.host, port)
         try:
@@ -383,7 +384,7 @@ class TestSocketTransport:
             server.close()
             svc.close()
             svc2 = NormalizationService(registry=registry)
-            server2 = NormServer(svc2, port=port).start()
+            server2 = AsyncNormServer(svc2, port=port).start()
             try:
                 # same client object, no explicit reconnect: the transport
                 # drops the stale socket and retries against the new server
@@ -845,7 +846,7 @@ class TestServerLifecycle:
 
     def test_close_is_idempotent_and_unblocks_port(self, registry):
         svc = NormalizationService(registry=registry)
-        server = NormServer(svc).start()
+        server = AsyncNormServer(svc).start()
         port = server.port
         server.close()
         server.close()
@@ -855,7 +856,7 @@ class TestServerLifecycle:
         deadline = time.monotonic() + 5.0
         while True:
             try:
-                server2 = NormServer(svc2, port=port)
+                server2 = AsyncNormServer(svc2, port=port)
                 break
             except OSError:
                 if time.monotonic() > deadline:

@@ -8,7 +8,7 @@ The contracts under test:
   cross-talk deterministically -- while the pooled transport routes every
   response to its requester by ``request_id``;
 * **stress**: N threads sharing one pooled :class:`NormClient` against a
-  live :class:`NormServer` each get responses bit-identical to the local
+  live :class:`AsyncNormServer` each get responses bit-identical to the local
   reference engine, with zero cross-talk between interleaved requests;
 * **out-of-order**: a server answering pipelined requests in reverse
   order still resolves every pending reply correctly;
@@ -28,6 +28,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api.aserver import AsyncNormServer
 from repro.api.client import NormClient
 from repro.api.envelopes import (
     SCHEMA_VERSION,
@@ -35,7 +36,6 @@ from repro.api.envelopes import (
     TransportError,
 )
 from repro.api.framing import FrameDecoder, recv_frame, send_frame
-from repro.api.server import NormServer
 from repro.api.transport import SocketTransport
 from repro.core.config import HaanConfig
 from repro.core.haan_norm import HaanNormalization
@@ -80,7 +80,7 @@ def golden_engine(registry):
 @pytest.fixture()
 def live_server(registry):
     svc = NormalizationService(registry=registry)
-    server = NormServer(svc, workers=8, max_inflight=64).start()
+    server = AsyncNormServer(svc, workers=8, max_inflight=64).start()
     yield server
     server.close()
     svc.close()
@@ -540,7 +540,7 @@ class TestServerRestartMidFlight:
         self, registry, golden_engine
     ):
         svc = NormalizationService(registry=registry)
-        server = NormServer(svc, workers=4).start()
+        server = AsyncNormServer(svc, workers=4).start()
         port = server.port
         client = NormClient.connect(server.host, port, pool_size=2)
         try:
@@ -572,7 +572,7 @@ class TestServerRestartMidFlight:
             deadline = time.monotonic() + 5.0
             while True:
                 try:
-                    server2 = NormServer(svc2, port=port, workers=4).start()
+                    server2 = AsyncNormServer(svc2, port=port, workers=4).start()
                     break
                 except OSError:
                     if time.monotonic() > deadline:

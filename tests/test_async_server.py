@@ -1,21 +1,21 @@
 """Tests of the asyncio server core (``AsyncNormServer``).
 
-The core contract: the async core is a *drop-in* for the threaded
-``NormServer`` -- every response bit-identical, every error the same
-typed member of the taxonomy, the same wire-snapshot keys -- while the
-event loop holds hundreds of idle connections without a thread each.
+The core contract: every response bit-identical to the reference
+backend, every error a typed member of the taxonomy -- while the event
+loop holds hundreds of idle connections without a thread each.
 
 Covered here:
 
-* bit-parity of single / bulk / stream / pipelined traffic across the
-  async core, the threaded core, and the service called directly;
-* error-taxonomy parity (unknown model, payload-shape rejection) and
-  typed ``DeadlineExceededError`` for budget-expired requests;
+* bit-identity of single / bulk / stream / pipelined traffic against the
+  reference backend;
+* the error taxonomy (unknown model, payload-shape rejection, a
+  non-string ``op``) and typed ``DeadlineExceededError`` for budget-expired
+  requests;
 * hundreds of idle connections held open while golden-checked traffic
   flows on another connection;
 * graceful drain: in-flight work answered, post-drain work refused;
 * the tenancy handshake (token auth, typed rejection) and the chaos
-  ``FaultGate`` contract, both unchanged on the async core;
+  ``FaultGate`` contract on the server core;
 * the one-hop serving path: ``normalize`` / ``normalize_bulk`` /
   ``stream`` over binary, JSON and shm frames never enter the executor,
   ``execute`` enters it exactly once, and a bulk frame's scheduler futures
@@ -43,7 +43,6 @@ from repro.api.envelopes import (
     DeadlineExceededError,
     UnknownModelError,
 )
-from repro.api.server import NormServer
 from repro.chaos.gate import FaultGate
 from repro.chaos.plan import FaultPlan, FaultRule
 from repro.serving.batcher import ResponseFuture
@@ -61,8 +60,8 @@ def registry():
     return CalibrationRegistry(loader=_instant_loader)
 
 
-def _service(registry, scheduler="continuous"):
-    return NormalizationService(registry=registry, scheduler=scheduler)
+def _service(registry):
+    return NormalizationService(registry=registry)
 
 
 def _rows(rng, count=5):
@@ -84,49 +83,27 @@ def _controller(require_auth=False):
 
 
 # ---------------------------------------------------------------------------
-# bit parity with the threaded core
+# bit-identity against the reference backend
 # ---------------------------------------------------------------------------
 
 
-class TestBitParity:
-    def test_single_bulk_and_stream_bit_identical_across_cores(self, registry, rng):
+class TestBitIdentity:
+    def test_single_bulk_and_stream_bit_identical(self, registry, rng):
         payload = _rows(rng)
         bulk = [_rows(rng, 3), _rows(rng, 2)]
         chunks = [_rows(rng, 2), _rows(rng, 4)]
 
-        outputs = {}
-        for label, server_cls, scheduler in (
-            ("async", AsyncNormServer, "continuous"),
-            ("threads", NormServer, "micro"),
-        ):
-            service = _service(registry, scheduler=scheduler)
-            with server_cls(service) as server:
-                with NormClient.connect(server.host, server.port) as client:
-                    outputs[label] = {
-                        "single": client.normalize(payload, "tiny").output,
-                        "bulk": [
-                            r.output for r in client.normalize_bulk(bulk, "tiny")
-                        ],
-                        "stream": [
-                            r.output for r in client.stream(iter(chunks), "tiny")
-                        ],
-                    }
-            service.close()
+        service = _service(registry)
+        with AsyncNormServer(service) as server:
+            with NormClient.connect(server.host, server.port) as client:
+                single = client.normalize(payload, "tiny").output
+                bulk_out = [r.output for r in client.normalize_bulk(bulk, "tiny")]
+                stream_out = [r.output for r in client.stream(iter(chunks), "tiny")]
+        service.close()
 
-        np.testing.assert_array_equal(
-            outputs["async"]["single"], outputs["threads"]["single"]
-        )
-        np.testing.assert_array_equal(outputs["async"]["single"], _golden(registry, payload))
-        for got_async, got_threads, sent in zip(
-            outputs["async"]["bulk"], outputs["threads"]["bulk"], bulk
-        ):
-            np.testing.assert_array_equal(got_async, got_threads)
-            np.testing.assert_array_equal(got_async, _golden(registry, sent))
-        for got_async, got_threads, sent in zip(
-            outputs["async"]["stream"], outputs["threads"]["stream"], chunks
-        ):
-            np.testing.assert_array_equal(got_async, got_threads)
-            np.testing.assert_array_equal(got_async, _golden(registry, sent))
+        np.testing.assert_array_equal(single, _golden(registry, payload))
+        for got, sent in zip(bulk_out + stream_out, bulk + chunks):
+            np.testing.assert_array_equal(got, _golden(registry, sent))
 
     def test_pipelined_submissions_bit_identical(self, registry, rng):
         payloads = [_rows(rng, i + 1) for i in range(8)]
@@ -143,52 +120,53 @@ class TestBitParity:
                     )
         service.close()
 
-    def test_wire_snapshot_keys_match_threaded_core(self, registry, rng):
-        snapshots = {}
-        for label, server_cls in (("async", AsyncNormServer), ("threads", NormServer)):
-            service = _service(registry, scheduler="micro")
-            with server_cls(service) as server:
-                with NormClient.connect(server.host, server.port) as client:
-                    client.normalize(_rows(rng), "tiny")
-                    # Snapshot while the connection is live so the
-                    # per-connection gauge rows exist on both cores.
-                    snapshots[label] = server.wire_snapshot()
-            service.close()
-        assert set(snapshots["async"]) == set(snapshots["threads"])
-        row_async = snapshots["async"]["per_connection"][0]
-        row_threads = snapshots["threads"]["per_connection"][0]
-        assert set(row_async) == set(row_threads)
+    def test_wire_snapshot_reports_the_live_connection(self, registry, rng):
+        service = _service(registry)
+        with AsyncNormServer(service) as server:
+            with NormClient.connect(server.host, server.port) as client:
+                client.normalize(_rows(rng), "tiny")
+                # Snapshot while the connection is live so its gauge row
+                # exists.
+                snapshot = server.wire_snapshot()
+        service.close()
+        assert snapshot["connections_active"] == 1
+        assert snapshot["requests_served"] >= 1
+        (row,) = snapshot["per_connection"]
+        assert set(row) == {
+            "id", "inflight", "peak_inflight", "frames",
+            "backpressure_waits", "bytes_in", "bytes_out", "encoding",
+        }
+        assert row["frames"] >= 1
+        assert row["bytes_in"] > 0 and row["bytes_out"] > 0
 
 
-class TestErrorParity:
-    def test_unknown_model_typed_on_both_cores(self, rng):
+class TestErrorTaxonomy:
+    def test_unknown_model_typed(self, rng):
         def _refusing_loader(model_name, dataset):
             raise KeyError(f"unknown model {model_name!r}")
 
         payload = _rows(rng)
-        for server_cls in (AsyncNormServer, NormServer):
-            service = NormalizationService(
-                registry=CalibrationRegistry(loader=_refusing_loader)
-            )
-            with server_cls(service) as server:
-                with NormClient.connect(server.host, server.port) as client:
-                    with pytest.raises(UnknownModelError):
-                        client.normalize(payload, "nope")
-            service.close()
+        service = NormalizationService(
+            registry=CalibrationRegistry(loader=_refusing_loader)
+        )
+        with AsyncNormServer(service) as server:
+            with NormClient.connect(server.host, server.port) as client:
+                with pytest.raises(UnknownModelError):
+                    client.normalize(payload, "nope")
+        service.close()
 
-    def test_bad_width_typed_on_both_cores(self, registry):
-        for server_cls in (AsyncNormServer, NormServer):
-            service = _service(registry, scheduler="micro")
-            with server_cls(service) as server:
-                with NormClient.connect(server.host, server.port) as client:
-                    with pytest.raises(BadSchemaError, match="width"):
-                        client.normalize(np.ones((2, 8)), "tiny")
-            service.close()
+    def test_bad_width_typed(self, registry):
+        service = _service(registry)
+        with AsyncNormServer(service) as server:
+            with NormClient.connect(server.host, server.port) as client:
+                with pytest.raises(BadSchemaError, match="width"):
+                    client.normalize(np.ones((2, 8)), "tiny")
+        service.close()
 
     def test_infeasible_deadline_shed_typed_at_the_gate(self, registry, rng):
         """The pre-decode admission gate sheds a deadline below its
         service-time estimate before any tensor decode, with retry_after."""
-        service = _service(registry, scheduler="continuous")
+        service = _service(registry)
         with AsyncNormServer(service) as server:
             from repro.api.envelopes import OverloadedError
             from repro.api.retry import RetryPolicy
@@ -207,7 +185,7 @@ class TestErrorParity:
         DeadlineExceededError, never a silent late result."""
         from repro.api.admission import AdmissionController
 
-        service = _service(registry, scheduler="continuous")
+        service = _service(registry)
         admission = AdmissionController(initial_service_time=1e-9, ema_alpha=1e-6)
         with AsyncNormServer(service, admission=admission) as server:
             with NormClient.connect(server.host, server.port) as client:
@@ -218,6 +196,34 @@ class TestErrorParity:
                 result = client.normalize(payload, "tiny")
                 np.testing.assert_array_equal(result.output, _golden(registry, payload))
         service.close()
+
+    @pytest.mark.parametrize("op", [[1], {"op": "normalize"}, 7])
+    def test_non_string_op_answers_bad_schema_and_keeps_the_connection(
+        self, registry, op
+    ):
+        """An unhashable (or otherwise non-string) ``op`` gets a typed
+        ``bad_schema`` envelope echoing its request_id; the connection
+        keeps serving."""
+        from repro.api.framing import encode_frame, recv_frame
+
+        service = _service(registry)
+        with AsyncNormServer(service) as server:
+            with socket.create_connection(
+                (server.host, server.port), timeout=5.0
+            ) as sock:
+                sock.sendall(
+                    encode_frame({"schema_version": 3, "op": op, "request_id": 41})
+                )
+                reply = recv_frame(sock)
+                sock.sendall(
+                    encode_frame({"schema_version": 3, "op": "ping", "request_id": 42})
+                )
+                pong = recv_frame(sock)
+        service.close()
+        assert reply["ok"] is False
+        assert reply["request_id"] == 41
+        assert reply["error"]["code"] == "bad_schema"
+        assert pong["ok"] is True and pong["request_id"] == 42
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +323,7 @@ class TestConnectionScale:
 
 
 # ---------------------------------------------------------------------------
-# tenancy + chaos ride unchanged on the async core
+# tenancy + chaos on the async core
 # ---------------------------------------------------------------------------
 
 
@@ -340,6 +346,20 @@ class TestAsyncTenancy:
                     client.normalize(_rows(rng), "tiny")
         service.close()
 
+    def test_authenticated_traffic_bit_identical_and_metered(self, registry, rng):
+        controller = _controller(require_auth=True)
+        service = _service(registry)
+        with AsyncNormServer(service, tenancy=controller) as server:
+            with NormClient.connect(
+                server.host, server.port, token="tok-acme"
+            ) as client:
+                payload = _rows(rng)
+                result = client.normalize(payload, "tiny")
+                np.testing.assert_array_equal(result.output, _golden(registry, payload))
+        ledger = controller.snapshot()["ledger"]
+        assert ledger["acme"]["requests"] >= 1
+        service.close()
+
     def test_every_response_read_is_already_metered(self, registry, rng):
         # The charge lands before the response frame is written, so a
         # lock-step client sees its own request in the ledger the moment
@@ -353,20 +373,6 @@ class TestAsyncTenancy:
                 for read in range(1, 61):
                     client.normalize(_rows(rng, 1), "tiny")
                     assert controller.snapshot()["ledger"]["acme"]["requests"] == read
-        service.close()
-
-    def test_authenticated_traffic_bit_identical_and_metered(self, registry, rng):
-        controller = _controller(require_auth=True)
-        service = _service(registry)
-        with AsyncNormServer(service, tenancy=controller) as server:
-            with NormClient.connect(
-                server.host, server.port, token="tok-acme"
-            ) as client:
-                payload = _rows(rng)
-                result = client.normalize(payload, "tiny")
-                np.testing.assert_array_equal(result.output, _golden(registry, payload))
-        ledger = controller.snapshot()["ledger"]
-        assert ledger["acme"]["requests"] >= 1
         service.close()
 
 

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api.admission import AdmissionController
+from repro.api.aserver import AsyncNormServer
 from repro.api.client import NormClient
 from repro.api.envelopes import (
     ApiError,
@@ -30,7 +31,6 @@ from repro.api.envelopes import (
 from repro.api.envelopes import TensorPayload
 from repro.api.framing import FrameDecoder, send_frame
 from repro.api.retry import AMBIGUOUS, CLEAN, OVERLOADED, RetryPolicy
-from repro.api.server import NormServer
 from repro.api.transport import InProcessTransport, SocketTransport
 from repro.chaos.gate import FaultGate
 from repro.chaos.plan import (
@@ -46,7 +46,6 @@ from repro.core.predictor import IsdPredictor
 from repro.core.subsampling import SubsampleSettings
 from repro.llm.normalization import LayerNorm
 from repro.numerics.quantization import DataFormat
-from repro.serving.batcher import BatcherConfig
 from repro.serving.degrade import MAX_LEVEL, DegradationLadder, degraded_spec
 from repro.serving.registry import CalibrationArtifact, CalibrationRegistry
 from repro.serving.service import NormalizationService
@@ -257,7 +256,7 @@ class TestChaosContract:
 
     def test_kill_after_redials_and_recovers(self, registry, rng):
         service = NormalizationService(registry=registry)
-        server = NormServer(service).start()
+        server = AsyncNormServer(service).start()
         plan = FaultPlan(seed=2, rules=(FaultRule(kind="kill_after", after_n=1),))
         inner = SocketTransport("127.0.0.1", server.port)
         try:
@@ -286,7 +285,7 @@ class TestChaosContract:
         )
         gate = FaultGate(plan)
         service = NormalizationService(registry=registry)
-        server = NormServer(service, fault_gate=gate).start()
+        server = AsyncNormServer(service, fault_gate=gate).start()
         try:
             with NormClient.connect(server.host, server.port, timeout=1.0) as client:
                 typed = 0
@@ -441,34 +440,30 @@ class TestAdmissionController:
         admission.complete(0.3)
         assert admission.snapshot()["service_time_ema_ms"] == pytest.approx(200.0)
 
-    def test_live_server_sheds_under_100ms(self, registry, rng):
-        """The ISSUE's bound: a shed answer arrives in well under 100 ms."""
-        service = NormalizationService(
-            registry=registry, config=BatcherConfig(max_wait=0.2)
-        )
-        server = NormServer(service, workers=1, max_queue_depth=1).start()
+    def test_live_server_sheds_under_100ms(self, registry, rng, hold_engine):
+        """A shed answer arrives in well under 100 ms, while the admitted
+        request is still running."""
+        service = NormalizationService(registry=registry)
+        _, release = hold_engine(service)
+        server = AsyncNormServer(service, workers=1, max_queue_depth=1).start()
         try:
             with NormClient.connect(server.host, server.port, timeout=5.0) as client:
                 started = time.perf_counter()
                 handles = [
                     client.submit_normalize(_rows(rng), "tiny") for _ in range(6)
                 ]
-                # The admitted request sits in the 200ms batcher window, so
-                # every reply that lands inside the 100ms bound is a shed.
-                time.sleep(max(0.0, started + 0.09 - time.perf_counter()))
-                shed = 0
-                for handle in handles:
-                    if not handle.done():
-                        continue
+                # The first request holds the one queue slot in the engine
+                # until released, so every other one must be shed.
+                for handle in handles[1:]:
                     with pytest.raises(OverloadedError) as excinfo:
-                        handle.result(0)
-                    assert excinfo.value.retry_after_ms is not None
-                    shed += 1
-                assert shed > 0
-                for handle in handles:  # drain the admitted ones cleanly
-                    if not handle.done():
                         handle.result(5.0)
+                    assert excinfo.value.retry_after_ms is not None
+                assert time.perf_counter() - started < 0.1
+                assert not handles[0].done()
+                release.set()
+                handles[0].result(5.0)
         finally:
+            release.set()
             server.close()
             service.close()
 
@@ -691,7 +686,7 @@ class TestDegradationLadder:
         ladder.observe(1.0)
         ladder.observe(1.0)
         service = NormalizationService(registry=registry)
-        server = NormServer(service, ladder=ladder).start()
+        server = AsyncNormServer(service, ladder=ladder).start()
         try:
             with NormClient.connect(server.host, server.port) as client:
                 result = client.normalize(_rows(rng), "tiny")
@@ -707,37 +702,47 @@ class TestDegradationLadder:
 
 
 class TestGracefulDrain:
-    def test_inflight_finishes_and_new_work_is_refused(self, registry, rng):
-        service = NormalizationService(
-            registry=registry, config=BatcherConfig(max_wait=0.3, max_batch_size=64)
-        )
-        server = NormServer(service).start()
+    def test_inflight_finishes_and_new_work_is_refused(self, registry, rng, hold_engine):
+        service = NormalizationService(registry=registry)
+        entered, release = hold_engine(service)
+        server = AsyncNormServer(service).start()
+        # Signal the moment the drain begins (close() has already flagged
+        # the server as draining when it schedules _shutdown).
+        draining = threading.Event()
+        shutdown = server._shutdown
+
+        async def signalled_shutdown(drain_timeout):
+            draining.set()
+            await shutdown(drain_timeout)
+
+        server._shutdown = signalled_shutdown
         client = NormClient.connect(server.host, server.port, timeout=10.0)
         try:
             handle = client.submit_normalize(_rows(rng), "tiny")
-            deadline = time.monotonic() + 5.0
-            while server.admission.inflight == 0:
-                assert time.monotonic() < deadline, "request never admitted"
-                time.sleep(0.005)
+            assert entered.wait(5.0), "request never reached the engine"
             closer = threading.Thread(
                 target=lambda: server.close(drain_timeout=5.0), daemon=True
             )
             closer.start()
-            time.sleep(0.05)  # the drain window: ~250ms of batcher wait left
+            assert draining.wait(5.0), "close never started draining"
             with pytest.raises(OverloadedError, match="draining"):
                 client.normalize(_rows(rng), "tiny")
+            # The drain waits for the held request instead of cutting it.
+            assert not handle.done()
+            release.set()
             result = handle.result(10.0)
             assert result.output.shape == (4, HIDDEN)
             closer.join(timeout=10.0)
             assert not closer.is_alive()
         finally:
+            release.set()
             client.close()
             server.close()
             service.close()
 
     def test_default_close_is_still_immediate(self, registry):
         service = NormalizationService(registry=registry)
-        server = NormServer(service).start()
+        server = AsyncNormServer(service).start()
         started = time.monotonic()
         server.close()
         assert time.monotonic() - started < 1.0

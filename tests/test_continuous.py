@@ -8,7 +8,9 @@ Covered contracts, all on deterministic injectable clocks:
 * ``add_done_callback`` fires exactly once, before or after resolution,
   on success and on failure -- the hook the asyncio server core bridges
   scheduler futures through;
-* :class:`ContinuousBatcher`: engine-tick release (no ``max_wait`` stall),
+* :class:`ContinuousBatcher`: engine-tick release (no timer stall),
+  oldest-first order without deadlines, a failing execute failing only
+  its own batch, the start/stop lifecycle,
   earliest-deadline-first bucket selection, aging-bound starvation
   freedom under a sustained hot-bucket flood, and deadline-expired
   requests shed with a typed ``DeadlineExceededError`` before execution;
@@ -27,8 +29,12 @@ import numpy as np
 import pytest
 
 from repro.api.envelopes import DeadlineExceededError
-from repro.serving.batcher import BatcherConfig, MicroBatcher, PendingRequest, ResponseFuture
-from repro.serving.continuous import ContinuousBatcher
+from repro.serving.batcher import (
+    BatcherConfig,
+    ContinuousBatcher,
+    PendingRequest,
+    ResponseFuture,
+)
 from repro.serving.request import NormRequest, RequestKey
 
 HIDDEN = 16
@@ -181,18 +187,12 @@ class TestPendingRequestDeadline:
 
 
 class TestContinuousRelease:
-    def test_releases_immediately_without_max_wait_stall(self):
-        clock = _Clock()
-        config = BatcherConfig(max_batch_size=32, max_wait=0.5)
-        micro = MicroBatcher(_resolve_all, config, clock=clock)
-        continuous = ContinuousBatcher(_resolve_all, config, clock=clock)
-        micro.submit(_request())
-        continuous.submit(_request())
-        # The micro-batcher's latency trigger stalls an unforced drain for
-        # the full max_wait; the continuous scheduler's trigger is the
-        # engine tick itself.
-        assert micro.drain_once(force=False) == 0
-        assert continuous.drain_once(force=False) == 1
+    def test_lone_request_releases_on_the_first_tick(self):
+        # No timer: a lone request never waits for company, the engine
+        # tick itself is the trigger.
+        batcher = ContinuousBatcher(_resolve_all, BatcherConfig(), clock=_Clock())
+        batcher.submit(_request())
+        assert batcher.drain_once() == 1
 
     def test_batches_fill_up_to_caps_from_one_bucket(self):
         clock = _Clock()
@@ -224,6 +224,65 @@ class TestContinuousRelease:
         futures = batcher.submit_many([_request() for _ in range(3)])
         batcher.stop()
         assert all(future.done() for future in futures)
+
+
+    def test_oldest_bucket_wins_without_deadlines(self):
+        clock = _Clock()
+        order = []
+        batcher = ContinuousBatcher(
+            lambda key, batch, rows: (
+                order.append(key.layer_index),
+                _resolve_all(key, batch, rows),
+            ),
+            BatcherConfig(),
+            clock=clock,
+        )
+        batcher.submit(_request(key=KEY_B))
+        clock.now = 0.001
+        batcher.submit(_request(key=KEY_A))
+        batcher.drain_all()
+        assert order == [1, 0]  # aged bound fixed at enqueue: older first
+
+    def test_failed_execute_fails_the_batch_and_keeps_serving(self):
+        calls = []
+
+        def execute(key, batch, rows):
+            calls.append(len(batch))
+            if len(calls) == 1:
+                raise ValueError("engine fault")
+            _resolve_all(key, batch, rows)
+
+        batcher = ContinuousBatcher(
+            execute, BatcherConfig(max_batch_size=2), clock=_Clock()
+        )
+        failed = batcher.submit_many([_request(), _request()])
+        served = batcher.submit(_request())
+        assert batcher.drain_all() == 3
+        for future in failed:
+            with pytest.raises(ValueError, match="engine fault"):
+                future.result(0)
+        assert served.result(0) == served.request.request_id
+        assert calls == [2, 1]
+
+    def test_start_is_idempotent(self):
+        batcher = ContinuousBatcher(_resolve_all, BatcherConfig())
+        batcher.start()
+        try:
+            worker = batcher._thread
+            batcher.start()
+            assert batcher._thread is worker
+            assert worker.name == "haan-continuous-batcher"
+        finally:
+            batcher.stop()
+
+    def test_stopped_batcher_cannot_restart_or_accept_work(self):
+        batcher = ContinuousBatcher(_resolve_all, BatcherConfig(), clock=_Clock())
+        batcher.start()
+        batcher.stop()
+        with pytest.raises(RuntimeError, match="cannot be restarted"):
+            batcher.start()
+        with pytest.raises(RuntimeError, match="stopped"):
+            batcher.submit(_request())
 
 
 class TestContinuousDeadlines:
@@ -277,6 +336,24 @@ class TestContinuousDeadlines:
         assert plain.result(0) is not None
         assert batcher.requests_shed == 1
 
+    def test_expired_bucket_does_not_cost_the_tick(self):
+        # The most urgent bucket is entirely expired: it is shed and the
+        # same tick rescored onto the live bucket instead of idling.
+        clock = _Clock()
+        batcher = ContinuousBatcher(_resolve_all, BatcherConfig(), clock=clock)
+        doomed = batcher.submit_many(
+            [_request(key=KEY_A, deadline_ms=1.0) for _ in range(2)]
+        )
+        live = batcher.submit(_request(key=KEY_B))
+        clock.now = 0.005
+        assert batcher.drain_once() == 1
+        assert live.done() and live.exception() is None
+        assert all(
+            isinstance(future.exception(), DeadlineExceededError) for future in doomed
+        )
+        assert batcher.requests_shed == 2
+        assert batcher.pending_count == 0
+
     def test_shed_error_names_the_budget(self):
         clock = _Clock()
         batcher = ContinuousBatcher(_resolve_all, BatcherConfig(), clock=clock)
@@ -325,7 +402,7 @@ class TestStarvationFreedom:
         for step in range(1, 40):
             clock.now = step * tick
             batcher.submit(_request(key=KEY_B, deadline_ms=5.0))
-            batcher.drain_once(force=False)
+            batcher.drain_once()
             if old.done():
                 break
         assert old.done(), "old request starved through the whole flood"
@@ -353,7 +430,7 @@ class TestStarvationFreedom:
         batcher.submit(_request(key=KEY_A))
         clock.now = 0.001
         batcher.submit(_request(key=KEY_B, deadline_ms=5.0))
-        batcher.drain_once(force=False)  # hot urgency 0.006 < aged 0.020
+        batcher.drain_once()  # hot urgency 0.006 < aged 0.020
         assert order == [1]
 
     def test_snapshot_reports_scheduler_counters(self):
@@ -374,30 +451,7 @@ class TestStarvationFreedom:
             ContinuousBatcher(_resolve_all, aging_window=0.0)
 
 
-class TestServiceSchedulerSelection:
-    def test_unknown_scheduler_rejected(self):
-        from repro.serving.service import NormalizationService
-
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            NormalizationService(threaded=False, scheduler="wishful")
-
-    def test_continuous_service_serves_bit_identically_to_micro(self, rng):
-        from repro.serving.registry import CalibrationRegistry
-        from repro.serving.service import NormalizationService
-
-        from test_api import _instant_loader
-
-        payload = rng.normal(0.0, 1.5, size=(5, 48))
-        outputs = {}
-        for scheduler in ("micro", "continuous"):
-            with NormalizationService(
-                registry=CalibrationRegistry(loader=_instant_loader),
-                threaded=False,
-                scheduler=scheduler,
-            ) as service:
-                outputs[scheduler] = service.normalize(payload, "tiny").output
-        np.testing.assert_array_equal(outputs["micro"], outputs["continuous"])
-
+class TestServiceScheduler:
     def test_continuous_scheduler_exposes_telemetry_section(self):
         from repro.serving.registry import CalibrationRegistry
         from repro.serving.service import NormalizationService
@@ -407,7 +461,6 @@ class TestServiceSchedulerSelection:
         with NormalizationService(
             registry=CalibrationRegistry(loader=_instant_loader),
             threaded=False,
-            scheduler="continuous",
         ) as service:
             service.normalize(np.ones((2, 48)), "tiny")
             snapshot = service.telemetry.snapshot()
@@ -478,24 +531,6 @@ def _assert_no_new_haan_threads(before, timeout=5.0):
 
 
 class TestNoLeakedThreads:
-    def test_threaded_server_drained_close_joins_everything(self):
-        from repro.api.client import NormClient
-        from repro.api.server import NormServer
-        from repro.serving.registry import CalibrationRegistry
-        from repro.serving.service import NormalizationService
-
-        from test_api import _instant_loader
-
-        before = _live_haan_threads()
-        registry = CalibrationRegistry(loader=_instant_loader)
-        service = NormalizationService(registry=registry)
-        server = NormServer(service).start()
-        with NormClient.connect(server.host, server.port) as client:
-            client.normalize(np.ones((2, 48)), "tiny")
-        server.close(drain_timeout=2.0)
-        service.close()
-        _assert_no_new_haan_threads(before)
-
     def test_async_server_drained_close_joins_everything(self):
         from repro.api.aserver import AsyncNormServer
         from repro.api.client import NormClient
@@ -506,7 +541,7 @@ class TestNoLeakedThreads:
 
         before = _live_haan_threads()
         registry = CalibrationRegistry(loader=_instant_loader)
-        service = NormalizationService(registry=registry, scheduler="continuous")
+        service = NormalizationService(registry=registry)
         server = AsyncNormServer(service).start()
         with NormClient.connect(server.host, server.port) as client:
             client.normalize(np.ones((2, 48)), "tiny")

@@ -496,7 +496,7 @@ class TestServingBackendSelection:
 
         return NormalizationService(
             registry=CalibrationRegistry(loader=_instant_loader),
-            config=BatcherConfig(max_batch_size=8, max_wait=0.0),
+            config=BatcherConfig(max_batch_size=8),
             threaded=False,
         )
 

@@ -14,7 +14,7 @@ The contracts under test, in order:
   mid-flight shard death retried on survivors, error envelopes failing
   the whole bulk with single-server semantics;
 * end-to-end parity: ``NormClient`` over ``FleetTransport`` against live
-  ``NormServer`` replicas is bit-identical to the direct service -- for
+  ``AsyncNormServer`` replicas is bit-identical to the direct service -- for
   pipelined, bulk, streaming and spec-execution traffic, including with
   one replica killed mid-run;
 * the PR-6 wire gauges: per-connection inflight/backpressure telemetry
@@ -31,9 +31,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.api.aserver import AsyncNormServer
 from repro.api.client import NormClient
 from repro.api.envelopes import NoHealthyReplicaError, TransportError, error_for_code
-from repro.api.server import NormServer
 from repro.api.transport import (
     SocketTransport,
     available_transports,
@@ -630,9 +630,9 @@ def fleet_registry():
 
 @pytest.fixture()
 def fleet_servers(fleet_registry):
-    """Three live NormServer replicas over one shared registry."""
+    """Three live AsyncNormServer replicas over one shared registry."""
     services = [NormalizationService(registry=fleet_registry) for _ in range(3)]
-    servers = [NormServer(service).start() for service in services]
+    servers = [AsyncNormServer(service).start() for service in services]
     yield servers
     for server in servers:
         server.close()
@@ -724,7 +724,7 @@ class TestFleetEndToEnd:
 
     def test_every_replica_down_fails_closed(self, fleet_registry):
         service = NormalizationService(registry=fleet_registry)
-        server = NormServer(service).start()
+        server = AsyncNormServer(service).start()
         address = f"{server.host}:{server.port}"
         server.close()
         service.close()

@@ -1,17 +1,16 @@
 """Tests of the batched normalization serving runtime.
 
 The central contract is golden-model equivalence: every response produced
-by the micro-batched path must be bit-identical (``np.array_equal``, no
+by the batched path must be bit-identical (``np.array_equal``, no
 tolerance) to running the same payload alone through the per-request
 :class:`~repro.core.haan_norm.HaanNormalization` pipeline.  The remaining
-tests cover scheduler ordering, the max-wait latency trigger, the
-calibration registry's LRU behaviour and the telemetry aggregates.
+tests cover scheduler ordering and coalescing, the calibration registry's
+LRU behaviour and the telemetry aggregates.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -38,6 +37,7 @@ from repro.serving import (
     ServingTelemetry,
     default_artifact_loader,
 )
+from repro.serving.batcher import size_class
 
 HIDDEN = 64
 
@@ -82,7 +82,7 @@ def registry():
 def inline_service(registry):
     service = NormalizationService(
         registry=registry,
-        config=BatcherConfig(max_batch_size=8, max_wait=0.0),
+        config=BatcherConfig(max_batch_size=8),
         threaded=False,
     )
     yield service
@@ -215,7 +215,7 @@ class TestServiceGolden:
         skipped = min(anchor + 1, last)
         service = NormalizationService(
             registry=registry,
-            config=BatcherConfig(max_batch_size=4, max_wait=0.0),
+            config=BatcherConfig(max_batch_size=4),
             threaded=False,
         )
         chunk = rng.normal(size=(3, HIDDEN))
@@ -279,14 +279,14 @@ class TestSubmitManyEdgeCases:
 
 
 # ---------------------------------------------------------------------------
-# Scheduler: ordering, coalescing and the latency trigger
+# Scheduler: ordering and coalescing
 # ---------------------------------------------------------------------------
 
-class TestMicroBatcher:
+class TestScheduler:
     def test_fifo_order_within_bucket(self, registry, rng):
         service = NormalizationService(
             registry=registry,
-            config=BatcherConfig(max_batch_size=3, max_wait=0.0),
+            config=BatcherConfig(max_batch_size=3),
             threaded=False,
         )
         payloads = [rng.normal(size=(HIDDEN,)) for _ in range(7)]
@@ -302,10 +302,10 @@ class TestMicroBatcher:
         assert ids == sorted(ids)
         service.close()
 
-    def test_size_bucketing_separates_small_and_large(self, registry, rng):
+    def test_size_classes_separate_small_and_large(self, registry, rng):
         service = NormalizationService(
             registry=registry,
-            config=BatcherConfig(max_batch_size=8, max_wait=0.0),
+            config=BatcherConfig(max_batch_size=8),
             threaded=False,
         )
         small = service.submit(rng.normal(size=(HIDDEN,)), "tiny")
@@ -316,10 +316,15 @@ class TestMicroBatcher:
         assert large.result().batch_size == 1
         service.close()
 
+    def test_size_class_rounds_rows_up_to_a_power_of_two(self):
+        assert [size_class(n) for n in (0, 1, 2, 3, 4, 5, 17, 32)] == [
+            1, 1, 2, 4, 4, 8, 32, 32,
+        ]
+
     def test_max_batch_rows_caps_coalescing(self, registry, rng):
         service = NormalizationService(
             registry=registry,
-            config=BatcherConfig(max_batch_size=8, max_wait=0.0, max_batch_rows=10),
+            config=BatcherConfig(max_batch_size=8, max_batch_rows=10),
             threaded=False,
         )
         futures = service.submit_many(
@@ -327,24 +332,6 @@ class TestMicroBatcher:
         )
         service.batcher.drain_once()
         assert [f.done() for f in futures] == [True, True, False, False]
-        service.batcher.drain_all()
-        service.close()
-
-    def test_full_bucket_releases_ahead_of_older_partial_bucket(self, registry, rng):
-        """The size trigger fires for any full bucket, even when an older,
-        still-filling bucket would otherwise hold the queue until max_wait."""
-        service = NormalizationService(
-            registry=registry,
-            config=BatcherConfig(max_batch_size=4, max_wait=30.0),
-            threaded=False,
-        )
-        straggler = service.submit(rng.normal(size=(HIDDEN,)), "tiny", layer_index=1)
-        full = service.submit_many(
-            [rng.normal(size=(HIDDEN,)) for _ in range(4)], "tiny", layer_index=0
-        )
-        executed = service.batcher.drain_once(force=False)
-        assert executed == 4
-        assert all(f.done() for f in full) and not straggler.done()
         service.batcher.drain_all()
         service.close()
 
@@ -359,44 +346,63 @@ class TestMicroBatcher:
             responses[0].isd[:] = -1.0
         assert responses[1].batch_size == 4
 
-    def test_max_wait_timeout_releases_partial_batch(self, registry, rng):
-        """The latency trigger: a lone request must not wait for a full batch."""
+    def test_requests_queued_behind_a_running_batch_coalesce(
+        self, registry, rng, hold_engine
+    ):
+        """The engine tick is the trigger: work that arrives while a batch
+        executes leaves together as the next batch."""
         service = NormalizationService(
-            registry=registry,
-            config=BatcherConfig(max_batch_size=1024, max_wait=0.05),
+            registry=registry, config=BatcherConfig(max_batch_size=8)
         )
-        try:
-            start = time.perf_counter()
-            response = service.normalize(rng.normal(size=(HIDDEN,)), "tiny")
-            elapsed = time.perf_counter() - start
-            assert response.batch_size == 1
-            # Released by the timeout, not stuck until a size trigger.
-            assert 0.01 <= elapsed < 5.0
-            assert response.queue_wait >= 0.0
-        finally:
-            service.close()
+        entered, release = hold_engine(service)
+        first = service.submit(rng.normal(size=(HIDDEN,)), "tiny")
+        assert entered.wait(timeout=10.0)
+        queued = service.submit_many(
+            [rng.normal(size=(HIDDEN,)) for _ in range(3)], "tiny"
+        )
+        assert not first.done() and not any(f.done() for f in queued)
+        release.set()
+        assert first.result(timeout=10.0).batch_size == 1
+        assert [f.result(timeout=10.0).batch_size for f in queued] == [3, 3, 3]
+        service.close()
 
-    def test_size_trigger_fires_before_max_wait(self, registry, rng):
-        """A full bucket releases immediately even under a long max_wait."""
-        service = NormalizationService(
-            registry=registry,
-            config=BatcherConfig(max_batch_size=4, max_wait=30.0),
+    def test_inline_wait_drains_the_queue(self, registry, rng):
+        service = NormalizationService(registry=registry, threaded=False)
+        futures = service.submit_many(
+            [rng.normal(size=(HIDDEN,)) for _ in range(3)], "tiny"
         )
-        try:
-            payloads = [rng.normal(size=(HIDDEN,)) for _ in range(4)]
-            start = time.perf_counter()
-            responses = service.normalize_many(payloads, "tiny")
-            elapsed = time.perf_counter() - start
-            assert elapsed < 5.0
-            assert all(r.batch_size == 4 for r in responses)
-        finally:
-            service.close()
+        assert not any(f.done() for f in futures)
+        service.wait(futures)
+        assert all(f.done() for f in futures)
+        assert service.batcher.pending_count == 0
+        service.close()
+
+    def test_response_is_counted_before_it_is_released(self, registry, rng):
+        """Whoever holds a response can already see it in the telemetry
+        totals: the counts land before the futures resolve."""
+        service = NormalizationService(registry=registry, threaded=False)
+        futures = service.submit_many(
+            [rng.normal(size=(2, HIDDEN)) for _ in range(3)], "tiny"
+        )
+        seen = []
+        for future in futures:
+            future.add_done_callback(
+                lambda _: seen.append(
+                    (
+                        service.telemetry.requests_total.value,
+                        service.telemetry.rows_total.value,
+                    )
+                )
+            )
+        service.wait(futures)
+        assert seen == [(3, 6)] * 3
+        service.close()
 
     def test_submit_after_close_is_rejected(self, registry, rng):
         """A request racing shutdown must fail loudly, never hang."""
         service = NormalizationService(
             registry=registry,
-            config=BatcherConfig(max_batch_size=4, max_wait=0.001),
+            config=BatcherConfig(max_batch_size=4),
         )
         service.normalize(rng.normal(size=(HIDDEN,)), "tiny")
         service.close()
@@ -406,7 +412,7 @@ class TestMicroBatcher:
     def test_threaded_concurrent_submitters(self, registry, rng):
         service = NormalizationService(
             registry=registry,
-            config=BatcherConfig(max_batch_size=16, max_wait=0.001),
+            config=BatcherConfig(max_batch_size=16),
         )
         artifact = registry.get("tiny")
         layer = artifact.layer(0)
@@ -511,7 +517,7 @@ class TestTelemetry:
         telemetry = ServingTelemetry()
         service = NormalizationService(
             registry=registry,
-            config=BatcherConfig(max_batch_size=4, max_wait=0.0),
+            config=BatcherConfig(max_batch_size=4),
             telemetry=telemetry,
             threaded=False,
         )
@@ -540,7 +546,7 @@ class TestTelemetry:
             registry=CalibrationRegistry(
                 loader=lambda m, d: (_ for _ in ()).throw(RuntimeError("boom"))
             ),
-            config=BatcherConfig(max_batch_size=2, max_wait=0.0),
+            config=BatcherConfig(max_batch_size=2),
             telemetry=telemetry,
             threaded=False,
         )

@@ -21,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.aserver import AsyncNormServer
 from repro.api.client import NormClient
 from repro.api.envelopes import BadSchemaError
-from repro.api.server import NormServer
 from repro.api.shm import (
     SLAB_ALIGNMENT,
     ServerShmSession,
@@ -44,14 +44,14 @@ def registry():
 @pytest.fixture()
 def server(registry):
     with NormalizationService(registry=registry) as service:
-        with NormServer(service) as srv:
+        with AsyncNormServer(service) as srv:
             yield srv
 
 
 @pytest.fixture()
 def no_shm_server(registry):
     with NormalizationService(registry=registry) as service:
-        with NormServer(service, enable_shm=False) as srv:
+        with AsyncNormServer(service, enable_shm=False) as srv:
             yield srv
 
 

@@ -36,6 +36,7 @@ import numpy as np
 import pytest
 
 import repro.api
+from repro.api.aserver import AsyncNormServer
 from repro.api.client import NormClient
 from repro.api.envelopes import (
     ApiError,
@@ -47,7 +48,6 @@ from repro.api.envelopes import (
     error_for_code,
 )
 from repro.api.retry import RetryPolicy
-from repro.api.server import NormServer
 from repro.api.transport import _overload_error
 from repro.core.config import HaanConfig
 from repro.core.haan_norm import HaanNormalization
@@ -538,7 +538,7 @@ def registry():
 class TestServedTenancy:
     def test_require_auth_rejects_tokenless_work_typed(self, registry):
         with NormalizationService(registry=registry) as service:
-            with NormServer(
+            with AsyncNormServer(
                 service, tenancy=_controller(require_auth=True)
             ) as server:
                 with NormClient.connect(server.host, server.port) as client:
@@ -547,7 +547,7 @@ class TestServedTenancy:
 
     def test_bad_token_fails_the_handshake_typed(self, registry):
         with NormalizationService(registry=registry) as service:
-            with NormServer(service, tenancy=_controller()) as server:
+            with AsyncNormServer(service, tenancy=_controller()) as server:
                 with pytest.raises(AuthenticationError):
                     with NormClient.connect(
                         server.host, server.port, token="tok-wrong"
@@ -560,7 +560,7 @@ class TestServedTenancy:
         payload = rng.normal(0.0, 1.0, size=(4, HIDDEN))
         with NormalizationService(registry=registry) as service:
             tenancy = _controller(require_auth=True)
-            with NormServer(service, tenancy=tenancy) as server:
+            with AsyncNormServer(service, tenancy=tenancy) as server:
                 with NormClient.connect(
                     server.host, server.port, token="tok-acme"
                 ) as client:
@@ -582,7 +582,7 @@ class TestServedTenancy:
             return real_frombuffer(*args, **kwargs)
 
         with NormalizationService(registry=registry) as service:
-            with NormServer(
+            with AsyncNormServer(
                 service, tenancy=_controller(requests_per_s=1.0)
             ) as server:
                 with NormClient.connect(
@@ -602,7 +602,7 @@ class TestServedTenancy:
     def test_quota_telemetry_reaches_the_snapshot(self, registry):
         with NormalizationService(registry=registry) as service:
             tenancy = _controller(requests_per_s=1.0)
-            with NormServer(service, tenancy=tenancy) as server:
+            with AsyncNormServer(service, tenancy=tenancy) as server:
                 with NormClient.connect(
                     server.host,
                     server.port,
@@ -649,7 +649,7 @@ class TestMetrics:
     def test_render_is_valid_exposition_with_tenant_labels(self, registry):
         with NormalizationService(registry=registry) as service:
             tenancy = _controller()
-            with NormServer(service, tenancy=tenancy) as server:
+            with AsyncNormServer(service, tenancy=tenancy) as server:
                 with NormClient.connect(
                     server.host, server.port, token="tok-acme"
                 ) as client:
