@@ -9,25 +9,32 @@ backpressure) and responses go out in completion order, demultiplexed by
 
 Division of labor per frame:
 
-* **event loop** -- everything a serving op needs besides the kernel:
+* **event loop** -- everything a serving op needs, the kernel included:
   incremental framing (:class:`FrameDecoder`), the pre-decode gate
   (tenant quota + overload admission on the peeked JSON preamble, before
   any tensor bytes are touched), shm control ops, chaos gate, hello
   authentication, per-connection in-flight accounting, the zero-copy
   tensor decode (:func:`attach_buffers`: memoryview slices, O(tensor
-  count) not O(bytes)), :meth:`ApiHandler.begin` (validate + submit) and
-  ``finish`` (response envelope), response encoding and the write.
-* **the service's scheduler thread** -- actual normalization work.
-  Serving ops are *submitted* from the loop, and their
-  :class:`~repro.serving.batcher.ResponseFuture` completions wake the loop
-  once per request via ``call_soon_threadsafe`` -- which is what lets
-  pending requests from **all connections** pool in the continuous
-  batching scheduler and drain together each engine tick.  A serving op
-  therefore crosses threads exactly twice: loop -> scheduler -> loop.
+  count) not O(bytes)), :meth:`ApiHandler.begin` (validate + submit), the
+  engine tick, ``finish`` (response envelope), response encoding and the
+  write.  A serving op never leaves the loop's thread.
+* **the engine tick** -- a loop callback that drains the service's
+  continuous batching scheduler one batch at a time
+  (:meth:`~repro.serving.batcher.ContinuousBatcher.drain_once`: EDF/aging
+  pop, expired heads shed, kernel, futures resolved).  Submitting a
+  serving op schedules it with ``call_soon``; at most one tick is pending,
+  and it re-schedules itself while requests remain queued.  Because
+  ``call_soon`` runs on the next loop iteration, frames that arrived
+  meanwhile on **any connection** are read and submitted first, so they
+  coalesce into one batch.  A kernel holds the loop for its duration.
 * **bounded executor** -- only the ops that run kernels or build
   snapshots inside :meth:`ApiHandler.handle` (``execute``,
   ``execute_bulk``, ``telemetry``, ``spec``, ``hello``, ``ping``): one
   hop each, so the loop never blocks on them.
+
+A thread that calls the service directly (``service.normalize``) drains
+on its own thread and may resolve wire requests in its batch; their
+waiters are then woken through ``call_soon_threadsafe``.
 
 Shutdown: :meth:`close` (callable from any thread, e.g. a SIGTERM
 handler) optionally drains admitted work for
@@ -76,30 +83,31 @@ from repro.api.server import (
 
 
 async def _await_pendings(loop: asyncio.AbstractEventLoop, pendings) -> None:
-    """Await scheduler futures with one loop wake-up per request.
+    """Await scheduler futures resolved by the engine tick (or any thread).
 
-    Each :class:`ResponseFuture` done-callback fires on the scheduler
-    thread and counts down under a lock there; only the last one issues
-    ``call_soon_threadsafe``, so a 16-tensor bulk frame costs one self-pipe
-    write, not sixteen.  Results/errors are *not* extracted here --
+    The tick resolves futures on the loop's own thread, so their
+    done-callbacks count down directly.  A future resolved by a thread
+    that drained the service itself hands its count-down to the loop with
+    ``call_soon_threadsafe``; every count-down runs on the loop, so the
+    counter needs no lock.  Results/errors are *not* extracted here --
     ``finish()`` does that through the shared taxonomy mapping.
     """
     waiter = loop.create_future()
     remaining = len(pendings)
-    lock = threading.Lock()
+    loop_thread = threading.get_ident()
 
-    def wake() -> None:
-        if not waiter.done():
+    def count_down() -> None:
+        nonlocal remaining
+        remaining -= 1
+        if not remaining and not waiter.done():
             waiter.set_result(None)
 
     def on_future_done(_future) -> None:
-        nonlocal remaining
-        with lock:
-            remaining -= 1
-            if remaining:
-                return
+        if threading.get_ident() == loop_thread:
+            count_down()
+            return
         try:
-            loop.call_soon_threadsafe(wake)
+            loop.call_soon_threadsafe(count_down)
         except RuntimeError:
             pass  # loop already closed mid-shutdown; nothing to wake
 
@@ -161,8 +169,8 @@ class AsyncNormServer:
     """Serve one :class:`NormalizationService` on an asyncio event loop.
 
     ``workers`` sizes the executor that runs the non-serving ops (see the
-    module docstring).  Requires a *threaded* service (its scheduler must
-    drain itself; nothing pumps queues between submit and resolve).
+    module docstring).  The service's scheduler is drained by the engine
+    tick on this server's event loop.
     """
 
     def __init__(
@@ -225,6 +233,8 @@ class AsyncNormServer:
         )
         self._closing = False
         self._draining = False
+        #: Whether an engine tick is scheduled on the loop (loop thread only).
+        self._tick_pending = False
         self.requests_served = 0
         self.connections_total = 0
         self.frames_received = 0
@@ -413,6 +423,21 @@ class AsyncNormServer:
                     for c in live
                 ],
             }
+
+    # -- engine tick ---------------------------------------------------------
+
+    def _schedule_tick(self) -> None:
+        """Schedule one engine tick on the loop, unless one is pending."""
+        if not self._tick_pending:
+            self._tick_pending = True
+            self._loop.call_soon(self._tick)
+
+    def _tick(self) -> None:
+        """Drain one batch; come back next iteration while work is queued."""
+        self._tick_pending = False
+        batcher = self.service.batcher
+        if batcher.drain_once() and batcher.pending_count:
+            self._schedule_tick()
 
     # -- connection handling -------------------------------------------------
 
@@ -655,12 +680,13 @@ class AsyncNormServer:
             degrade_level = self.ladder.observe(self.admission.pressure())
         tenant_name = connection.tenant.name if connection.tenant is not None else None
         if payload.get("op") in SERVING_OPS:
-            # Validate and submit on the loop, yield it while the scheduler
-            # thread runs the batch, then build the envelope on the loop:
-            # binary and shm tensors are zero-copy views both ways.
+            # Validate and submit, let the engine tick run the batch, then
+            # build the envelope: binary and shm tensors are zero-copy
+            # views both ways.
             pendings, finish = self.handler.begin(payload, degrade_level, tenant_name)
             if pendings:
-                await _await_pendings(asyncio.get_running_loop(), pendings)
+                self._schedule_tick()
+                await _await_pendings(self._loop, pendings)
             response = finish()
         else:
             # execute/spec/hello/ping/telemetry: one blocking handler call

@@ -60,8 +60,8 @@ from repro.api.envelopes import (
 
 #: Ops that flow through the service's batching scheduler.  Their one
 #: dispatch path is :meth:`ApiHandler.begin` + ``finish``: the async server
-#: bridges the futures onto its event loop, :meth:`ApiHandler.handle` blocks
-#: on them.
+#: drains them in an engine tick on its event loop, :meth:`ApiHandler.handle`
+#: drains them on the calling thread.
 SERVING_OPS = frozenset({"normalize", "normalize_bulk", "stream"})
 
 
@@ -134,9 +134,10 @@ class ApiHandler:
         the service so the cost ledger can attribute the batch's modelled
         cycles/energy per tenant.  It never affects the computation.
 
-        Serving ops go through :meth:`begin`, then block until their
-        futures resolve, then ``finish`` -- the same path as the async
-        server, which only replaces the blocking wait with an await.
+        Serving ops go through :meth:`begin`, then the service's ``wait``
+        (which drains the queue on this thread), then ``finish`` -- the
+        same path as the async server, which drains in an engine tick on
+        its event loop and awaits instead.
         """
         op = payload.get("op") if isinstance(payload, dict) else None
         if isinstance(op, str) and op in SERVING_OPS:
@@ -198,14 +199,15 @@ class ApiHandler:
         * ``pendings`` -- the :class:`ResponseFuture` objects the request
           enqueued (empty when validation already failed);
         * ``finish()`` -- builds the response envelope; the caller must
-          invoke it only once every pending future is done (the async
-          server awaits their done-callbacks, :meth:`handle` calls the
-          service's ``wait``), after which it never blocks.
+          invoke it only once every pending future is done, after which it
+          never blocks.
 
         Never raises: failures become error envelopes with the same
-        taxonomy mapping as every other op.  Nothing pumps an inline
-        (``threaded=False``) service's queue between ``begin`` and
-        ``finish``; the caller drains it (``service.wait`` does).
+        taxonomy mapping as every other op.  Nothing drains the service's
+        queue between ``begin`` and ``finish``; the caller does.
+        :meth:`handle` calls the service's ``wait``, which drains on the
+        calling thread.  The async server schedules an engine tick on its
+        event loop and awaits the futures' done-callbacks.
         """
         request_id, echo_version = self._preamble(payload)
         try:

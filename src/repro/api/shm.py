@@ -54,7 +54,7 @@ from repro.api.envelopes import (
     _binary_data_view,
     is_binary_tensor_dict,
 )
-from repro.api.framing import MAX_FRAME_BYTES, recv_frame, send_frame
+from repro.api.framing import recv_frame, send_frame
 from repro.api.transport import (
     SocketTransport,
     _PoolConnection,
@@ -118,8 +118,8 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 def _close_segment(segment: shared_memory.SharedMemory) -> None:
     """Close one segment handle, tolerating still-live zero-copy views.
 
-    A request decoded zero-copy can outlive its connection (a service
-    worker thread may still hold the view when the reader tears down).
+    A request decoded zero-copy can outlive its connection (a queued
+    batch may still hold the view when the reader tears down).
     ``SharedMemory.close`` would raise ``BufferError`` -- and then raise it
     *again* from ``__del__`` during interpreter GC, where finalization
     order inside a cycle is arbitrary.  Instead: close the fd now and hand

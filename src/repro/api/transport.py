@@ -175,14 +175,14 @@ class Transport:
 class InProcessTransport(Transport):
     """Client transport over a service living in this process.
 
-    Wraps an existing :class:`NormalizationService` -- or builds an inline
-    (non-threaded, deterministic) one when none is given -- behind the same
+    Wraps an existing :class:`NormalizationService` -- or builds one when
+    none is given -- behind the same
     :class:`~repro.api.handler.ApiHandler` a network server uses.
 
     Parameters
     ----------
     service:
-        An existing service to front.  When omitted a fresh inline service
+        An existing service to front.  When omitted a fresh service
         is created (and owned: closing the transport closes it).
     registry / loader:
         Forwarded to the owned service's
@@ -208,7 +208,7 @@ class InProcessTransport(Transport):
 
             if registry is None:
                 registry = CalibrationRegistry(loader=loader)
-            service = NormalizationService(registry=registry, threaded=False)
+            service = NormalizationService(registry=registry)
         self.service = service
         kwargs = {} if max_payload_elements is None else {
             "max_payload_elements": max_payload_elements

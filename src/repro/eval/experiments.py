@@ -709,7 +709,7 @@ def run_api_roundtrip(
     ]
 
     def _run_direct():
-        with NormalizationService(registry=registry, threaded=False) as service:
+        with NormalizationService(registry=registry) as service:
             return [
                 service.normalize(
                     payload,
@@ -863,7 +863,7 @@ def run_fleet_parity(
     shared = dict(layer_index=layer_index, dataset=dataset, backend=backend)
 
     start = _time.perf_counter()
-    with NormalizationService(registry=registry, threaded=False) as service:
+    with NormalizationService(registry=registry) as service:
         golden = [
             service.normalize(payload, model_name, **shared).output
             for payload in payloads

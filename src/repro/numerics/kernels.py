@@ -80,8 +80,8 @@ class KernelWorkspace:
     scratch allocations.
 
     The workspace is **not** thread-safe: one workspace belongs to one
-    executor (the batching scheduler runs batches on a single worker thread, or
-    inline on the draining caller).  Buffers hand out *views*; their
+    executor (the serving service runs one batch at a time, under its
+    execute lock, on whichever thread drains it).  Buffers hand out *views*; their
     contents are only valid until the next request for the same name.
     """
 

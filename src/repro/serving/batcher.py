@@ -32,10 +32,11 @@ the engine never burns a tick on work nobody is waiting for.  Batch
 composition never affects outputs (row-independent kernels, the golden
 contract), so every served request is bit-identical to running it alone.
 
-The batcher runs either threaded (a worker drains continuously; submitters
-block on futures) or inline (no thread; callers pump :meth:`drain_once` /
-:meth:`drain_all`).  Inline mode gives deterministic scheduling for tests
-and benchmarks that must not measure thread wakeup noise.
+The batcher owns no thread: whoever serves it pumps :meth:`drain_once` /
+:meth:`drain_all`.  The async server drains it from a tick callback on its
+event loop; a :class:`~repro.serving.service.NormalizationService` caller
+drains it on its own thread inside ``wait``.  Several threads may drain
+one batcher at once: every pop happens under the queue lock.
 """
 
 from __future__ import annotations
@@ -62,15 +63,17 @@ class ResponseFuture:
     instance, which at micro-batch request rates costs more than the
     normalization kernel itself.  This future is a plain attribute cell:
     the waiter's event is created lazily and only when a caller actually
-    blocks before the result lands (the threaded path), so the inline fast
-    path pays two attribute writes per request.
+    blocks before the result lands (a thread waiting on a batch another
+    thread is draining), so the common path pays two attribute writes per
+    request.
     """
 
     __slots__ = ("_value", "_error", "_done", "_event", "_callbacks")
 
-    #: Guards lazy event creation when several threads wait on one future
-    #: (and the callback handoff); class-level so the per-request fast path
-    #: allocates nothing.
+    #: Guards lazy event creation when several threads wait on one future,
+    #: and the callback handoff when a thread registers a callback while
+    #: another thread's drain resolves the future; class-level so the
+    #: per-request fast path allocates nothing.
     _EVENT_LOCK = threading.Lock()
 
     def __init__(self) -> None:
@@ -118,10 +121,10 @@ class ResponseFuture:
         """Run ``callback(self)`` once resolved (immediately if already done).
 
         Callbacks registered before resolution run on the resolving thread
-        (the batch executor); ones registered after run on the registering
-        thread.  The asyncio server core bridges these futures onto its
-        event loop through this hook (``loop.call_soon_threadsafe`` inside
-        the callback), so callbacks must never block.
+        (whoever drained the batch); ones registered after run on the
+        registering thread.  The asyncio server core bridges these futures
+        onto its event loop through this hook, so callbacks must never
+        block.
         """
         with ResponseFuture._EVENT_LOCK:
             if self._callbacks is not _CALLBACKS_FIRED:
@@ -253,9 +256,7 @@ class ContinuousBatcher:
         self._execute = execute
         self._clock = clock
         self._queues: "OrderedDict[BucketKey, Deque[PendingRequest]]" = OrderedDict()
-        self._cond = threading.Condition()
-        self._thread: Optional[threading.Thread] = None
-        self._running = False
+        self._lock = threading.Lock()
         self._closed = False
         self.batches_executed = 0
         self.requests_executed = 0
@@ -272,7 +273,7 @@ class ContinuousBatcher:
         """Enqueue a burst of requests under a single lock acquisition."""
         now = self._clock()
         pendings = [PendingRequest(request, now) for request in requests]
-        with self._cond:
+        with self._lock:
             if self._closed:
                 # A submit racing stop() must be rejected, not silently
                 # queued after the final drain -- its future would never
@@ -294,13 +295,12 @@ class ContinuousBatcher:
                         queue = queues[bucket] = deque()
                     last_key, last_class = request.key, sclass
                 queue.append(pending)
-            self._cond.notify_all()
         return pendings
 
     @property
     def pending_count(self) -> int:
         """Number of requests currently queued."""
-        with self._cond:
+        with self._lock:
             return sum(len(q) for q in self._queues.values())
 
     # -- batch formation ---------------------------------------------------
@@ -329,7 +329,7 @@ class ContinuousBatcher:
 
         The engine tick *is* the trigger: whenever anything is queued a
         batch is released immediately.  ``None`` means the queues are truly
-        empty and the worker should block until the next submit.
+        empty.
 
         Expired requests are failed inside the scheduling pass (their
         ``set_exception`` fires done-callbacks, which must not block -- the
@@ -386,11 +386,11 @@ class ContinuousBatcher:
         self.batches_executed += 1
         self.requests_executed += len(batch)
 
-    # -- inline draining ---------------------------------------------------
+    # -- draining ----------------------------------------------------------
 
     def drain_once(self) -> int:
-        """Form and execute one batch inline; returns requests executed."""
-        with self._cond:
+        """Form and execute one batch on this thread; returns requests executed."""
+        with self._lock:
             ready = self._pop_batch_locked(self._clock())
         if ready is None:
             return 0
@@ -398,7 +398,7 @@ class ContinuousBatcher:
         return len(ready[1])
 
     def drain_all(self) -> int:
-        """Execute every queued request inline; returns requests executed."""
+        """Execute every queued request on this thread; returns requests executed."""
         total = 0
         while True:
             executed = self.drain_once()
@@ -406,49 +406,17 @@ class ContinuousBatcher:
                 return total
             total += executed
 
-    # -- threaded mode -----------------------------------------------------
-
-    def start(self) -> None:
-        """Start the background worker (idempotent; a stopped batcher is final)."""
-        with self._cond:
-            if self._closed:
-                raise RuntimeError("batcher is stopped and cannot be restarted")
-            if self._running:
-                return
-            self._running = True
-        self._thread = threading.Thread(
-            target=self._worker, name="haan-continuous-batcher", daemon=True
-        )
-        self._thread.start()
-
     def stop(self) -> None:
-        """Stop the worker, reject new submissions, flush everything queued."""
-        with self._cond:
-            was_running = self._running
-            self._running = False
+        """Reject new submissions, then flush everything queued."""
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
-        if was_running and self._thread is not None:
-            self._thread.join()
-            self._thread = None
         self.drain_all()
-
-    def _worker(self) -> None:
-        while True:
-            with self._cond:
-                if not self._running:
-                    return
-                ready = self._pop_batch_locked(self._clock())
-                if ready is None:
-                    self._cond.wait()
-                    continue
-            self._run_batch(*ready)
 
     # -- introspection -----------------------------------------------------
 
     def snapshot(self) -> dict:
         """Scheduler counters for the telemetry ``scheduler`` section."""
-        with self._cond:
+        with self._lock:
             pending = sum(len(q) for q in self._queues.values())
             buckets = len(self._queues)
         return {

@@ -12,15 +12,16 @@ Installed as the ``haan-serve`` console script, next to
 The command calibrates the model through the
 :class:`~repro.serving.registry.CalibrationRegistry` (cache miss on first
 use, Algorithm 1 runs once), fires synthetic activation traffic through the
-threaded continuous-batching service, cross-checks a sample of responses against
+continuous-batching service, cross-checks a sample of responses against
 the single-request golden path bit-for-bit, and prints the telemetry
 summary.  ``--compare-loop`` additionally measures requests/sec of the
 batched path against the per-request loop.
 
 ``--listen HOST:PORT`` switches to server mode: instead of synthetic
 traffic, the service is exposed over the versioned wire protocol
-(:class:`~repro.api.aserver.AsyncNormServer`) until SIGINT/SIGTERM, then
-shuts down cleanly and prints the telemetry summary.  ``haan-client`` is the matching client.
+(:class:`~repro.api.aserver.AsyncNormServer`, which runs every serving
+kernel on its one event-loop thread) until SIGINT/SIGTERM, then shuts down
+cleanly and prints the telemetry summary.  ``haan-client`` is the matching client.
 """
 
 from __future__ import annotations
@@ -271,7 +272,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             for payload, index in zip(payloads, layer_indices)
         ]
-        responses = [future.result(timeout=60.0) for future in futures]
+        service.wait(futures)
+        responses = [future.result() for future in futures]
 
     if not args.no_golden_check:
         sample = rng.choice(args.requests, size=min(8, args.requests), replace=False)

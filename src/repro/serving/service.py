@@ -11,13 +11,11 @@ through the per-request layer regardless of backend (the golden-model
 contract ``tests/test_serving.py`` / ``tests/test_engine.py`` enforce),
 and telemetry tags every batch with the backend that ran it.
 
-Two execution modes:
-
-* **threaded** (default): a background worker drains the queues every
-  engine tick; callers block on futures.
-* **inline** (``threaded=False``): nothing runs until the caller drains
-  (:meth:`NormalizationService.wait` does); deterministic, used by tests
-  and benchmarks.
+The service starts no thread.  Nothing runs until someone drains its
+scheduler: :meth:`NormalizationService.wait` drains on the calling thread
+(so ``normalize`` and friends are synchronous calls), and the async server
+drains on its event loop.  A caller whose request another thread already
+popped blocks in ``wait`` until that thread's batch resolves it.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ class NormalizationService:
         registry: Optional[CalibrationRegistry] = None,
         config: Optional[BatcherConfig] = None,
         telemetry: Optional[ServingTelemetry] = None,
-        threaded: bool = True,
         aging_window: float = 0.020,
     ):
         # `is not None`, not truthiness: an empty registry has len() == 0.
@@ -62,10 +59,9 @@ class NormalizationService:
         # response keeps -- output rows, mean, isd -- lives in per-batch
         # result arrays, so pooled scratch can never leak into a response
         # across batches.  The execute lock serializes batch execution:
-        # normally batches already run one at a time (the worker thread, or
-        # the inline-draining caller), but a caller manually draining a
-        # *threaded* service would otherwise share the workspace with the
-        # worker mid-kernel and corrupt both batches.
+        # several threads may drain at once (the server's event loop and a
+        # thread calling ``normalize``), and two batches sharing the
+        # workspace mid-kernel would corrupt each other.
         self._workspace = KernelWorkspace()
         self._execute_lock = threading.Lock()
         # Engines compiled for degraded requests (forced subsampling /
@@ -91,17 +87,13 @@ class NormalizationService:
             aging_window=aging_window,
         )
         self.telemetry.attach_section("scheduler", self.batcher.snapshot)
-        self._threaded = threaded
-        if threaded:
-            self.batcher.start()
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the batcher (flushing every queued request) in both modes.
+        """Stop the batcher: flush every queued request, refuse new ones.
 
-        ``ContinuousBatcher.stop`` handles the never-started inline case too, so
-        a post-close submit raises instead of queueing a request nothing
+        A post-close submit raises instead of queueing a request nothing
         will ever drain.
         """
         self.batcher.stop()
@@ -222,13 +214,10 @@ class NormalizationService:
             resolve_accelerator_config(key.accelerator)
 
     def wait(self, futures: Iterable[ResponseFuture]) -> None:
-        """Block until every future is resolved.
-
-        An inline service (``threaded=False``) has no worker, so the
-        calling thread drains the queue first.
-        """
-        if not self._threaded:
-            self.batcher.drain_all()
+        """Drain the queue on this thread, then block until every future
+        is resolved (a future another thread popped resolves when that
+        thread's batch does)."""
+        self.batcher.drain_all()
         for future in futures:
             future.wait()
 

@@ -135,7 +135,6 @@ def _run_service(
     service = NormalizationService(
         registry=registry,
         config=BatcherConfig(max_batch_size=batch_size),
-        threaded=False,
     )
     futures = service.submit_many(
         payloads, model, layer_index=layer_index, dataset=dataset, backend=backend

@@ -35,7 +35,7 @@ from __future__ import annotations
 import hmac
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.api.envelopes import AuthenticationError
 from repro.tenancy.quota import DEFAULT_TIER, QuotaPolicy

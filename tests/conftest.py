@@ -50,33 +50,74 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
+class _Release(threading.Event):
+    """An event whose ``set`` also re-arms a server's engine tick."""
+
+    def __init__(self, server=None):
+        super().__init__()
+        self._server = server
+
+    def set(self) -> None:
+        super().set()
+        server = self._server
+        if server is not None and server._loop is not None:
+            try:
+                server._loop.call_soon_threadsafe(server._schedule_tick)
+            except RuntimeError:
+                pass  # loop already closed
+
+
 @pytest.fixture()
 def hold_engine():
-    """Hold a threaded service's batches in the engine until released.
+    """Hold a service's batch release until the test says so.
 
-    ``entered, release = hold_engine(service)`` wraps the service's batch
-    executor (``service._execute_batch``): every batch sets ``entered``,
-    then blocks until the test sets ``release``.  Work held this way stays
-    in flight for exactly as long as the test says, with no timing window.
-    Tests set ``release`` before closing the service (its scheduler thread
-    is joined there); teardown sets it too, and a batch held for 30 s runs
-    anyway so a broken test fails instead of hanging.
+    ``entered, release = hold_engine(service, server=None)`` gates the
+    scheduler's ``drain_once``, which the server's engine tick and every
+    draining thread call.  While held, the first drain that finds work
+    pops one batch, keeps it and sets ``entered``; every drain returns 0
+    without popping more.  Nothing blocks: an event loop holding the work
+    keeps reading, shedding and answering other frames.  ``release.set()``
+    lets drains through again -- the next one executes the kept batch --
+    and, given the ``server``, re-arms its engine tick with
+    ``call_soon_threadsafe``.  Work held this way stays in flight for
+    exactly as long as the test says, with no timing window.  Teardown
+    releases every hold and executes a batch still kept.
     """
-    releases = []
+    holds = []
 
-    def hold(service):
-        entered, release = threading.Event(), threading.Event()
-        execute = service._execute_batch
+    def hold(service, server=None):
+        batcher = service.batcher
+        entered, release = threading.Event(), _Release(server)
+        drain_once = batcher.drain_once
+        kept = []
+        lock = threading.Lock()
 
-        def gated(key, batch, total_rows):
-            entered.set()
-            release.wait(timeout=30.0)
-            execute(key, batch, total_rows)
+        def run_kept():
+            key, batch, rows = kept.pop()
+            batcher._run_batch(key, batch, rows)
+            return len(batch)
 
-        service.batcher._execute = gated
-        releases.append(release)
+        def gated():
+            with lock:
+                if not release.is_set():
+                    if not kept:
+                        with batcher._lock:
+                            ready = batcher._pop_batch_locked(batcher._clock())
+                        if ready is not None:
+                            kept.append(ready)
+                            entered.set()
+                    return 0
+                if kept:
+                    return run_kept()
+            return drain_once()
+
+        batcher.drain_once = gated
+        holds.append((release, lock, kept, run_kept))
         return entered, release
 
     yield hold
-    for release in releases:
+    for release, lock, kept, run_kept in holds:
         release.set()
+        with lock:
+            if kept:
+                run_kept()

@@ -102,13 +102,13 @@ def registry():
 
 @pytest.fixture()
 def service(registry):
-    with NormalizationService(registry=registry, threaded=False) as svc:
+    with NormalizationService(registry=registry) as svc:
         yield svc
 
 
 @pytest.fixture()
 def live_server(registry):
-    """A threaded service behind a real TCP AsyncNormServer on a free port."""
+    """A service behind a real TCP AsyncNormServer on a free port."""
     svc = NormalizationService(registry=registry)
     server = AsyncNormServer(svc).start()
     yield server
@@ -273,7 +273,7 @@ class TestFraming:
 class TestInProcessTransport:
     def test_bit_identical_to_direct_service_calls(self, registry, rng):
         payloads = [_rows(rng, 3) for _ in range(4)]
-        with NormalizationService(registry=registry, threaded=False) as direct:
+        with NormalizationService(registry=registry) as direct:
             golden = [
                 direct.normalize(p, "tiny", layer_index=index % 2)
                 for index, p in enumerate(payloads)
@@ -420,7 +420,7 @@ class TestBulkAndStreamOps:
 
     def test_normalize_bulk_matches_direct_service_calls(self, registry, rng):
         payloads = [_rows(rng, n) for n in (1, 4, 2)]
-        with NormalizationService(registry=registry, threaded=False) as direct:
+        with NormalizationService(registry=registry) as direct:
             golden = [direct.normalize(p, "tiny") for p in payloads]
         with NormClient.in_process(registry=registry) as client:
             results = client.normalize_bulk(payloads, "tiny")
@@ -615,7 +615,7 @@ class TestRemoteBackend:
                 client.execute_spec({"kind": "hypernorm"}, rng.normal(size=(2, 4)))
 
     def test_server_side_engine_cache_reused(self, registry, rng):
-        svc = NormalizationService(registry=registry, threaded=False)
+        svc = NormalizationService(registry=registry)
         handler = ApiHandler(svc, engine_cache_size=4)
         spec = EngineSpec(kind="rmsnorm", hidden_size=HIDDEN)
         with NormClient(InProcessTransportWithHandler(handler)) as client:
@@ -652,7 +652,7 @@ class TestSubmitValidation:
 
     def test_unknown_model_raises_at_submit_with_default_known_models(self, rng):
         registry = CalibrationRegistry(loader=_instant_loader, known_models=["tiny"])
-        with NormalizationService(registry=registry, threaded=False) as svc:
+        with NormalizationService(registry=registry) as svc:
             with pytest.raises(ValueError, match="registered models: tiny"):
                 svc.submit(_rows(rng), "gpt5")
 

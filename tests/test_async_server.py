@@ -19,7 +19,11 @@ Covered here:
 * the one-hop serving path: ``normalize`` / ``normalize_bulk`` /
   ``stream`` over binary, JSON and shm frames never enter the executor,
   ``execute`` enters it exactly once, and a bulk frame's scheduler futures
-  wake the loop once per request;
+  resolve on the loop without a cross-thread wake;
+* the engine tick: kernels run on the loop thread, the server starts no
+  scheduler thread, a thread calling the service directly beside live
+  wire traffic resolves wire requests safely, and a drained close answers
+  work queued behind a pending tick;
 * tenant metering lands before the response frame is written.
 """
 
@@ -479,7 +483,9 @@ class TestOneHopServingPath:
                 assert counts["submits"] == 1
         service.close()
 
-    def test_sixteen_tensor_bulk_wakes_the_loop_once(self, registry, rng):
+    def test_sixteen_tensor_bulk_needs_no_cross_thread_wake(self, registry, rng):
+        # The engine tick resolves the bulk frame's futures on the loop's
+        # own thread: no executor hop, no self-pipe wake.
         service = _service(registry)
         with AsyncNormServer(service) as server:
             with NormClient.connect(server.host, server.port) as client:
@@ -487,15 +493,17 @@ class TestOneHopServingPath:
                 counts = self._count_hops(server)
                 bulk = [_rows(rng, 2) for _ in range(16)]
                 results = client.normalize_bulk(bulk, "tiny")
-                assert counts == {"submits": 0, "wakes": 1}
+                assert counts == {"submits": 0, "wakes": 0}
                 for got, sent in zip(results, bulk):
                     np.testing.assert_array_equal(got.output, _golden(registry, sent))
         service.close()
 
-    def test_countdown_wakes_once_under_concurrent_resolution(self):
-        # More resolving threads than cores, switching every microsecond:
-        # a lost update on the countdown would either never wake the loop
-        # (the wait_for times out) or wake it more than once.
+    def test_count_down_survives_mixed_loop_and_foreign_resolution(self):
+        # Half the futures resolve on the loop (as the engine tick does),
+        # half on threads switching every microsecond (as a thread draining
+        # the service does).  Every count-down runs on the loop, so none is
+        # lost: the await completes, and only the foreign resolutions cost
+        # a cross-thread wake.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         loop = asyncio.new_event_loop()
@@ -516,21 +524,184 @@ class TestOneHopServingPath:
         try:
             for _ in range(3):
                 wakes.clear()
-                futures = [ResponseFuture() for _ in range(8 * 1000)]
+                futures = [ResponseFuture() for _ in range(2 * 4 * 500)]
+                on_loop, foreign = futures[::2], futures[1::2]
                 waiting = loop.create_task(_await_pendings(loop, futures))
                 loop.run_until_complete(asyncio.sleep(0))  # callbacks registered
-                start = threading.Barrier(8)
+                start = threading.Barrier(4)
                 threads = [
-                    threading.Thread(target=resolve, args=(futures[i::8], start))
-                    for i in range(8)
+                    threading.Thread(target=resolve, args=(foreign[i::4], start))
+                    for i in range(4)
                 ]
                 for thread in threads:
                     thread.start()
+                for future in on_loop:
+                    loop.call_soon(future.set_result, None)
                 for thread in threads:
                     thread.join(timeout=10.0)
                     assert not thread.is_alive()
                 loop.run_until_complete(asyncio.wait_for(waiting, timeout=10.0))
-                assert len(wakes) == 1
+                assert len(wakes) == len(foreign)
         finally:
             sys.setswitchinterval(interval)
             loop.close()
+
+
+class TestEngineTickOnTheLoop:
+    """The scheduler drains on the event loop; no scheduler thread exists."""
+
+    def test_kernels_run_on_the_loop_thread(self, registry, rng, monkeypatch):
+        from repro.engine.registry import Engine
+
+        threads = []
+        run = Engine.run
+
+        def recorded(self, *args, **kwargs):
+            threads.append(threading.current_thread().name)
+            return run(self, *args, **kwargs)
+
+        payload = _rows(rng)
+        bulk = [_rows(rng, 3), _rows(rng, 1)]
+        expected = [_golden(registry, p) for p in [payload] + bulk]
+        service = _service(registry)
+        with AsyncNormServer(service) as server:
+            with NormClient.connect(server.host, server.port) as client:
+                client.wait_until_ready()
+                monkeypatch.setattr(Engine, "run", recorded)
+                outputs = [client.normalize(payload, "tiny").output]
+                outputs += [r.output for r in client.normalize_bulk(bulk, "tiny")]
+        service.close()
+        for got, want in zip(outputs, expected):
+            np.testing.assert_array_equal(got, want)
+        assert threads and set(threads) == {"haan-async-server"}
+
+    def test_server_starts_no_scheduler_thread(self, registry, rng):
+        before = {t.ident for t in threading.enumerate()}
+        service = _service(registry)
+        with AsyncNormServer(service) as server:
+            with NormClient.connect(server.host, server.port) as client:
+                client.normalize(_rows(rng), "tiny")
+                client.normalize_bulk([_rows(rng, 2) for _ in range(4)], "tiny")
+                started = {
+                    t.name for t in threading.enumerate() if t.ident not in before
+                }
+        service.close()
+        serving = {
+            name
+            for name in started
+            if name.startswith("haan-") and not name.startswith("haan-norm-client")
+        }
+        assert "haan-async-server" in serving
+        assert all(
+            name == "haan-async-server" or name.startswith("haan-async-worker")
+            for name in serving
+        ), serving
+
+    def test_foreign_thread_drain_resolves_wire_requests(self, registry, rng):
+        # With the tick switched off, only a thread calling the service
+        # directly drains the queue: it resolves the queued wire requests
+        # in its own batch, and their waiters on the loop must still wake.
+        service = _service(registry)
+        server = AsyncNormServer(service).start()
+        try:
+            server._schedule_tick = lambda: None
+            with NormClient.connect(server.host, server.port) as client:
+                client.wait_until_ready()
+                wire = [_rows(rng, 1) for _ in range(4)]
+                handles = [client.submit_normalize(p, "tiny") for p in wire]
+                deadline = time.monotonic() + 10.0
+                while service.batcher.pending_count < len(wire):
+                    assert time.monotonic() < deadline, "wire requests never queued"
+                    time.sleep(0.005)
+                own = _rows(rng, 1)
+                direct = []
+                caller = threading.Thread(
+                    target=lambda: direct.append(service.normalize(own, "tiny"))
+                )
+                caller.start()
+                caller.join(timeout=10.0)
+                assert not caller.is_alive()
+                np.testing.assert_array_equal(direct[0].output, _golden(registry, own))
+                assert direct[0].batch_size == len(wire) + 1
+                for handle, payload in zip(handles, wire):
+                    np.testing.assert_array_equal(
+                        handle.result(timeout=10.0).output, _golden(registry, payload)
+                    )
+        finally:
+            server.close()
+            service.close()
+
+    def test_foreign_callers_beside_live_wire_traffic(self, registry, rng):
+        service = _service(registry)
+        server = AsyncNormServer(service).start()
+        wire = [_rows(rng, 1 + i % 3) for i in range(48)]
+        own = [_rows(rng, 1 + i % 2) for i in range(24)]
+        errors = []
+
+        def call_directly(part):
+            try:
+                for payload in part:
+                    got = service.normalize(payload, "tiny").output
+                    if not np.array_equal(got, _golden(registry, payload)):
+                        errors.append("direct mismatch")
+            except Exception as error:  # noqa: BLE001 -- recorded for assert
+                errors.append(repr(error))
+
+        try:
+            with NormClient.connect(server.host, server.port) as client:
+                client.wait_until_ready()
+                callers = [
+                    threading.Thread(target=call_directly, args=(own[i::2],))
+                    for i in range(2)
+                ]
+                for caller in callers:
+                    caller.start()
+                results = client.normalize_many(wire, "tiny", depth=8, timeout=10.0)
+                for caller in callers:
+                    caller.join(timeout=10.0)
+                    assert not caller.is_alive()
+                for got, payload in zip(results, wire):
+                    np.testing.assert_array_equal(
+                        got.output, _golden(registry, payload)
+                    )
+        finally:
+            server.close()
+            service.close()
+        assert not errors, errors
+        assert service.batcher.pending_count == 0
+
+    def test_drain_finishes_work_queued_behind_a_pending_tick(self, registry, rng):
+        # The requests are admitted and queued, their tick still pending,
+        # when close(drain_timeout) begins: the drain must let the tick run
+        # and answer them before the connections are cut.
+        service = _service(registry)
+        server = AsyncNormServer(service).start()
+        schedule_tick = server._schedule_tick
+        server._schedule_tick = lambda: None
+        client = NormClient.connect(server.host, server.port, timeout=10.0)
+        try:
+            client.wait_until_ready()
+            payloads = [_rows(rng, 2) for _ in range(4)]
+            handles = [client.submit_normalize(p, "tiny") for p in payloads]
+            deadline = time.monotonic() + 10.0
+            while service.batcher.pending_count < len(payloads):
+                assert time.monotonic() < deadline, "requests never queued"
+                time.sleep(0.005)
+            closer = threading.Thread(
+                target=lambda: server.close(drain_timeout=5.0), daemon=True
+            )
+            closer.start()
+            while not server._closing:
+                time.sleep(0.001)
+            del server._schedule_tick
+            server._loop.call_soon_threadsafe(schedule_tick)
+            for handle, payload in zip(handles, payloads):
+                np.testing.assert_array_equal(
+                    handle.result(timeout=10.0).output, _golden(registry, payload)
+                )
+            closer.join(timeout=10.0)
+            assert not closer.is_alive()
+        finally:
+            client.close()
+            server.close()
+            service.close()

@@ -444,16 +444,16 @@ class TestAdmissionController:
         """A shed answer arrives in well under 100 ms, while the admitted
         request is still running."""
         service = NormalizationService(registry=registry)
-        _, release = hold_engine(service)
         server = AsyncNormServer(service, workers=1, max_queue_depth=1).start()
+        _, release = hold_engine(service, server)
         try:
             with NormClient.connect(server.host, server.port, timeout=5.0) as client:
                 started = time.perf_counter()
                 handles = [
                     client.submit_normalize(_rows(rng), "tiny") for _ in range(6)
                 ]
-                # The first request holds the one queue slot in the engine
-                # until released, so every other one must be shed.
+                # The first request holds the one queue slot until its
+                # batch is released, so every other one must be shed.
                 for handle in handles[1:]:
                     with pytest.raises(OverloadedError) as excinfo:
                         handle.result(5.0)
@@ -671,7 +671,7 @@ class TestDegradationLadder:
         assert applied == 0
 
     def test_responses_stamped_end_to_end(self, registry, rng):
-        svc = NormalizationService(registry=registry, threaded=False)
+        svc = NormalizationService(registry=registry)
         payload = _rows(rng)
         full = svc.normalize(payload, "tiny")
         assert full.degradation == 0
@@ -704,8 +704,8 @@ class TestDegradationLadder:
 class TestGracefulDrain:
     def test_inflight_finishes_and_new_work_is_refused(self, registry, rng, hold_engine):
         service = NormalizationService(registry=registry)
-        entered, release = hold_engine(service)
         server = AsyncNormServer(service).start()
+        entered, release = hold_engine(service, server)
         # Signal the moment the drain begins (close() has already flagged
         # the server as draining when it schedules _shutdown).
         draining = threading.Event()

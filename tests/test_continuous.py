@@ -10,7 +10,7 @@ Covered contracts, all on deterministic injectable clocks:
   scheduler futures through;
 * :class:`ContinuousBatcher`: engine-tick release (no timer stall),
   oldest-first order without deadlines, a failing execute failing only
-  its own batch, the start/stop lifecycle,
+  its own batch, a stopped batcher refusing work,
   earliest-deadline-first bucket selection, aging-bound starvation
   freedom under a sustained hot-bucket flood, and deadline-expired
   requests shed with a typed ``DeadlineExceededError`` before execution;
@@ -209,16 +209,6 @@ class TestContinuousRelease:
         assert batcher.drain_all() == 10
         assert batches == [4, 4, 2]
 
-    def test_worker_thread_drains_submissions(self):
-        batcher = ContinuousBatcher(_resolve_all, BatcherConfig())
-        batcher.start()
-        try:
-            futures = batcher.submit_many([_request() for _ in range(8)])
-            results = [future.result(timeout=5.0) for future in futures]
-            assert len(results) == 8
-        finally:
-            batcher.stop()
-
     def test_stop_flushes_queued_requests(self):
         batcher = ContinuousBatcher(_resolve_all, BatcherConfig(), clock=_Clock())
         futures = batcher.submit_many([_request() for _ in range(3)])
@@ -264,23 +254,9 @@ class TestContinuousRelease:
         assert served.result(0) == served.request.request_id
         assert calls == [2, 1]
 
-    def test_start_is_idempotent(self):
-        batcher = ContinuousBatcher(_resolve_all, BatcherConfig())
-        batcher.start()
-        try:
-            worker = batcher._thread
-            batcher.start()
-            assert batcher._thread is worker
-            assert worker.name == "haan-continuous-batcher"
-        finally:
-            batcher.stop()
-
-    def test_stopped_batcher_cannot_restart_or_accept_work(self):
+    def test_stopped_batcher_refuses_work(self):
         batcher = ContinuousBatcher(_resolve_all, BatcherConfig(), clock=_Clock())
-        batcher.start()
         batcher.stop()
-        with pytest.raises(RuntimeError, match="cannot be restarted"):
-            batcher.start()
         with pytest.raises(RuntimeError, match="stopped"):
             batcher.submit(_request())
 
@@ -460,7 +436,6 @@ class TestServiceScheduler:
 
         with NormalizationService(
             registry=CalibrationRegistry(loader=_instant_loader),
-            threaded=False,
         ) as service:
             service.normalize(np.ones((2, 48)), "tiny")
             snapshot = service.telemetry.snapshot()

@@ -497,7 +497,6 @@ class TestServingBackendSelection:
         return NormalizationService(
             registry=CalibrationRegistry(loader=_instant_loader),
             config=BatcherConfig(max_batch_size=8),
-            threaded=False,
         )
 
     def test_every_backend_serves_bit_identical_responses(self):

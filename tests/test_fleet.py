@@ -646,7 +646,7 @@ def _addresses(servers):
 
 class TestFleetEndToEnd:
     def _golden(self, registry, payloads):
-        with NormalizationService(registry=registry, threaded=False) as service:
+        with NormalizationService(registry=registry) as service:
             return [
                 service.normalize(payload, "tiny").output for payload in payloads
             ]

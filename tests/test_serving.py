@@ -11,6 +11,7 @@ LRU behaviour and the telemetry aggregates.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -83,7 +84,6 @@ def inline_service(registry):
     service = NormalizationService(
         registry=registry,
         config=BatcherConfig(max_batch_size=8),
-        threaded=False,
     )
     yield service
     service.close()
@@ -216,7 +216,6 @@ class TestServiceGolden:
         service = NormalizationService(
             registry=registry,
             config=BatcherConfig(max_batch_size=4),
-            threaded=False,
         )
         chunk = rng.normal(size=(3, HIDDEN))
         context = ActivationContext()
@@ -287,7 +286,6 @@ class TestScheduler:
         service = NormalizationService(
             registry=registry,
             config=BatcherConfig(max_batch_size=3),
-            threaded=False,
         )
         payloads = [rng.normal(size=(HIDDEN,)) for _ in range(7)]
         futures = service.submit_many(payloads, "tiny", layer_index=0)
@@ -306,7 +304,6 @@ class TestScheduler:
         service = NormalizationService(
             registry=registry,
             config=BatcherConfig(max_batch_size=8),
-            threaded=False,
         )
         small = service.submit(rng.normal(size=(HIDDEN,)), "tiny")
         large = service.submit(rng.normal(size=(32, HIDDEN)), "tiny")
@@ -325,7 +322,6 @@ class TestScheduler:
         service = NormalizationService(
             registry=registry,
             config=BatcherConfig(max_batch_size=8, max_batch_rows=10),
-            threaded=False,
         )
         futures = service.submit_many(
             [rng.normal(size=(4, HIDDEN)) for _ in range(4)], "tiny"
@@ -355,19 +351,33 @@ class TestScheduler:
             registry=registry, config=BatcherConfig(max_batch_size=8)
         )
         entered, release = hold_engine(service)
-        first = service.submit(rng.normal(size=(HIDDEN,)), "tiny")
-        assert entered.wait(timeout=10.0)
-        queued = service.submit_many(
-            [rng.normal(size=(HIDDEN,)) for _ in range(3)], "tiny"
-        )
-        assert not first.done() and not any(f.done() for f in queued)
-        release.set()
-        assert first.result(timeout=10.0).batch_size == 1
-        assert [f.result(timeout=10.0).batch_size for f in queued] == [3, 3, 3]
+        stop = threading.Event()
+
+        def drain():
+            # The engine: drains whatever is queued, one batch per tick.
+            while not stop.is_set():
+                if not service.batcher.drain_once():
+                    time.sleep(0.001)
+
+        drainer = threading.Thread(target=drain, daemon=True)
+        drainer.start()
+        try:
+            first = service.submit(rng.normal(size=(HIDDEN,)), "tiny")
+            assert entered.wait(timeout=10.0)
+            queued = service.submit_many(
+                [rng.normal(size=(HIDDEN,)) for _ in range(3)], "tiny"
+            )
+            assert not first.done() and not any(f.done() for f in queued)
+            release.set()
+            assert first.result(timeout=10.0).batch_size == 1
+            assert [f.result(timeout=10.0).batch_size for f in queued] == [3, 3, 3]
+        finally:
+            stop.set()
+            drainer.join(timeout=10.0)
         service.close()
 
     def test_inline_wait_drains_the_queue(self, registry, rng):
-        service = NormalizationService(registry=registry, threaded=False)
+        service = NormalizationService(registry=registry)
         futures = service.submit_many(
             [rng.normal(size=(HIDDEN,)) for _ in range(3)], "tiny"
         )
@@ -380,7 +390,7 @@ class TestScheduler:
     def test_response_is_counted_before_it_is_released(self, registry, rng):
         """Whoever holds a response can already see it in the telemetry
         totals: the counts land before the futures resolve."""
-        service = NormalizationService(registry=registry, threaded=False)
+        service = NormalizationService(registry=registry)
         futures = service.submit_many(
             [rng.normal(size=(2, HIDDEN)) for _ in range(3)], "tiny"
         )
@@ -519,7 +529,6 @@ class TestTelemetry:
             registry=registry,
             config=BatcherConfig(max_batch_size=4),
             telemetry=telemetry,
-            threaded=False,
         )
         artifact = registry.get("tiny")
         anchor, last = artifact.config.skip_range
@@ -548,7 +557,6 @@ class TestTelemetry:
             ),
             config=BatcherConfig(max_batch_size=2),
             telemetry=telemetry,
-            threaded=False,
         )
         future = service.submit(np.zeros(HIDDEN), "tiny")
         service.batcher.drain_all()

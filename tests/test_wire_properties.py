@@ -75,7 +75,7 @@ def _unreachable_loader(model_name, dataset):  # pragma: no cover
 def handler():
     """A handler whose service is never asked to execute anything."""
     registry = CalibrationRegistry(loader=_unreachable_loader)
-    with NormalizationService(registry=registry, threaded=False) as service:
+    with NormalizationService(registry=registry) as service:
         yield ApiHandler(service)
 
 
