@@ -4,8 +4,11 @@ One facade, two transports, one pipelined wire protocol:
 
 * :mod:`repro.api.envelopes` -- versioned JSON envelopes
   (``NormalizeRequest`` / ``NormalizeBulkRequest`` / ``StreamChunkRequest``
-  / ``HelloRequest`` and friends), tensor payload encoding, schema-version
-  negotiation and the :class:`ApiError` taxonomy.
+  / ``HelloRequest`` and friends) declared field by field over one generic
+  codec, the op table with each op's tensor slots, and schema-version
+  negotiation; it re-exports the tensor payload encoding
+  (:mod:`repro.api.tensors`) and the :class:`ApiError` taxonomy
+  (:mod:`repro.api.errors`).
 * :mod:`repro.api.client` -- :class:`NormClient`, the typed facade every
   consumer (CLIs, eval experiments, examples, the engine's ``remote``
   backend) goes through; single, pipelined, bulk and streaming calls.

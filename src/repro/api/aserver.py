@@ -55,6 +55,7 @@ from typing import Dict, Optional, Set
 
 from repro.api.admission import WORK_OPS, AdmissionController, PreDecodeGate
 from repro.api.envelopes import (
+    SHM_CONTROL_OPS,
     ApiError,
     AuthenticationError,
     BadSchemaError,
@@ -75,7 +76,6 @@ from repro.api.framing import (
 from repro.api.framing import decode_payload  # noqa: F401
 from repro.api.handler import SERVING_OPS, ApiHandler
 from repro.api.server import (
-    SHM_CONTROL_OPS,
     _applied_degradation,
     complete_work,
     shed_error_envelope,

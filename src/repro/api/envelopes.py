@@ -1,89 +1,63 @@
 """Versioned wire envelopes of the public normalization API.
 
-Every message exchanged between :class:`~repro.api.client.NormClient` and a
-server (or the in-process handler) is one JSON-serializable dictionary with
-three fixed keys -- ``schema_version``, ``op`` and ``request_id`` -- plus
-the op-specific payload.  This module owns that schema:
+Every message between :class:`~repro.api.client.NormClient` and a server
+(or the in-process handler) is one JSON-serializable dict with the fixed
+keys ``schema_version``, ``op`` and ``request_id`` plus the op's payload.
+This module owns that schema:
 
-* :class:`TensorPayload` -- dtype/shape/data encoding of one ndarray
-  (``base64`` raw little-endian bytes, ``list`` nested JSON numbers, or
-  the v3 ``binary`` encoding whose data is the raw little-endian buffer
-  itself -- zero copy on encode and decode; all three round-trip float64
-  bit-exactly),
-* the request/response envelope dataclasses -- the v1 single-request ops
-  (``normalize``, ``spec``, ``execute``, ``ping``, ``telemetry``) plus the
-  v2 pipelining ops (``hello`` version negotiation, ``normalize_bulk``,
-  ``stream`` chunks, ``execute_bulk``) -- with strict ``to_wire`` /
-  ``from_wire`` validation,
-* schema-version rules: each peer speaks a ``MIN_SCHEMA_VERSION ..
-  SCHEMA_VERSION`` range, :func:`negotiate_version` picks the highest
-  common version in the hello handshake, and v2-only ops are rejected on
-  v1 envelopes,
-* :class:`ErrorResponse` plus the :class:`ApiError` taxonomy (bad schema,
-  schema-version mismatch, unknown backend, unknown model, payload too
-  large, overloaded, quota exceeded, unauthenticated, transport failure,
-  no healthy fleet replica), so client code catches one exception family
-  regardless of where a request died.
+* The envelope records: frozen dataclasses whose fields are declarations
+  (:func:`wire`: wire kind, required or not, default, ``None`` left out
+  or not).  One generic codec (:class:`_Record`) maps every record to its
+  wire dict and back in declaration order, which *is* the JSON key order
+  and the binary buffer order.
+* The **op table** :data:`OPS`: per op, the version that introduced it
+  and its request and response records.  It drives :func:`parse_request`,
+  :func:`parse_response` and the handler's dispatch.  Each record's
+  **tensor slots** follow from its tensor fields (``tensor``,
+  ``tensors[*]``, ``results[*].{tensor,mean,isd}``,
+  ``groups[*].{rows,segment_starts,anchor_isd}``, ...); framing,
+  shared-memory staging, the v2 downgrade and the quota's row count visit
+  only those (:func:`rewrite_slot_tensors`), never a whole envelope.
+* Versions: peers speak ``MIN_SCHEMA_VERSION..SCHEMA_VERSION``,
+  :func:`negotiate_version` picks the highest common one, and an op is
+  rejected on envelopes older than it.  No field is version-gated: every
+  field added after its op shipped is optional with a default.
+* :class:`ErrorResponse`, the wire form of the :class:`ApiError` taxonomy.
 
-The module is a leaf on purpose: it imports only the standard library and
-numpy, so the engine's ``remote`` backend and the serving runtime can both
-reach it without import cycles.
+:mod:`repro.api.tensors` (:class:`TensorPayload`) and
+:mod:`repro.api.errors` are re-exported here.  All three modules import
+only the standard library and numpy.
 """
 
 from __future__ import annotations
 
-import base64
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Type
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Type
 
-import numpy as np
+from repro.api.errors import (  # noqa: F401 -- re-exported
+    ERROR_CLASSES, ApiError, AuthenticationError, BadSchemaError, DeadlineExceededError,
+    NoHealthyReplicaError, OverloadedError, PayloadTooLargeError, QuotaExceededError,
+    SchemaVersionError, TransportError, UnknownBackendError, UnknownModelError,
+    error_for_code,
+)
+from repro.api.tensors import (  # noqa: F401 -- re-exported
+    TENSOR_DTYPES, TENSOR_ENCODINGS, TensorPayload, _binary_data_view, _new, _walk,
+    binary_to_base64, downgrade_binary_tensors, has_binary_tensors, is_binary_tensor_dict,
+    rewrite_binary_tensors,
+)
 
-#: Newest wire-schema version this build speaks.  Version 2 added the
-#: pipelined multi-op framing: ``hello`` negotiation, ``normalize_bulk``
-#: and ``stream`` envelopes, and the bulk ``execute`` form.  Version 3
-#: added the ``binary`` tensor encoding (raw little-endian buffers carried
-#: out-of-band in binary frames, no base64 round trip) and the same-host
-#: shared-memory transport's control ops.
+#: Newest schema version.  v2 added ``hello`` negotiation and the
+#: ``normalize_bulk``, ``stream`` and ``execute_bulk`` ops; v3 added the
+#: ``binary`` tensor encoding (binary frames) and the shared-memory ops.
 SCHEMA_VERSION = 3
 
-#: First schema version whose frames may carry ``binary`` tensors.  Peers
-#: that negotiate below this keep talking base64 over JSON frames; the
-#: transports downgrade outgoing envelopes transparently.
+#: First version whose frames may carry ``binary`` tensors; transports
+#: downgrade them to base64 for older peers.
 BINARY_WIRE_VERSION = 3
 
-#: Oldest wire-schema version this build still accepts (version 1 is the
-#: PR-4 single-request protocol; every v1 envelope parses unchanged).
+#: Oldest schema version this build accepts.
 MIN_SCHEMA_VERSION = 1
-
-#: Ops that did not exist before a given schema version; a request carrying
-#: an older ``schema_version`` may not use them.
-OP_MIN_VERSIONS: Dict[str, int] = {
-    "normalize_bulk": 2,
-    "stream": 2,
-    "execute_bulk": 2,
-}
-
-#: Dtypes a tensor payload may carry, mapped to their little-endian codes.
-TENSOR_DTYPES: Dict[str, str] = {
-    "float64": "<f8",
-    "float32": "<f4",
-    "float16": "<f2",
-    "int64": "<i8",
-    "int32": "<i4",
-    "int8": "|i1",
-}
-
-#: Supported tensor data encodings.  ``binary`` (schema v3) keeps the raw
-#: little-endian buffer attached to the payload instead of inflating it to
-#: text; only binary frames and in-process transports can carry it.
-TENSOR_ENCODINGS = ("base64", "list", "binary")
-
-#: Python-level types a ``binary`` tensor's data may be (anything exposing
-#: a contiguous buffer).  JSON-origin envelopes can only produce str/list
-#: data, so a forged ``encoding: "binary"`` inside a JSON frame fails
-#: closed in :meth:`TensorPayload.from_wire`.
-_BINARY_DATA_TYPES = (bytes, bytearray, memoryview, np.ndarray)
 
 _client_request_ids = itertools.count(1)
 _client_stream_ids = itertools.count(1)
@@ -104,17 +78,13 @@ def negotiate_version(
 ) -> int:
     """Pick the highest schema version both peers speak.
 
-    The hello handshake contract: the server advertises ``[server_min,
-    server_max]``, the client downgrades within its own range, and disjoint
-    ranges fail with a :class:`SchemaVersionError` naming *both* ranges so
-    either side's operator can see which peer is behind.
+    Disjoint ranges fail with a :class:`SchemaVersionError` naming *both*
+    ranges, so either side's operator can see which peer is behind.
     """
     for name, low, high in (("client", client_min, client_max),
                             ("server", server_min, server_max)):
         if low > high:
-            raise SchemaVersionError(
-                f"{name} schema-version range {low}..{high} is empty"
-            )
+            raise SchemaVersionError(f"{name} schema-version range {low}..{high} is empty")
     chosen = min(client_max, server_max)
     if chosen < max(client_min, server_min):
         raise SchemaVersionError(
@@ -124,211 +94,11 @@ def negotiate_version(
     return chosen
 
 
-# ---------------------------------------------------------------------------
-# error taxonomy
-# ---------------------------------------------------------------------------
-
-
-class ApiError(Exception):
-    """Base of every public-API failure; ``code`` is the wire error code."""
-
-    code = "internal"
-
-
-class BadSchemaError(ApiError):
-    """The envelope was malformed or the request content was invalid."""
-
-    code = "bad_schema"
-
-
-class SchemaVersionError(BadSchemaError):
-    """The envelope's ``schema_version`` does not match this peer's."""
-
-    code = "schema_version"
-
-
-class UnknownBackendError(ApiError):
-    """The requested execution backend is not registered (or not servable)."""
-
-    code = "unknown_backend"
-
-
-class UnknownModelError(ApiError):
-    """The requested model name is not known to the server's registry."""
-
-    code = "unknown_model"
-
-
-class PayloadTooLargeError(ApiError):
-    """The tensor payload (or frame) exceeds the configured limit."""
-
-    code = "payload_too_large"
-
-
-class OverloadedError(ApiError):
-    """The server shed this request before doing any work on it.
-
-    Raised by the admission controller when the queue is too deep or the
-    request's ``deadline_ms`` cannot be met by the estimated wait.  The
-    request was **never executed** (rejection happens before tensor
-    decode), so retrying is always safe; ``retry_after_ms`` is the
-    server's estimate of when capacity frees up, which a
-    :class:`~repro.api.retry.RetryPolicy` honors as its backoff floor.
-    """
-
-    code = "overloaded"
-
-    def __init__(self, message: str = "", retry_after_ms: Optional[float] = None):
-        super().__init__(message)
-        self.retry_after_ms = retry_after_ms
-
-
-class QuotaExceededError(ApiError):
-    """A tenant's rate quota rejected this request before any work ran.
-
-    Raised by the tenancy gate when the tenant's request/row/byte token
-    bucket cannot cover the request.  Like :class:`OverloadedError` the
-    rejection happens **before tensor decode** (binary frames are only
-    peeked at their JSON preamble), so retrying is always safe;
-    ``retry_after_ms`` is the bucket's estimate of when enough tokens
-    refill, which a :class:`~repro.api.retry.RetryPolicy` honors as its
-    backoff floor.
-    """
-
-    code = "quota_exceeded"
-
-    def __init__(self, message: str = "", retry_after_ms: Optional[float] = None):
-        super().__init__(message)
-        self.retry_after_ms = retry_after_ms
-
-
-class DeadlineExceededError(ApiError):
-    """The request's ``deadline_ms`` budget expired before execution began.
-
-    Raised by a deadline-aware scheduler that sheds the request from its
-    queue once the budget is exhausted -- the work **never executed**, but
-    unlike :class:`OverloadedError` there is no ``retry_after_ms`` hint:
-    the deadline was the *caller's* budget, so only the caller can decide
-    whether a retry (with a fresh budget) still makes sense.
-    """
-
-    code = "deadline_exceeded"
-
-
-class AuthenticationError(ApiError):
-    """The connection presented no valid bearer token where one is required.
-
-    Raised server-side on the ``hello`` handshake (bad or unknown token,
-    or no token against ``--require-auth``) and on work ops arriving over
-    a connection that never authenticated.  Never retryable: the caller
-    must supply credentials, not wait.
-    """
-
-    code = "unauthenticated"
-
-
-class TransportError(ApiError):
-    """The transport failed before a response envelope arrived.
-
-    ``address`` carries the ``host:port`` of the connection that failed
-    when the raiser knows it -- fleet-level dispatch uses it to attribute
-    the failure to one replica (and debugging output names the culprit
-    instead of a faceless pool).
-    """
-
-    code = "transport"
-
-    def __init__(self, message: str = "", address: Optional[str] = None):
-        super().__init__(message)
-        self.address = address
-
-
-class NoHealthyReplicaError(TransportError):
-    """Every fleet replica was ejected (or down): the request fails closed.
-
-    Raised client-side by the fleet dispatch layer, never by a server --
-    a single server that is reachable answers, and one that is not fails
-    with a plain :class:`TransportError` naming its address.
-    """
-
-    code = "no_healthy_replica"
-
-
-#: Wire error code -> exception class (for decoding error responses).
-ERROR_CLASSES: Dict[str, Type[ApiError]] = {
-    cls.code: cls
-    for cls in (
-        ApiError,
-        BadSchemaError,
-        SchemaVersionError,
-        UnknownBackendError,
-        UnknownModelError,
-        PayloadTooLargeError,
-        OverloadedError,
-        QuotaExceededError,
-        DeadlineExceededError,
-        AuthenticationError,
-        TransportError,
-        NoHealthyReplicaError,
-    )
-}
-
-#: Taxonomy members whose constructor takes a ``retry_after_ms`` hint
-#: (server-side shedding: overload and per-tenant quota rejections).
-_RETRY_AFTER_CLASSES = (OverloadedError, QuotaExceededError)
-
-
-def error_for_code(
-    code: str, message: str, retry_after_ms: Optional[float] = None
-) -> ApiError:
-    """Instantiate the taxonomy member for a wire error code."""
-    cls = ERROR_CLASSES.get(code, ApiError)
-    if cls in _RETRY_AFTER_CLASSES:
-        return cls(message, retry_after_ms=retry_after_ms)
-    return cls(message)
-
-
-# ---------------------------------------------------------------------------
-# field validation helpers
-# ---------------------------------------------------------------------------
-
-
-def _require(payload: Dict[str, Any], key: str, types, where: str):
-    """Fetch a required, type-checked field or raise :class:`BadSchemaError`."""
-    if key not in payload:
-        raise BadSchemaError(f"{where} envelope is missing required field {key!r}")
-    value = payload[key]
-    if not isinstance(value, types):
-        raise BadSchemaError(
-            f"{where} field {key!r} has type {type(value).__name__}; "
-            f"expected {getattr(types, '__name__', types)}"
-        )
-    # bool is an int subclass; reject it where an int is expected.
-    if types is int and isinstance(value, bool):
-        raise BadSchemaError(f"{where} field {key!r} must be an integer, not a bool")
-    return value
-
-
-def _optional(payload: Dict[str, Any], key: str, types, where: str, default=None):
-    """Fetch an optional field, validating its type when present."""
-    value = payload.get(key, default)
-    if value is None:
-        return None if default is None else default
-    if not isinstance(value, types):
-        raise BadSchemaError(
-            f"{where} field {key!r} has type {type(value).__name__}; "
-            f"expected {getattr(types, '__name__', types)} or null"
-        )
-    return value
-
-
 def validate_deadline_ms(value: Any, where: str = "request") -> Optional[float]:
     """Validate a ``deadline_ms`` value (None, or a positive finite number).
 
-    Shared by ``NormClient`` submit-time validation, envelope decoding and
-    the server's admission controller, so a zero/negative deadline is
-    rejected with the same typed :class:`BadSchemaError` everywhere --
-    never silently entering the batcher to time out deep in a worker.
+    Shared by client submit, envelope decoding and admission control, so a
+    bad deadline gets the same typed :class:`BadSchemaError` everywhere.
     """
     if value is None:
         return None
@@ -346,1156 +116,460 @@ def validate_deadline_ms(value: Any, where: str = "request") -> Optional[float]:
     return deadline
 
 
-def _optional_deadline(payload: Dict[str, Any], where: str) -> Optional[float]:
-    """Decode-time ``deadline_ms`` validation for request envelopes."""
-    return validate_deadline_ms(payload.get("deadline_ms"), where)
-
-
-# ---------------------------------------------------------------------------
-# tensor payloads
-# ---------------------------------------------------------------------------
-
-
-def _binary_data_view(data: Any, where: str = "tensor") -> memoryview:
-    """A flat byte view over a ``binary`` tensor's data, validated.
-
-    Accepts anything in ``_BINARY_DATA_TYPES`` (the decoder hands out
-    memoryviews over the frame body or a shared-memory slab; in-process
-    callers keep the ndarray itself).  Non-contiguous buffers fail closed
-    with :class:`BadSchemaError` -- the wire form is always contiguous
-    little-endian, so anything else is a malformed envelope.
-    """
-    if isinstance(data, np.ndarray):
-        if not data.flags.c_contiguous:
-            raise BadSchemaError(f"{where} binary data must be C-contiguous")
-        if data.nbytes == 0:
-            return memoryview(b"")
-        return memoryview(data).cast("B")
-    if not isinstance(data, _BINARY_DATA_TYPES):
-        raise BadSchemaError(
-            f"{where} binary data has type {type(data).__name__}; expected a "
-            f"raw buffer (bytes, bytearray, memoryview or ndarray)"
-        )
-    try:
-        view = memoryview(data)
-        if view.nbytes == 0:
-            return memoryview(b"")
-        return view.cast("B")
-    except TypeError as error:
-        raise BadSchemaError(
-            f"{where} binary data is not a contiguous buffer: {error}"
-        ) from error
-
-
-@dataclass(frozen=True)
-class TensorPayload:
-    """One ndarray encoded for the wire.
-
-    ``base64`` carries the raw little-endian bytes (compact, exact);
-    ``list`` carries nested JSON numbers (human-readable, and still exact
-    for float64 because JSON round-trips Python floats via shortest-repr);
-    ``binary`` (schema v3) carries the raw little-endian buffer itself --
-    no text round trip, and :meth:`to_array` decodes it with
-    ``np.frombuffer`` over a memoryview, i.e. zero copy.  Binary payloads
-    only travel inside binary frames (:mod:`repro.api.framing`), over
-    shared memory, or in-process.
-    """
-
-    dtype: str
-    shape: Tuple[int, ...]
-    encoding: str
-    data: Any
-
-    @classmethod
-    def from_array(cls, array: np.ndarray, encoding: str = "base64") -> "TensorPayload":
-        """Encode an ndarray (dtype preserved when supported, else float64)."""
-        arr = np.asarray(array)
-        name = arr.dtype.name
-        if name not in TENSOR_DTYPES:
-            arr = arr.astype(np.float64)
-            name = "float64"
-        if encoding not in TENSOR_ENCODINGS:
-            raise ValueError(
-                f"unknown tensor encoding {encoding!r}; expected one of {TENSOR_ENCODINGS}"
-            )
-        wire_dtype = np.dtype(TENSOR_DTYPES[name])
-        if encoding == "base64":
-            # ascontiguousarray is a no-op view when the array is already
-            # contiguous little-endian, and .data exposes its buffer
-            # without the tobytes() materialization -- one copy at most.
-            contig = np.ascontiguousarray(arr, dtype=wire_dtype)
-            data: Any = base64.b64encode(contig.data).decode("ascii")
-        elif encoding == "binary":
-            # Zero copy when the array is already contiguous little-endian;
-            # the buffer travels out-of-band in the binary frame.
-            data = np.ascontiguousarray(arr, dtype=wire_dtype)
-        else:
-            data = arr.tolist()
-        return cls(dtype=name, shape=tuple(int(s) for s in arr.shape), encoding=encoding, data=data)
-
-    def to_array(self) -> np.ndarray:
-        """Decode back into an ndarray.
-
-        ``base64`` and ``list`` payloads return a fresh writable array.
-        ``binary`` payloads return a **zero-copy view** over the received
-        buffer (read-only when the buffer is, e.g. a frame body); callers
-        that need to mutate the result must copy.
-        """
-        wire_dtype = np.dtype(TENSOR_DTYPES[self.dtype])
-        count = int(np.prod(self.shape)) if self.shape else 1
-        if self.encoding == "binary":
-            view = _binary_data_view(self.data)
-            needed = count * wire_dtype.itemsize
-            if view.nbytes != needed:
-                raise BadSchemaError(
-                    f"binary tensor payload carries {view.nbytes} bytes but shape "
-                    f"{self.shape} with dtype {self.dtype} needs {needed}"
-                )
-            arr = np.frombuffer(view, dtype=wire_dtype).reshape(self.shape)
-            native = np.dtype(self.dtype)
-            if arr.dtype != native:
-                # Big-endian host: one unavoidable byteswap copy.
-                arr = arr.astype(native, copy=True)
-            return arr
-        if self.encoding == "base64":
-            try:
-                raw = base64.b64decode(self.data, validate=True)
-            except (ValueError, TypeError) as error:
-                raise BadSchemaError(
-                    f"tensor payload data is not valid base64: {error}"
-                ) from error
-            if len(raw) != count * wire_dtype.itemsize:
-                raise BadSchemaError(
-                    f"tensor payload carries {len(raw)} bytes but shape {self.shape} "
-                    f"with dtype {self.dtype} needs {count * wire_dtype.itemsize}"
-                )
-            arr = np.frombuffer(raw, dtype=wire_dtype).reshape(self.shape)
-        else:
-            try:
-                arr = np.asarray(self.data, dtype=wire_dtype)
-            except (ValueError, TypeError, OverflowError) as error:
-                raise BadSchemaError(
-                    f"tensor payload list does not decode as {self.dtype}: {error}"
-                ) from error
-            if arr.size == 0 and count == 0:
-                # Nested-list JSON cannot express trailing empty dims (e.g.
-                # shape (0, 2) lists as []); the shape field is authoritative.
-                arr = arr.reshape(self.shape)
-            if arr.shape != tuple(self.shape):
-                raise BadSchemaError(
-                    f"tensor payload list has shape {arr.shape}; envelope says {self.shape}"
-                )
-        # .astype makes the result writable and native-endian.
-        return arr.astype(np.dtype(self.dtype), copy=True)
-
-    @property
-    def num_elements(self) -> int:
-        """Number of scalar elements the payload describes."""
-        return int(np.prod(self.shape)) if self.shape else 1
-
-    def to_wire(self) -> Dict[str, Any]:
-        """The JSON-safe dictionary form."""
-        return {
-            "dtype": self.dtype,
-            "shape": list(self.shape),
-            "encoding": self.encoding,
-            "data": self.data,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Any, where: str = "tensor") -> "TensorPayload":
-        """Validate and rebuild a payload from its wire form."""
-        if not isinstance(payload, dict):
-            raise BadSchemaError(f"{where} must be an object, not {type(payload).__name__}")
-        dtype = _require(payload, "dtype", str, where)
-        if dtype not in TENSOR_DTYPES:
-            raise BadSchemaError(
-                f"{where} dtype {dtype!r} is not supported; expected one of "
-                f"{sorted(TENSOR_DTYPES)}"
-            )
-        shape = _require(payload, "shape", list, where)
-        if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape):
-            raise BadSchemaError(f"{where} shape must be a list of non-negative integers")
-        encoding = _require(payload, "encoding", str, where)
-        if encoding not in TENSOR_ENCODINGS:
-            raise BadSchemaError(
-                f"{where} encoding {encoding!r} is not supported; expected one of "
-                f"{TENSOR_ENCODINGS}"
-            )
-        if encoding == "binary":
-            # JSON parsing can only yield str/list/int/... here; a real
-            # binary frame's decoder resolves the buffer reference into a
-            # memoryview before this runs.  Anything else fails closed.
-            data = _require(payload, "data", _BINARY_DATA_TYPES, where)
-            _binary_data_view(data, where)
-            return cls(dtype=dtype, shape=tuple(shape), encoding=encoding, data=data)
-        data = _require(payload, "data", (str, list), where)
-        if encoding == "base64" and not isinstance(data, str):
-            raise BadSchemaError(f"{where} base64 data must be a string")
-        if encoding == "list" and not isinstance(data, list):
-            raise BadSchemaError(f"{where} list data must be a list")
-        return cls(dtype=dtype, shape=tuple(shape), encoding=encoding, data=data)
-
-
-def _optional_tensor(
-    payload: Dict[str, Any], key: str, where: str
-) -> Optional[TensorPayload]:
-    value = payload.get(key)
-    if value is None:
-        return None
-    return TensorPayload.from_wire(value, where=f"{where}.{key}")
-
-
-# ---------------------------------------------------------------------------
-# binary-tensor envelope walks
-# ---------------------------------------------------------------------------
-#
-# An envelope dictionary may carry binary tensors at any nesting depth
-# (request tensors, bulk lists, response mean/isd triples, execute groups).
-# The framing and transport layers locate and rewrite them with these
-# generic copy-on-write walks, so new envelope shapes need no codec changes.
-
-
-def is_binary_tensor_dict(obj: Any) -> bool:
-    """Whether ``obj`` is the wire form of a ``binary``-encoded tensor."""
-    return (
-        isinstance(obj, dict)
-        and obj.get("encoding") == "binary"
-        and "dtype" in obj
-        and "shape" in obj
-        and "data" in obj
+def _type_error(where: str, key: str, value: Any, types: tuple) -> BadSchemaError:
+    expected = " or ".join(t.__name__ for t in types)
+    return BadSchemaError(
+        f"{where} field {key!r} has type {type(value).__name__}; expected {expected}"
     )
 
 
-def has_binary_tensors(payload: Any) -> bool:
-    """Fast detection: does the envelope carry any binary tensor?"""
-    if isinstance(payload, dict):
-        if is_binary_tensor_dict(payload):
-            return True
-        return any(has_binary_tensors(value) for value in payload.values())
-    if isinstance(payload, list):
-        return any(has_binary_tensors(item) for item in payload)
-    return False
-
-
-def rewrite_binary_tensors(payload: Any, rewrite) -> Any:
-    """Copy-on-write deep rewrite of every binary tensor dict.
-
-    ``rewrite(tensor_dict) -> tensor_dict`` is applied to each binary
-    tensor; untouched subtrees are shared with the input, so envelopes
-    without binary tensors come back identical (``is``) and a fleet
-    transport can safely send one payload to several replicas that each
-    rewrite it differently.
-    """
-    if isinstance(payload, dict):
-        if is_binary_tensor_dict(payload):
-            return rewrite(payload)
-        out = None
-        for key, value in payload.items():
-            new_value = rewrite_binary_tensors(value, rewrite)
-            if new_value is not value:
-                if out is None:
-                    out = dict(payload)
-                out[key] = new_value
-        return payload if out is None else out
-    if isinstance(payload, list):
-        out = None
-        for index, item in enumerate(payload):
-            new_item = rewrite_binary_tensors(item, rewrite)
-            if new_item is not item:
-                if out is None:
-                    out = list(payload)
-                out[index] = new_item
-        return payload if out is None else out
-    return payload
-
-
-def downgrade_binary_tensors(payload: Any) -> Any:
-    """Rewrite every binary tensor into base64 (the v2-peer fallback).
-
-    Copy-on-write: the input envelope is never mutated, and payloads with
-    no binary tensors are returned as-is.  Transports call this when the
-    negotiated schema version predates ``BINARY_WIRE_VERSION``.
-    """
-
-    def _to_base64(tensor: Dict[str, Any]) -> Dict[str, Any]:
-        view = _binary_data_view(tensor["data"])
-        downgraded = dict(tensor)
-        downgraded["encoding"] = "base64"
-        downgraded["data"] = base64.b64encode(view).decode("ascii")
-        return downgraded
-
-    return rewrite_binary_tensors(payload, _to_base64)
-
-
 # ---------------------------------------------------------------------------
-# request envelopes
+# field declarations and the generic record codec
 # ---------------------------------------------------------------------------
 
 
-def _base_wire(op: str, request_id: Optional[int], ok: Optional[bool] = None) -> Dict[str, Any]:
-    wire: Dict[str, Any] = {"schema_version": SCHEMA_VERSION, "op": op}
-    if request_id is not None:
-        wire["request_id"] = request_id
-    if ok is not None:
-        wire["ok"] = ok
-    return wire
+class _Field:
+    """One declared field; :func:`_record` fills in the name and defaults."""
+
+    def __init__(self, kind, required, omit_none, nonempty, record, since):
+        self.kind, self.required, self.omit_none = kind, required, omit_none
+        self.nonempty, self.record, self.since = nonempty, record, since
+        self.types, self.decode, self.encode = _KINDS[kind]
+        self.many = kind in ("tensors", "records")
+        self.is_slot = kind in ("tensor", "tensors") or record is not None
 
 
-@dataclass(frozen=True)
-class NormalizeRequest:
-    """Normalize one tensor with one layer of a calibrated model.
+def wire(
+    kind: str,
+    default: Any = MISSING,
+    *,
+    required: Optional[bool] = None,
+    omit_none: bool = False,
+    nonempty: Optional[str] = None,
+    record: Any = None,
+    factory: Optional[Callable[[], Any]] = None,
+    since: int = 1,
+):
+    """Declare one envelope field.
 
-    ``deadline_ms`` is the caller's completion budget (milliseconds from
-    server receipt); the admission controller sheds the request with
-    :class:`OverloadedError` when the estimated queue wait already exceeds
-    it.  ``None`` means no deadline.
+    ``kind``: ``str``, ``int``, ``uint`` (non-negative), ``bool``,
+    ``float`` (any JSON number), ``dict``, ``list``, ``deadline``
+    (:func:`validate_deadline_ms`), ``tensor``, ``tensors`` (a list), or
+    ``record`` / ``records`` (one / a list of the nested ``record``).
+    ``required``: the peer must send it (default: when the constructor
+    has no default).  ``omit_none``: leave ``None`` out instead of sending
+    null.  ``nonempty``: the item a list kind must carry at least one of.
+    ``since``: the schema version that added the field; one newer than its
+    op must not be required, as older peers never send it (:class:`Op`).
     """
-
-    op = "normalize"
-
-    model: str
-    tensor: TensorPayload
-    layer_index: int = 0
-    dataset: str = "default"
-    reference: bool = False
-    backend: str = "vectorized"
-    accelerator: Optional[str] = None
-    deadline_ms: Optional[float] = None
-    request_id: int = field(default_factory=next_request_id)
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id)
-        wire.update(
-            model=self.model,
-            layer_index=self.layer_index,
-            dataset=self.dataset,
-            reference=self.reference,
-            backend=self.backend,
-            accelerator=self.accelerator,
-            tensor=self.tensor.to_wire(),
-        )
-        if self.deadline_ms is not None:
-            wire["deadline_ms"] = self.deadline_ms
-        return wire
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "NormalizeRequest":
-        where = "normalize request"
-        return cls(
-            model=_require(payload, "model", str, where),
-            tensor=TensorPayload.from_wire(_require(payload, "tensor", dict, where)),
-            layer_index=_require(payload, "layer_index", int, where),
-            dataset=_optional(payload, "dataset", str, where, default="default"),
-            reference=bool(_optional(payload, "reference", bool, where, default=False)),
-            backend=_optional(payload, "backend", str, where, default="vectorized"),
-            accelerator=_optional(payload, "accelerator", str, where),
-            deadline_ms=_optional_deadline(payload, where),
-            request_id=_require(payload, "request_id", int, where),
-        )
+    meta = {"wire": _Field(kind, required, omit_none, nonempty, record, since)}
+    if factory is not None:
+        return field(default_factory=factory, metadata=meta)
+    return field(default=default, metadata=meta)
 
 
-def _optional_degradation(payload: Dict[str, Any], where: str) -> int:
-    """Decode the degradation stamp (absent on pre-chaos peers -> 0)."""
-    level = _optional(payload, "degradation", int, where, default=0)
-    if isinstance(level, bool) or level < 0:
-        raise BadSchemaError(
-            f"{where} degradation must be a non-negative integer, got {level!r}"
-        )
-    return int(level)
+def _decode_uint(value, where, f):
+    if isinstance(value, bool) or value < 0:
+        raise BadSchemaError(f"{where} {f.name} must be a non-negative integer, got {value!r}")
+    return value
 
 
-@dataclass(frozen=True)
-class NormalizeResponse:
-    """Result of one :class:`NormalizeRequest`.
+def _decode_nested(value, where, f):
+    return (f.record or TensorPayload).from_wire(value, f"{where}.{f.name}")
 
-    ``degradation`` stamps the fidelity level the server actually applied
-    (0 = full fidelity as requested; see
-    :mod:`repro.serving.degrade`).  Degraded responses are **always**
-    stamped -- a degraded result is never silently substituted for a
-    full-fidelity one.
-    """
 
-    op = "normalize"
+def _decode_items(value, where, f):
+    if f.nonempty and not value:
+        raise BadSchemaError(f"{where} must carry at least one {f.nonempty}")
+    decode = (f.record or TensorPayload).from_wire
+    return tuple(decode(item, f"{where}.{f.name}[{i}]") for i, item in enumerate(value))
 
-    request_id: int
-    tensor: TensorPayload
-    mean: TensorPayload
-    isd: TensorPayload
-    was_predicted: bool
-    was_subsampled: bool
-    batch_size: int
-    queue_wait: float
-    batch_latency: float
-    backend: str
-    accelerator: Optional[str] = None
-    degradation: int = 0
+
+def _encode_nested(value):
+    return value.to_wire()
+
+
+def _encode_items(values):
+    return [value.to_wire() for value in values]
+
+
+#: kind -> (accepted types, decode(value, where, field) or None, encode or None)
+_KINDS: Dict[str, Tuple[tuple, Optional[Callable], Optional[Callable]]] = {
+    "str": ((str,), None, None),
+    "int": ((int,), None, None),
+    "uint": ((int,), _decode_uint, None),
+    "bool": ((bool,), None, None),
+    "float": ((int, float), lambda value, where, f: float(value), None),
+    "dict": ((dict,), None, dict),
+    "list": ((list,), lambda value, where, f: list(value), list),
+    "deadline": ((object,), lambda value, where, f: validate_deadline_ms(value, where), None),
+    "tensor": ((dict,), _decode_nested, _encode_nested),
+    "tensors": ((list,), _decode_items, _encode_items),
+    "record": ((dict,), _decode_nested, _encode_nested),
+    "records": ((list,), _decode_items, _encode_items),
+}
+
+
+class _Record:
+    """The generic codec of every record (declared with :func:`_record`).
+    Envelopes set ``op``; responses also carry ``ok: true``."""
+
+    op: ClassVar[Optional[str]] = None
+    response: ClassVar[bool] = False
+    _decoders: ClassVar[tuple] = ()
+    _encoders: ClassVar[tuple] = ()
+    _where: ClassVar[str] = ""
+    #: ``(key, many, children)`` per tensor-bearing field, in wire order;
+    #: ``children`` is None for tensors, else the nested record's slots.
+    slots: ClassVar[tuple] = ()
 
     def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id, ok=True)
-        wire.update(
-            tensor=self.tensor.to_wire(),
-            mean=self.mean.to_wire(),
-            isd=self.isd.to_wire(),
-            was_predicted=self.was_predicted,
-            was_subsampled=self.was_subsampled,
-            batch_size=self.batch_size,
-            queue_wait=self.queue_wait,
-            batch_latency=self.batch_latency,
-            backend=self.backend,
-            accelerator=self.accelerator,
-            degradation=self.degradation,
-        )
-        return wire
+        """The JSON-safe envelope (binary tensors keep their buffers)."""
+        if self.op is not None:
+            out: Dict[str, Any] = {"schema_version": SCHEMA_VERSION, "op": self.op}
+            if self.request_id is not None:
+                out["request_id"] = self.request_id
+            if self.response:
+                out["ok"] = True
+        else:
+            out = {}
+        for name, encode, omit_none in self._encoders:
+            value = getattr(self, name)
+            if value is None:
+                if not omit_none:
+                    out[name] = None
+            else:
+                out[name] = value if encode is None else encode(value)
+        return out
 
     @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "NormalizeResponse":
-        where = "normalize response"
-        return cls(
-            request_id=_require(payload, "request_id", int, where),
-            tensor=TensorPayload.from_wire(_require(payload, "tensor", dict, where)),
-            mean=TensorPayload.from_wire(_require(payload, "mean", dict, where), "mean"),
-            isd=TensorPayload.from_wire(_require(payload, "isd", dict, where), "isd"),
-            was_predicted=bool(_require(payload, "was_predicted", bool, where)),
-            was_subsampled=bool(_require(payload, "was_subsampled", bool, where)),
-            batch_size=_require(payload, "batch_size", int, where),
-            queue_wait=float(_require(payload, "queue_wait", (int, float), where)),
-            batch_latency=float(_require(payload, "batch_latency", (int, float), where)),
-            backend=_require(payload, "backend", str, where),
-            accelerator=_optional(payload, "accelerator", str, where),
-            degradation=_optional_degradation(payload, where),
-        )
-
-
-@dataclass(frozen=True)
-class NormalizeResult:
-    """One tensor's normalization result inside a bulk (or stream) response."""
-
-    tensor: TensorPayload
-    mean: TensorPayload
-    isd: TensorPayload
-    was_predicted: bool
-    was_subsampled: bool
-    batch_size: int
-    queue_wait: float
-    batch_latency: float
-    degradation: int = 0
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "tensor": self.tensor.to_wire(),
-            "mean": self.mean.to_wire(),
-            "isd": self.isd.to_wire(),
-            "was_predicted": self.was_predicted,
-            "was_subsampled": self.was_subsampled,
-            "batch_size": self.batch_size,
-            "queue_wait": self.queue_wait,
-            "batch_latency": self.batch_latency,
-            "degradation": self.degradation,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Any, where: str = "bulk item") -> "NormalizeResult":
+    def from_wire(cls, payload: Any, where: Optional[str] = None):
+        """Validate and decode a wire dict (:class:`BadSchemaError` if malformed)."""
+        where = where or cls._where
         if not isinstance(payload, dict):
             raise BadSchemaError(f"{where} must be an object, not {type(payload).__name__}")
-        return cls(
-            tensor=TensorPayload.from_wire(_require(payload, "tensor", dict, where)),
-            mean=TensorPayload.from_wire(_require(payload, "mean", dict, where), "mean"),
-            isd=TensorPayload.from_wire(_require(payload, "isd", dict, where), "isd"),
-            was_predicted=bool(_require(payload, "was_predicted", bool, where)),
-            was_subsampled=bool(_require(payload, "was_subsampled", bool, where)),
-            batch_size=_require(payload, "batch_size", int, where),
-            queue_wait=float(_require(payload, "queue_wait", (int, float), where)),
-            batch_latency=float(_require(payload, "batch_latency", (int, float), where)),
-            degradation=_optional_degradation(payload, where),
-        )
+        values = {}
+        for f, name, types, decode, required, strict_int in cls._decoders:
+            value = payload.get(name)
+            if value is None:
+                if required:
+                    if name not in payload:
+                        raise BadSchemaError(
+                            f"{where} envelope is missing required field {name!r}"
+                        )
+                    raise _type_error(where, name, value, types)
+                values[name] = f.default if f.factory is None else f.factory()
+            elif not isinstance(value, types):
+                raise _type_error(where, name, value, types)
+            elif strict_int and isinstance(value, bool):
+                raise BadSchemaError(f"{where} field {name!r} must be an integer, not a bool")
+            else:
+                values[name] = value if decode is None else decode(value, where, f)
+        return _new(cls, values)
 
 
-@dataclass(frozen=True)
-class NormalizeBulkRequest:
-    """Normalize many independent tensors of one layer in a single frame.
+def _record(cls):
+    """Make ``cls`` a frozen keyword-only dataclass and compile its codec."""
+    cls = dataclass(frozen=True, kw_only=True)(cls)
+    compiled = []
+    for dc_field in fields(cls):
+        f = dc_field.metadata["wire"]
+        compiled.append(f)
+        f.name = dc_field.name
+        f.factory = None if dc_field.default_factory is MISSING else dc_field.default_factory
+        f.default = None if dc_field.default is MISSING else dc_field.default
+        if f.required is None:
+            f.required = dc_field.default is MISSING and f.factory is None
+        f.strict_int = f.required and f.kind == "int"
+    cls._decoders = tuple((f, f.name, f.types, f.decode, f.required, f.strict_int) for f in compiled)
+    head = "request_id" if cls.op is not None else None  # sent before the fields
+    cls._encoders = tuple((f.name, f.encode, f.omit_none) for f in compiled if f.name != head)
+    cls.slots = tuple(
+        (f.name, f.many, f.record.slots if f.record else None) for f in compiled if f.is_slot
+    )
+    cls._where = f"{cls.op} {'response' if cls.response else 'request'}" if cls.op else cls.__name__
+    return cls
 
-    The wire-level counterpart of ``NormalizationService.submit_many``: the
-    whole list lands in the serving batcher at once, so a single remote
-    client fills micro-batches by itself instead of relying on coalescing
-    across clients (the v1 limitation the ROADMAP called out).
-    """
+
+# ---------------------------------------------------------------------------
+# envelope records (field order = wire key order)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Request(_Record):
+    request_id: int = wire("int", required=True, factory=next_request_id)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Response(_Record):
+    response = True
+    request_id: int = wire("int")
+
+
+@dataclass(frozen=True, kw_only=True)
+class _LayerRequest(_Request):
+    """The layer a serving request addresses, in its shared wire order."""
+
+    model: str = wire("str")
+    layer_index: int = wire("int", 0, required=True)
+    dataset: str = wire("str", "default")
+    reference: bool = wire("bool", False)
+    backend: str = wire("str", "vectorized")
+    accelerator: Optional[str] = wire("str", None)
+
+
+@_record
+class NormalizeRequest(_LayerRequest):
+    """Normalize one tensor with one layer of a calibrated model, within
+    ``deadline_ms`` of server receipt if set (else admission sheds it)."""
+
+    op = "normalize"
+    tensor: TensorPayload = wire("tensor")
+    deadline_ms: Optional[float] = wire("deadline", None, omit_none=True, since=2)
+
+
+@_record
+class NormalizeResult(_Record):
+    """One tensor's result inside a bulk or stream response; ``degradation``
+    stamps the fidelity level applied (0 = full, :mod:`repro.serving.degrade`)."""
+
+    tensor: TensorPayload = wire("tensor")
+    mean: TensorPayload = wire("tensor")
+    isd: TensorPayload = wire("tensor")
+    was_predicted: bool = wire("bool")
+    was_subsampled: bool = wire("bool")
+    batch_size: int = wire("int")
+    queue_wait: float = wire("float")
+    batch_latency: float = wire("float")
+    degradation: int = wire("uint", 0, since=2)
+
+
+@_record
+class NormalizeResponse(_Response):
+    """Result of one :class:`NormalizeRequest` (fields as :class:`NormalizeResult`)."""
+
+    op = "normalize"
+    tensor: TensorPayload = wire("tensor")
+    mean: TensorPayload = wire("tensor")
+    isd: TensorPayload = wire("tensor")
+    was_predicted: bool = wire("bool")
+    was_subsampled: bool = wire("bool")
+    batch_size: int = wire("int")
+    queue_wait: float = wire("float")
+    batch_latency: float = wire("float")
+    backend: str = wire("str")
+    accelerator: Optional[str] = wire("str", None)
+    degradation: int = wire("uint", 0, since=2)
+
+
+@_record
+class NormalizeBulkRequest(_LayerRequest):
+    """Normalize many tensors of one layer in one frame: the whole list
+    lands in the serving batcher at once (``submit_many``)."""
 
     op = "normalize_bulk"
-
-    model: str
-    tensors: Tuple[TensorPayload, ...]
-    layer_index: int = 0
-    dataset: str = "default"
-    reference: bool = False
-    backend: str = "vectorized"
-    accelerator: Optional[str] = None
-    deadline_ms: Optional[float] = None
-    request_id: int = field(default_factory=next_request_id)
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id)
-        wire.update(
-            model=self.model,
-            layer_index=self.layer_index,
-            dataset=self.dataset,
-            reference=self.reference,
-            backend=self.backend,
-            accelerator=self.accelerator,
-            tensors=[tensor.to_wire() for tensor in self.tensors],
-        )
-        if self.deadline_ms is not None:
-            wire["deadline_ms"] = self.deadline_ms
-        return wire
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "NormalizeBulkRequest":
-        where = "normalize_bulk request"
-        raw_tensors = _require(payload, "tensors", list, where)
-        if not raw_tensors:
-            raise BadSchemaError(f"{where} must carry at least one tensor")
-        return cls(
-            model=_require(payload, "model", str, where),
-            tensors=tuple(
-                TensorPayload.from_wire(item, where=f"{where}.tensors[{index}]")
-                for index, item in enumerate(raw_tensors)
-            ),
-            layer_index=_require(payload, "layer_index", int, where),
-            dataset=_optional(payload, "dataset", str, where, default="default"),
-            reference=bool(_optional(payload, "reference", bool, where, default=False)),
-            backend=_optional(payload, "backend", str, where, default="vectorized"),
-            accelerator=_optional(payload, "accelerator", str, where),
-            deadline_ms=_optional_deadline(payload, where),
-            request_id=_require(payload, "request_id", int, where),
-        )
+    tensors: Tuple[TensorPayload, ...] = wire("tensors", nonempty="tensor")
+    deadline_ms: Optional[float] = wire("deadline", None, omit_none=True, since=2)
 
 
-@dataclass(frozen=True)
-class NormalizeBulkResponse:
+@_record
+class NormalizeBulkResponse(_Response):
     """Per-tensor results of one :class:`NormalizeBulkRequest`, in order."""
 
     op = "normalize_bulk"
-
-    request_id: int
-    results: Tuple[NormalizeResult, ...]
-    backend: str
-    accelerator: Optional[str] = None
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id, ok=True)
-        wire.update(
-            results=[result.to_wire() for result in self.results],
-            backend=self.backend,
-            accelerator=self.accelerator,
-        )
-        return wire
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "NormalizeBulkResponse":
-        where = "normalize_bulk response"
-        return cls(
-            request_id=_require(payload, "request_id", int, where),
-            results=tuple(
-                NormalizeResult.from_wire(item, where=f"{where}.results[{index}]")
-                for index, item in enumerate(_require(payload, "results", list, where))
-            ),
-            backend=_require(payload, "backend", str, where),
-            accelerator=_optional(payload, "accelerator", str, where),
-        )
+    results: Tuple[NormalizeResult, ...] = wire("records", record=NormalizeResult)
+    backend: str = wire("str")
+    accelerator: Optional[str] = wire("str", None)
 
 
-@dataclass(frozen=True)
-class StreamChunkRequest:
-    """One chunk of a client-side activation stream.
-
-    Chunks of one ``stream_id`` carry consecutive ``seq`` numbers and an
-    explicit ``final`` marker.  Each chunk is normalized independently (the
-    serving contract for streamed token groups: a fresh activation context
-    per chunk), so the server may execute and answer chunks out of order;
-    the client reassembles by ``seq``.
-    """
+@_record
+class StreamChunkRequest(_Request):
+    """One chunk of an activation stream: consecutive ``seq`` per
+    ``stream_id`` and a ``final`` marker.  Chunks normalize independently,
+    so answers may come out of order; the client reassembles by ``seq``."""
 
     op = "stream"
-
-    model: str
-    tensor: TensorPayload
-    stream_id: int
-    seq: int
-    final: bool = False
-    layer_index: int = 0
-    dataset: str = "default"
-    reference: bool = False
-    backend: str = "vectorized"
-    accelerator: Optional[str] = None
-    deadline_ms: Optional[float] = None
-    request_id: int = field(default_factory=next_request_id)
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id)
-        wire.update(
-            model=self.model,
-            tensor=self.tensor.to_wire(),
-            stream_id=self.stream_id,
-            seq=self.seq,
-            final=self.final,
-            layer_index=self.layer_index,
-            dataset=self.dataset,
-            reference=self.reference,
-            backend=self.backend,
-            accelerator=self.accelerator,
-        )
-        if self.deadline_ms is not None:
-            wire["deadline_ms"] = self.deadline_ms
-        return wire
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "StreamChunkRequest":
-        where = "stream request"
-        seq = _require(payload, "seq", int, where)
-        if seq < 0:
-            raise BadSchemaError(f"{where} seq must be non-negative, got {seq}")
-        return cls(
-            model=_require(payload, "model", str, where),
-            tensor=TensorPayload.from_wire(_require(payload, "tensor", dict, where)),
-            stream_id=_require(payload, "stream_id", int, where),
-            seq=seq,
-            final=bool(_optional(payload, "final", bool, where, default=False)),
-            layer_index=_require(payload, "layer_index", int, where),
-            dataset=_optional(payload, "dataset", str, where, default="default"),
-            reference=bool(_optional(payload, "reference", bool, where, default=False)),
-            backend=_optional(payload, "backend", str, where, default="vectorized"),
-            accelerator=_optional(payload, "accelerator", str, where),
-            deadline_ms=_optional_deadline(payload, where),
-            request_id=_require(payload, "request_id", int, where),
-        )
+    model: str = wire("str")
+    tensor: TensorPayload = wire("tensor")
+    stream_id: int = wire("int")
+    seq: int = wire("uint")
+    final: bool = wire("bool", False)
+    layer_index: int = wire("int", 0, required=True)
+    dataset: str = wire("str", "default")
+    reference: bool = wire("bool", False)
+    backend: str = wire("str", "vectorized")
+    accelerator: Optional[str] = wire("str", None)
+    deadline_ms: Optional[float] = wire("deadline", None, omit_none=True, since=2)
 
 
-@dataclass(frozen=True)
-class StreamChunkResponse:
+@_record
+class StreamChunkResponse(_Response):
     """The normalized chunk, tagged with its stream position."""
 
     op = "stream"
-
-    request_id: int
-    stream_id: int
-    seq: int
-    final: bool
-    result: NormalizeResult
-    backend: str
-    accelerator: Optional[str] = None
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id, ok=True)
-        wire.update(
-            stream_id=self.stream_id,
-            seq=self.seq,
-            final=self.final,
-            result=self.result.to_wire(),
-            backend=self.backend,
-            accelerator=self.accelerator,
-        )
-        return wire
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "StreamChunkResponse":
-        where = "stream response"
-        return cls(
-            request_id=_require(payload, "request_id", int, where),
-            stream_id=_require(payload, "stream_id", int, where),
-            seq=_require(payload, "seq", int, where),
-            final=bool(_require(payload, "final", bool, where)),
-            result=NormalizeResult.from_wire(
-                _require(payload, "result", dict, where), where=f"{where}.result"
-            ),
-            backend=_require(payload, "backend", str, where),
-            accelerator=_optional(payload, "accelerator", str, where),
-        )
+    stream_id: int = wire("int")
+    seq: int = wire("int")
+    final: bool = wire("bool")
+    result: NormalizeResult = wire("record", record=NormalizeResult)
+    backend: str = wire("str")
+    accelerator: Optional[str] = wire("str", None)
 
 
-@dataclass(frozen=True)
-class SpecRequest:
+@_record
+class SpecRequest(_Request):
     """Fetch the serialized :class:`~repro.engine.spec.EngineSpec` of a layer."""
 
     op = "spec"
-
-    model: str
-    layer_index: int = 0
-    dataset: str = "default"
-    reference: bool = False
-    request_id: int = field(default_factory=next_request_id)
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id)
-        wire.update(
-            model=self.model,
-            layer_index=self.layer_index,
-            dataset=self.dataset,
-            reference=self.reference,
-        )
-        return wire
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "SpecRequest":
-        where = "spec request"
-        return cls(
-            model=_require(payload, "model", str, where),
-            layer_index=_require(payload, "layer_index", int, where),
-            dataset=_optional(payload, "dataset", str, where, default="default"),
-            reference=bool(_optional(payload, "reference", bool, where, default=False)),
-            request_id=_require(payload, "request_id", int, where),
-        )
+    model: str = wire("str")
+    layer_index: int = wire("int", 0, required=True)
+    dataset: str = wire("str", "default")
+    reference: bool = wire("bool", False)
 
 
-@dataclass(frozen=True)
-class SpecResponse:
+@_record
+class SpecResponse(_Response):
     """The serialized engine spec plus the layer's affine parameters."""
 
     op = "spec"
-
-    request_id: int
-    spec: Dict[str, Any]
-    gamma: TensorPayload
-    beta: TensorPayload
-    model: str
-    layer_index: int
-    num_layers: int
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id, ok=True)
-        wire.update(
-            spec=dict(self.spec),
-            gamma=self.gamma.to_wire(),
-            beta=self.beta.to_wire(),
-            model=self.model,
-            layer_index=self.layer_index,
-            num_layers=self.num_layers,
-        )
-        return wire
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "SpecResponse":
-        where = "spec response"
-        return cls(
-            request_id=_require(payload, "request_id", int, where),
-            spec=_require(payload, "spec", dict, where),
-            gamma=TensorPayload.from_wire(_require(payload, "gamma", dict, where), "gamma"),
-            beta=TensorPayload.from_wire(_require(payload, "beta", dict, where), "beta"),
-            model=_require(payload, "model", str, where),
-            layer_index=_require(payload, "layer_index", int, where),
-            num_layers=_require(payload, "num_layers", int, where),
-        )
+    spec: Dict[str, Any] = wire("dict")
+    gamma: TensorPayload = wire("tensor")
+    beta: TensorPayload = wire("tensor")
+    model: str = wire("str")
+    layer_index: int = wire("int")
+    num_layers: int = wire("int")
 
 
-@dataclass(frozen=True)
-class ExecuteSpecRequest:
-    """Execute a shipped engine spec over stacked rows (the `remote` backend).
-
-    This is the ROADMAP's "ship the serialized ``EngineSpec`` to another
-    process over the serving protocol": the client serializes the compiled
-    plan (spec + affine parameters) and the server rebuilds and runs it,
-    with no model/calibration state required on the server for this op.
-    """
+@_record
+class ExecuteSpecRequest(_Request):
+    """Run a shipped engine spec over stacked rows (the ``remote`` backend):
+    the server rebuilds the plan and needs no calibration state."""
 
     op = "execute"
-
-    spec: Dict[str, Any]
-    rows: TensorPayload
-    gamma: Optional[TensorPayload] = None
-    beta: Optional[TensorPayload] = None
-    segment_starts: Optional[TensorPayload] = None
-    anchor_isd: Optional[TensorPayload] = None
-    backend: str = "vectorized"
-    deadline_ms: Optional[float] = None
-    request_id: int = field(default_factory=next_request_id)
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id)
-        wire.update(
-            spec=dict(self.spec),
-            rows=self.rows.to_wire(),
-            gamma=None if self.gamma is None else self.gamma.to_wire(),
-            beta=None if self.beta is None else self.beta.to_wire(),
-            segment_starts=(
-                None if self.segment_starts is None else self.segment_starts.to_wire()
-            ),
-            anchor_isd=None if self.anchor_isd is None else self.anchor_isd.to_wire(),
-            backend=self.backend,
-        )
-        if self.deadline_ms is not None:
-            wire["deadline_ms"] = self.deadline_ms
-        return wire
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "ExecuteSpecRequest":
-        where = "execute request"
-        return cls(
-            spec=_require(payload, "spec", dict, where),
-            rows=TensorPayload.from_wire(_require(payload, "rows", dict, where), "rows"),
-            gamma=_optional_tensor(payload, "gamma", where),
-            beta=_optional_tensor(payload, "beta", where),
-            segment_starts=_optional_tensor(payload, "segment_starts", where),
-            anchor_isd=_optional_tensor(payload, "anchor_isd", where),
-            backend=_optional(payload, "backend", str, where, default="vectorized"),
-            deadline_ms=_optional_deadline(payload, where),
-            request_id=_require(payload, "request_id", int, where),
-        )
+    spec: Dict[str, Any] = wire("dict")
+    rows: TensorPayload = wire("tensor")
+    gamma: Optional[TensorPayload] = wire("tensor", None)
+    beta: Optional[TensorPayload] = wire("tensor", None)
+    segment_starts: Optional[TensorPayload] = wire("tensor", None)
+    anchor_isd: Optional[TensorPayload] = wire("tensor", None)
+    backend: str = wire("str", "vectorized")
+    deadline_ms: Optional[float] = wire("deadline", None, omit_none=True, since=2)
 
 
-@dataclass(frozen=True)
-class ExecuteSpecResponse:
+@_record
+class ExecuteSpecResponse(_Response):
     """``(output, mean, isd)`` of one executed spec."""
 
     op = "execute"
-
-    request_id: int
-    output: TensorPayload
-    mean: TensorPayload
-    isd: TensorPayload
-    backend: str
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id, ok=True)
-        wire.update(
-            output=self.output.to_wire(),
-            mean=self.mean.to_wire(),
-            isd=self.isd.to_wire(),
-            backend=self.backend,
-        )
-        return wire
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "ExecuteSpecResponse":
-        where = "execute response"
-        return cls(
-            request_id=_require(payload, "request_id", int, where),
-            output=TensorPayload.from_wire(_require(payload, "output", dict, where), "output"),
-            mean=TensorPayload.from_wire(_require(payload, "mean", dict, where), "mean"),
-            isd=TensorPayload.from_wire(_require(payload, "isd", dict, where), "isd"),
-            backend=_require(payload, "backend", str, where),
-        )
+    output: TensorPayload = wire("tensor")
+    mean: TensorPayload = wire("tensor")
+    isd: TensorPayload = wire("tensor")
+    backend: str = wire("str")
 
 
-@dataclass(frozen=True)
-class ExecuteGroup:
+@_record
+class ExecuteGroup(_Record):
     """One row-group of a bulk spec execution (rows + per-group metadata)."""
 
-    rows: TensorPayload
-    segment_starts: Optional[TensorPayload] = None
-    anchor_isd: Optional[TensorPayload] = None
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "rows": self.rows.to_wire(),
-            "segment_starts": (
-                None if self.segment_starts is None else self.segment_starts.to_wire()
-            ),
-            "anchor_isd": None if self.anchor_isd is None else self.anchor_isd.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Any, where: str = "execute group") -> "ExecuteGroup":
-        if not isinstance(payload, dict):
-            raise BadSchemaError(f"{where} must be an object, not {type(payload).__name__}")
-        return cls(
-            rows=TensorPayload.from_wire(_require(payload, "rows", dict, where), "rows"),
-            segment_starts=_optional_tensor(payload, "segment_starts", where),
-            anchor_isd=_optional_tensor(payload, "anchor_isd", where),
-        )
+    rows: TensorPayload = wire("tensor")
+    segment_starts: Optional[TensorPayload] = wire("tensor", None)
+    anchor_isd: Optional[TensorPayload] = wire("tensor", None)
 
 
-@dataclass(frozen=True)
-class ExecuteResult:
+@_record
+class ExecuteResult(_Record):
     """``(output, mean, isd)`` of one executed row-group."""
 
-    output: TensorPayload
-    mean: TensorPayload
-    isd: TensorPayload
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "output": self.output.to_wire(),
-            "mean": self.mean.to_wire(),
-            "isd": self.isd.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Any, where: str = "execute result") -> "ExecuteResult":
-        if not isinstance(payload, dict):
-            raise BadSchemaError(f"{where} must be an object, not {type(payload).__name__}")
-        return cls(
-            output=TensorPayload.from_wire(_require(payload, "output", dict, where), "output"),
-            mean=TensorPayload.from_wire(_require(payload, "mean", dict, where), "mean"),
-            isd=TensorPayload.from_wire(_require(payload, "isd", dict, where), "isd"),
-        )
+    output: TensorPayload = wire("tensor")
+    mean: TensorPayload = wire("tensor")
+    isd: TensorPayload = wire("tensor")
 
 
-@dataclass(frozen=True)
-class ExecuteBulkRequest:
-    """Execute one shipped spec over many row-groups in a single frame.
-
-    The bulk form of :class:`ExecuteSpecRequest`: the spec and affine
-    parameters travel (and compile server-side) once, and every group runs
-    under a single engine-lock acquisition.  The ``remote`` engine backend's
-    ``run_many`` rides this op.
-    """
+@_record
+class ExecuteBulkRequest(_Request):
+    """Run one shipped spec over many row-groups in one frame: the spec
+    compiles once and every group runs under one engine-lock acquisition
+    (the ``remote`` backend's ``run_many``)."""
 
     op = "execute_bulk"
-
-    spec: Dict[str, Any]
-    groups: Tuple[ExecuteGroup, ...]
-    gamma: Optional[TensorPayload] = None
-    beta: Optional[TensorPayload] = None
-    backend: str = "vectorized"
-    deadline_ms: Optional[float] = None
-    request_id: int = field(default_factory=next_request_id)
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id)
-        wire.update(
-            spec=dict(self.spec),
-            groups=[group.to_wire() for group in self.groups],
-            gamma=None if self.gamma is None else self.gamma.to_wire(),
-            beta=None if self.beta is None else self.beta.to_wire(),
-            backend=self.backend,
-        )
-        if self.deadline_ms is not None:
-            wire["deadline_ms"] = self.deadline_ms
-        return wire
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "ExecuteBulkRequest":
-        where = "execute_bulk request"
-        raw_groups = _require(payload, "groups", list, where)
-        if not raw_groups:
-            raise BadSchemaError(f"{where} must carry at least one row-group")
-        return cls(
-            spec=_require(payload, "spec", dict, where),
-            groups=tuple(
-                ExecuteGroup.from_wire(item, where=f"{where}.groups[{index}]")
-                for index, item in enumerate(raw_groups)
-            ),
-            gamma=_optional_tensor(payload, "gamma", where),
-            beta=_optional_tensor(payload, "beta", where),
-            backend=_optional(payload, "backend", str, where, default="vectorized"),
-            deadline_ms=_optional_deadline(payload, where),
-            request_id=_require(payload, "request_id", int, where),
-        )
+    spec: Dict[str, Any] = wire("dict")
+    groups: Tuple[ExecuteGroup, ...] = wire("records", record=ExecuteGroup, nonempty="row-group")
+    gamma: Optional[TensorPayload] = wire("tensor", None)
+    beta: Optional[TensorPayload] = wire("tensor", None)
+    backend: str = wire("str", "vectorized")
+    deadline_ms: Optional[float] = wire("deadline", None, omit_none=True, since=2)
 
 
-@dataclass(frozen=True)
-class ExecuteBulkResponse:
+@_record
+class ExecuteBulkResponse(_Response):
     """Per-group results of one :class:`ExecuteBulkRequest`, in order."""
 
     op = "execute_bulk"
-
-    request_id: int
-    results: Tuple[ExecuteResult, ...]
-    backend: str
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id, ok=True)
-        wire.update(
-            results=[result.to_wire() for result in self.results],
-            backend=self.backend,
-        )
-        return wire
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "ExecuteBulkResponse":
-        where = "execute_bulk response"
-        return cls(
-            request_id=_require(payload, "request_id", int, where),
-            results=tuple(
-                ExecuteResult.from_wire(item, where=f"{where}.results[{index}]")
-                for index, item in enumerate(_require(payload, "results", list, where))
-            ),
-            backend=_require(payload, "backend", str, where),
-        )
+    results: Tuple[ExecuteResult, ...] = wire("records", record=ExecuteResult)
+    backend: str = wire("str")
 
 
-@dataclass(frozen=True)
-class HelloRequest:
-    """Schema-version negotiation opener.
-
-    The one envelope parsed *leniently* on the version field: the whole
-    point is to discover a common version, so the server accepts a hello
-    whose ``schema_version`` it does not speak and answers (or rejects)
-    based on the advertised range instead.
-
-    ``token`` optionally carries a tenant bearer token (:mod:`repro.tenancy`):
-    the server resolves it with a constant-time compare and stamps the
-    connection with the tenant's context.  Absent on anonymous connections
-    and ignored by pre-tenancy servers, so the field is version-compatible.
-    """
+@_record
+class HelloRequest(_Request):
+    """Schema-version negotiation opener, parsed at any ``schema_version``;
+    ``token`` is an optional tenant bearer token (:mod:`repro.tenancy`)."""
 
     op = "hello"
-
-    min_schema_version: int = MIN_SCHEMA_VERSION
-    max_schema_version: int = SCHEMA_VERSION
-    client: str = "repro.api"
-    token: Optional[str] = None
-    request_id: int = field(default_factory=next_request_id)
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id)
-        wire.update(
-            min_schema_version=self.min_schema_version,
-            max_schema_version=self.max_schema_version,
-            client=self.client,
-        )
-        if self.token is not None:
-            wire["token"] = self.token
-        return wire
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "HelloRequest":
-        where = "hello request"
-        return cls(
-            min_schema_version=_require(payload, "min_schema_version", int, where),
-            max_schema_version=_require(payload, "max_schema_version", int, where),
-            client=_optional(payload, "client", str, where, default="repro.api"),
-            token=_optional(payload, "token", str, where),
-            request_id=_require(payload, "request_id", int, where),
-        )
+    min_schema_version: int = wire("int", MIN_SCHEMA_VERSION, required=True)
+    max_schema_version: int = wire("int", SCHEMA_VERSION, required=True)
+    client: str = wire("str", "repro.api")
+    token: Optional[str] = wire("str", None, omit_none=True, since=3)
 
 
-@dataclass(frozen=True)
-class HelloResponse:
+@_record
+class HelloResponse(_Response):
     """The server's advertised range and the negotiated version."""
 
     op = "hello"
-
-    request_id: int
-    schema_version_chosen: int
-    min_schema_version: int
-    max_schema_version: int
-    backends: List[str] = field(default_factory=list)
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id, ok=True)
-        wire.update(
-            schema_version_chosen=self.schema_version_chosen,
-            min_schema_version=self.min_schema_version,
-            max_schema_version=self.max_schema_version,
-            backends=list(self.backends),
-        )
-        return wire
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "HelloResponse":
-        where = "hello response"
-        return cls(
-            request_id=_require(payload, "request_id", int, where),
-            schema_version_chosen=_require(payload, "schema_version_chosen", int, where),
-            min_schema_version=_require(payload, "min_schema_version", int, where),
-            max_schema_version=_require(payload, "max_schema_version", int, where),
-            backends=list(_optional(payload, "backends", list, where, default=[])),
-        )
+    schema_version_chosen: int = wire("int")
+    min_schema_version: int = wire("int")
+    max_schema_version: int = wire("int")
+    backends: List[str] = wire("list", factory=list)
 
 
-@dataclass(frozen=True)
-class PingRequest:
+@_record
+class PingRequest(_Request):
     """Liveness / capability probe."""
 
     op = "ping"
 
-    request_id: int = field(default_factory=next_request_id)
 
-    def to_wire(self) -> Dict[str, Any]:
-        return _base_wire(self.op, self.request_id)
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "PingRequest":
-        return cls(request_id=_require(payload, "request_id", int, "ping request"))
-
-
-@dataclass(frozen=True)
-class PingResponse:
+@_record
+class PingResponse(_Response):
     """Server capabilities: schema-version range, backends and models."""
 
     op = "ping"
-
-    request_id: int
-    backends: List[str]
-    models: Optional[List[str]] = None
-    min_schema_version: int = MIN_SCHEMA_VERSION
-    max_schema_version: int = SCHEMA_VERSION
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id, ok=True)
-        wire.update(
-            backends=list(self.backends),
-            models=self.models,
-            min_schema_version=self.min_schema_version,
-            max_schema_version=self.max_schema_version,
-        )
-        return wire
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "PingResponse":
-        where = "ping response"
-        return cls(
-            request_id=_require(payload, "request_id", int, where),
-            backends=list(_require(payload, "backends", list, where)),
-            models=_optional(payload, "models", list, where),
-            min_schema_version=_optional(
-                payload, "min_schema_version", int, where, default=MIN_SCHEMA_VERSION
-            ),
-            max_schema_version=_optional(
-                payload, "max_schema_version", int, where, default=SCHEMA_VERSION
-            ),
-        )
+    backends: List[str] = wire("list")
+    models: Optional[List[str]] = wire("list", None)
+    min_schema_version: int = wire("int", MIN_SCHEMA_VERSION, since=2)
+    max_schema_version: int = wire("int", SCHEMA_VERSION, since=2)
 
 
-@dataclass(frozen=True)
-class TelemetryRequest:
+@_record
+class TelemetryRequest(_Request):
     """Fetch the server's serving-telemetry snapshot."""
 
     op = "telemetry"
 
-    request_id: int = field(default_factory=next_request_id)
 
-    def to_wire(self) -> Dict[str, Any]:
-        return _base_wire(self.op, self.request_id)
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "TelemetryRequest":
-        return cls(request_id=_require(payload, "request_id", int, "telemetry request"))
-
-
-@dataclass(frozen=True)
-class TelemetryResponse:
+@_record
+class TelemetryResponse(_Response):
     """Serving telemetry plus registry state, as plain JSON-safe dicts."""
 
     op = "telemetry"
-
-    request_id: int
-    telemetry: Dict[str, Any]
-    registry: Dict[str, Any]
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id, ok=True)
-        wire.update(telemetry=self.telemetry, registry=self.registry)
-        return wire
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "TelemetryResponse":
-        where = "telemetry response"
-        return cls(
-            request_id=_require(payload, "request_id", int, where),
-            telemetry=_require(payload, "telemetry", dict, where),
-            registry=_require(payload, "registry", dict, where),
-        )
+    telemetry: Dict[str, Any] = wire("dict")
+    registry: Dict[str, Any] = wire("dict")
 
 
 @dataclass(frozen=True)
 class ErrorResponse:
-    """A failed request: taxonomy code plus a human-readable message.
-
-    ``retry_after_ms`` rides along for ``overloaded`` rejections: the
-    server's estimate of when capacity frees up, which retrying clients
-    honor as their backoff floor.
-    """
+    """A failed request: taxonomy code, message and, for shed requests,
+    the ``retry_after_ms`` backoff floor."""
 
     op = "error"
 
@@ -1505,42 +579,46 @@ class ErrorResponse:
     retry_after_ms: Optional[float] = None
 
     def to_wire(self) -> Dict[str, Any]:
-        wire = _base_wire(self.op, self.request_id, ok=False)
-        wire["error"] = {"code": self.code, "message": self.message}
+        out: Dict[str, Any] = {"schema_version": SCHEMA_VERSION, "op": self.op}
+        if self.request_id is not None:
+            out["request_id"] = self.request_id
+        out["ok"] = False
+        out["error"] = {"code": self.code, "message": self.message}
         if self.retry_after_ms is not None:
-            wire["error"]["retry_after_ms"] = self.retry_after_ms
-        return wire
+            out["error"]["retry_after_ms"] = self.retry_after_ms
+        return out
 
     @classmethod
     def from_wire(cls, payload: Dict[str, Any]) -> "ErrorResponse":
-        where = "error response"
-        error = _require(payload, "error", dict, where)
-        retry_after = _optional(error, "retry_after_ms", (int, float), where)
-        return cls(
-            code=_require(error, "code", str, where),
-            message=_require(error, "message", str, where),
-            request_id=_optional(payload, "request_id", int, where),
-            retry_after_ms=None if retry_after is None else float(retry_after),
-        )
+        error = payload.get("error")
+        error = error if isinstance(error, dict) else {}
+        code, message = error.get("code"), error.get("message")
+        retry_after, request_id = error.get("retry_after_ms"), payload.get("request_id")
+        if not (
+            isinstance(code, str)
+            and isinstance(message, str)
+            and isinstance(retry_after, (int, float, type(None)))
+            and isinstance(request_id, (int, type(None)))
+        ):
+            raise BadSchemaError(
+                "error response needs an 'error' object with string 'code' and "
+                "'message', a numeric or null 'retry_after_ms', and an integer "
+                "or null 'request_id'"
+            )
+        retry_after = None if retry_after is None else float(retry_after)
+        return cls(code=code, message=message, request_id=request_id, retry_after_ms=retry_after)
 
     @classmethod
     def from_exception(
         cls, error: BaseException, request_id: Optional[int] = None
     ) -> "ErrorResponse":
         """Wrap an exception (``ApiError`` keeps its code; others → internal)."""
-        if isinstance(error, ApiError):
-            retry_after = getattr(error, "retry_after_ms", None)
-            return cls(
-                code=error.code,
-                message=str(error),
-                request_id=request_id,
-                retry_after_ms=None if retry_after is None else float(retry_after),
-            )
-        return cls(
-            code="internal",
-            message=f"{type(error).__name__}: {error}",
-            request_id=request_id,
-        )
+        if not isinstance(error, ApiError):
+            message = f"{type(error).__name__}: {error}"
+            return cls(code="internal", message=message, request_id=request_id)
+        retry_after = getattr(error, "retry_after_ms", None)
+        retry_after = None if retry_after is None else float(retry_after)
+        return cls(error.code, str(error), request_id=request_id, retry_after_ms=retry_after)
 
     def raise_(self) -> None:
         """Raise the taxonomy exception this envelope describes."""
@@ -1548,41 +626,114 @@ class ErrorResponse:
 
 
 # ---------------------------------------------------------------------------
-# envelope parsing
+# the op table: tensor slots and parsing
 # ---------------------------------------------------------------------------
 
-_REQUEST_TYPES = {
-    cls.op: cls
-    for cls in (
-        NormalizeRequest,
-        NormalizeBulkRequest,
-        StreamChunkRequest,
-        SpecRequest,
-        ExecuteSpecRequest,
-        ExecuteBulkRequest,
-        HelloRequest,
-        PingRequest,
-        TelemetryRequest,
+
+@dataclass(frozen=True)
+class Op:
+    """One op: the schema version that introduced it and its records."""
+
+    since: int
+    request: Type[_Record]
+    response: Type[_Record]
+
+    @property
+    def name(self) -> str:
+        return self.request.op
+
+    def __post_init__(self) -> None:
+        for record in (self.request, self.response):
+            for f, *_ in record._decoders:
+                if f.since > self.since and f.required:  # older peers never send it
+                    raise TypeError(f"{self.name}: field {f.name!r} is newer than the op")
+
+
+#: op name -> :class:`Op`.  ``hello`` came with v2 but is parsed at any
+#: version, so its ``since`` is 1.
+OPS: Dict[str, Op] = {
+    op.name: op
+    for op in (
+        Op(1, NormalizeRequest, NormalizeResponse),
+        Op(2, NormalizeBulkRequest, NormalizeBulkResponse),
+        Op(2, StreamChunkRequest, StreamChunkResponse),
+        Op(1, SpecRequest, SpecResponse),
+        Op(1, ExecuteSpecRequest, ExecuteSpecResponse),
+        Op(2, ExecuteBulkRequest, ExecuteBulkResponse),
+        Op(1, HelloRequest, HelloResponse),
+        Op(1, PingRequest, PingResponse),
+        Op(1, TelemetryRequest, TelemetryResponse),
     )
 }
 
-_RESPONSE_TYPES = {
-    cls.op: cls
-    for cls in (
-        NormalizeResponse,
-        NormalizeBulkResponse,
-        StreamChunkResponse,
-        SpecResponse,
-        ExecuteSpecResponse,
-        ExecuteBulkResponse,
-        HelloResponse,
-        PingResponse,
-        TelemetryResponse,
-    )
+#: Ops newer than ``MIN_SCHEMA_VERSION`` -> the version that introduced them.
+OP_MIN_VERSIONS: Dict[str, int] = {
+    name: op.since for name, op in OPS.items() if op.since > MIN_SCHEMA_VERSION
 }
 
+#: Transport control ops of the shared-memory tier: never API requests.
+SHM_CONTROL_OPS = ("shm_attach", "shm_release")
 
-def _check_version(payload: Any, where: str) -> Dict[str, Any]:
+#: Slots per op; errors and the shared-memory control ops carry no tensors.
+_NO_TENSORS = dict.fromkeys(("error", *SHM_CONTROL_OPS), ())
+_REQUEST_SLOTS = dict({name: op.request.slots for name, op in OPS.items()}, **_NO_TENSORS)
+_RESPONSE_SLOTS = dict({name: op.response.slots for name, op in OPS.items()}, **_NO_TENSORS)
+
+
+def tensor_slots(payload: Any) -> Optional[tuple]:
+    """The tensor slots of ``payload``'s op (responses carry ``ok``), or
+    ``None`` for an op the table does not know."""
+    op = payload.get("op") if isinstance(payload, dict) else None
+    if not isinstance(op, str):
+        return None
+    return (_RESPONSE_SLOTS if "ok" in payload else _REQUEST_SLOTS).get(op)
+
+
+def _map_slot(value: Any, children, match, rewrite) -> Any:
+    if not isinstance(value, dict):
+        return value
+    if children is not None:
+        return _map_slots(value, children, match, rewrite)
+    return rewrite(value) if match(value) else value
+
+
+def _map_slots(payload: dict, slots: tuple, match, rewrite) -> dict:
+    out = None
+    for key, many, children in slots:
+        value = payload.get(key)
+        if not many:
+            new = _map_slot(value, children, match, rewrite)
+        elif isinstance(value, list):
+            new = [_map_slot(item, children, match, rewrite) for item in value]
+            if all(a is b for a, b in zip(new, value)):
+                new = value
+        else:
+            continue
+        if new is not value:
+            if out is None:
+                out = dict(payload)
+            out[key] = new
+    return payload if out is None else out
+
+
+def rewrite_slot_tensors(
+    payload: Dict[str, Any], rewrite, match=is_binary_tensor_dict
+) -> Dict[str, Any]:
+    """Copy-on-write ``rewrite(tensor) -> tensor`` of the tensors ``match``
+    accepts, at the op's slots.
+
+    Untouched subtrees are shared with the input, so a fleet can send one
+    envelope to replicas that each rewrite it differently.  An op the
+    table does not know (a forged or mangled envelope) falls back to the
+    deep walk :func:`_walk`.
+    """
+    slots = tensor_slots(payload)
+    if slots is None:
+        return _walk(payload, match, rewrite)
+    return _map_slots(payload, slots, match, rewrite)
+
+
+def _check_version(payload: Any, where: str) -> None:
     if not isinstance(payload, dict):
         raise BadSchemaError(f"{where} must be a JSON object, not {type(payload).__name__}")
     version = payload.get("schema_version")
@@ -1595,53 +746,55 @@ def _check_version(payload: Any, where: str) -> Dict[str, Any]:
             f"{where} carries schema_version {version!r}; this peer speaks "
             f"versions {MIN_SCHEMA_VERSION}..{SCHEMA_VERSION}"
         )
-    return payload
+
+
+def _op_of(payload: Dict[str, Any], where: str) -> Op:
+    op = payload.get("op")
+    if not isinstance(op, str):
+        if "op" not in payload:
+            raise BadSchemaError(f"{where} envelope is missing required field 'op'")
+        raise _type_error(where, "op", op, (str,))
+    entry = OPS.get(op)
+    if entry is None:
+        raise BadSchemaError(f"unknown op {op!r}; supported ops: {', '.join(sorted(OPS))}")
+    return entry
 
 
 def parse_request(payload: Any):
     """Decode a request envelope, raising :class:`ApiError` members on misuse.
 
-    ``hello`` requests skip the version-range check (the handshake must be
-    parseable from peers this build does not otherwise speak with); every
-    other op is additionally gated on the version that introduced it.
+    ``hello`` skips the version-range check (the handshake must parse from
+    peers this build does not otherwise speak with); every other op is
+    also gated on the version that introduced it.
     """
     if isinstance(payload, dict) and payload.get("op") == "hello":
         return HelloRequest.from_wire(payload)
-    payload = _check_version(payload, "request")
-    op = _require(payload, "op", str, "request")
-    request_type = _REQUEST_TYPES.get(op)
-    if request_type is None:
+    _check_version(payload, "request")
+    op = _op_of(payload, "request")
+    if payload["schema_version"] < op.since:
         raise BadSchemaError(
-            f"unknown op {op!r}; supported ops: {', '.join(sorted(_REQUEST_TYPES))}"
-        )
-    introduced = OP_MIN_VERSIONS.get(op, MIN_SCHEMA_VERSION)
-    if payload["schema_version"] < introduced:
-        raise BadSchemaError(
-            f"op {op!r} needs schema_version >= {introduced}; the request "
+            f"op {op.name!r} needs schema_version >= {op.since}; the request "
             f"carries {payload['schema_version']}"
         )
-    return request_type.from_wire(payload)
+    return op.request.from_wire(payload)
 
 
 def parse_response(payload: Any, expected_op: str):
     """Decode a response envelope; a wire error raises its taxonomy exception."""
-    payload = _check_version(payload, "response")
+    _check_version(payload, "response")
     if payload.get("ok") is False or payload.get("op") == "error":
         ErrorResponse.from_wire(payload).raise_()
-    op = _require(payload, "op", str, "response")
-    if op != expected_op:
-        raise BadSchemaError(f"expected a {expected_op!r} response, got op {op!r}")
-    return _RESPONSE_TYPES[expected_op].from_wire(payload)
+    op = _op_of(payload, "response")
+    if op.name != expected_op:
+        raise BadSchemaError(f"expected a {expected_op!r} response, got op {op.name!r}")
+    return op.response.from_wire(payload)
 
 
 def parse_hello_response(payload: Any) -> HelloResponse:
     """Decode a hello response with no version-range check (see hello)."""
-    if not isinstance(payload, dict):
-        raise BadSchemaError(
-            f"hello response must be a JSON object, not {type(payload).__name__}"
-        )
-    if payload.get("ok") is False or payload.get("op") == "error":
+    is_dict = isinstance(payload, dict)
+    if is_dict and (payload.get("ok") is False or payload.get("op") == "error"):
         ErrorResponse.from_wire(payload).raise_()
-    if payload.get("op") != "hello":
-        raise BadSchemaError(f"expected a hello response, got op {payload.get('op')!r}")
+    if not is_dict or payload.get("op") != "hello":
+        raise BadSchemaError(f"expected a hello response object, got {payload!r:.200}")
     return HelloResponse.from_wire(payload)

@@ -53,9 +53,8 @@ from typing import Any, Dict, List
 from repro.api.envelopes import (
     PayloadTooLargeError,
     TransportError,
-    has_binary_tensors,
-    rewrite_binary_tensors,
     _binary_data_view,
+    rewrite_slot_tensors,
 )
 
 #: 4-byte big-endian unsigned frame-length prefix.
@@ -87,8 +86,13 @@ def _oversize_error(direction: str, length: int, max_frame_bytes: int) -> Payloa
     )
 
 
-def _encode_binary_frame(payload: Dict[str, Any], max_frame_bytes: int) -> bytes:
-    """Serialize an envelope carrying binary tensors into a binary frame."""
+def encode_frame(payload: Dict[str, Any], max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """Serialize one envelope into a length-prefixed frame.
+
+    Envelopes carrying ``binary``-encoded tensors in their op's tensor
+    slots become binary frames (raw buffers, no base64); everything else
+    stays a JSON frame.
+    """
     buffers: List[memoryview] = []
 
     def _detach(tensor: Dict[str, Any]) -> Dict[str, Any]:
@@ -98,8 +102,13 @@ def _encode_binary_frame(payload: Dict[str, Any], max_frame_bytes: int) -> bytes
         buffers.append(view)
         return out
 
-    preamble_obj = rewrite_binary_tensors(payload, _detach)
-    preamble = json.dumps(preamble_obj, separators=(",", ":")).encode("utf-8")
+    preamble = json.dumps(
+        rewrite_slot_tensors(payload, _detach), separators=(",", ":")
+    ).encode("utf-8")
+    if not buffers:
+        if len(preamble) > max_frame_bytes:
+            raise _oversize_error("outgoing", len(preamble), max_frame_bytes)
+        return FRAME_HEADER.pack(len(preamble)) + preamble
 
     table_at = _PREAMBLE_AT + len(preamble) + _U32.size
     offset = table_at + _BUFFER_ENTRY.size * len(buffers)
@@ -126,20 +135,6 @@ def _encode_binary_frame(payload: Dict[str, Any], max_frame_bytes: int) -> bytes
     ]
     parts.extend(body)
     return b"".join(parts)
-
-
-def encode_frame(payload: Dict[str, Any], max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """Serialize one envelope into a length-prefixed frame.
-
-    Envelopes carrying ``binary``-encoded tensors become binary frames
-    (raw buffers, no base64); everything else stays a JSON frame.
-    """
-    if has_binary_tensors(payload):
-        return _encode_binary_frame(payload, max_frame_bytes)
-    data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    if len(data) > max_frame_bytes:
-        raise _oversize_error("outgoing", len(data), max_frame_bytes)
-    return FRAME_HEADER.pack(len(data)) + data
 
 
 def send_frame(
@@ -206,7 +201,10 @@ def peek_payload(data: bytes) -> tuple:
     """
     if frame_kind(data) != "binary":
         return decode_payload(data), False
-    end = _preamble_end(data)
+    return _parse_preamble(data, _preamble_end(data)), True
+
+
+def _parse_preamble(data: bytes, end: int) -> Dict[str, Any]:
     try:
         preamble = json.loads(bytes(data[_PREAMBLE_AT:end]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -218,22 +216,26 @@ def peek_payload(data: bytes) -> tuple:
             f"binary frame preamble must be a JSON object, got "
             f"{type(preamble).__name__}"
         )
-    return preamble, True
+    return preamble
 
 
 def attach_buffers(data: bytes, preamble: Dict[str, Any]) -> Dict[str, Any]:
     """Finish decoding a binary payload whose preamble was already peeked.
 
     ``preamble`` is the envelope :func:`peek_payload` returned for
-    ``data``; its JSON is not parsed again.  The buffer table is walked
-    and each binary tensor's integer ``data`` index is replaced by a
-    zero-copy memoryview slice of ``data``.  Every malformed input --
+    ``data``; its JSON is not parsed again.  The buffer table is read and
+    each binary tensor in the op's tensor slots has its integer ``data``
+    index replaced by a zero-copy memoryview slice of ``data``.  Every
+    malformed input --
     lengths that do not fit, buffer spans outside the payload, or a
     dangling buffer index -- raises :class:`TransportError`; nothing ever
     escapes as a raw ``struct.error`` or numpy exception.
     """
+    return _attach(data, preamble, _preamble_end(data))
+
+
+def _attach(data: bytes, preamble: Dict[str, Any], pos: int) -> Dict[str, Any]:
     total = len(data)
-    pos = _preamble_end(data)
     (buffer_count,) = _U32.unpack_from(data, pos)
     pos += _U32.size
     table_bytes = buffer_count * _BUFFER_ENTRY.size
@@ -254,7 +256,7 @@ def attach_buffers(data: bytes, preamble: Dict[str, Any]) -> Dict[str, Any]:
             )
         buffers.append(body[offset : offset + length])
 
-    def _attach(tensor: Dict[str, Any]) -> Dict[str, Any]:
+    def _attach_one(tensor: Dict[str, Any]) -> Dict[str, Any]:
         index = tensor["data"]
         if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < buffer_count:
             raise TransportError(
@@ -265,7 +267,7 @@ def attach_buffers(data: bytes, preamble: Dict[str, Any]) -> Dict[str, Any]:
         out["data"] = buffers[index]
         return out
 
-    return rewrite_binary_tensors(preamble, _attach)
+    return rewrite_slot_tensors(preamble, _attach_one)
 
 
 def decode_payload(data: bytes) -> Dict[str, Any]:
@@ -276,8 +278,8 @@ def decode_payload(data: bytes) -> Dict[str, Any]:
     with ``np.frombuffer``.
     """
     if frame_kind(data) == "binary":
-        preamble, _ = peek_payload(data)
-        return attach_buffers(data, preamble)
+        end = _preamble_end(data)
+        return _attach(data, _parse_preamble(data, end), end)
     try:
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:

@@ -58,13 +58,6 @@ from repro.api.envelopes import (
 )
 
 
-#: Ops that flow through the service's batching scheduler.  Their one
-#: dispatch path is :meth:`ApiHandler.begin` + ``finish``: the async server
-#: drains them in an engine tick on its event loop, :meth:`ApiHandler.handle`
-#: drains them on the calling thread.
-SERVING_OPS = frozenset({"normalize", "normalize_bulk", "stream"})
-
-
 class ApiHandler:
     """Dispatch parsed envelopes against one :class:`NormalizationService`.
 
@@ -218,17 +211,12 @@ class ApiHandler:
             )
             return [], lambda: envelope
         try:
-            if isinstance(request, NormalizeRequest):
-                pendings, build = self._begin_normalize(request, degrade_level, tenant)
-            elif isinstance(request, NormalizeBulkRequest):
-                pendings, build = self._begin_bulk(request, degrade_level, tenant)
-            elif isinstance(request, StreamChunkRequest):
-                pendings, build = self._begin_stream(request, degrade_level, tenant)
-            else:
+            begin_op = self._BEGIN.get(request.op)
+            if begin_op is None:
                 raise BadSchemaError(
-                    f"op {getattr(request, 'op', '?')!r} is not a serving op; "
-                    f"dispatch it through handle()"
+                    f"op {request.op!r} is not a serving op; dispatch it through handle()"
                 )
+            pendings, build = begin_op(self, request, degrade_level, tenant)
         except BaseException as error:  # noqa: BLE001 -- one envelope per request
             if not isinstance(error, Exception):
                 raise
@@ -252,19 +240,10 @@ class ApiHandler:
         return pendings, finish
 
     def _dispatch(self, request):
-        if isinstance(request, SpecRequest):
-            return self._spec(request)
-        if isinstance(request, ExecuteSpecRequest):
-            return self._execute(request)
-        if isinstance(request, ExecuteBulkRequest):
-            return self._execute_bulk(request)
-        if isinstance(request, HelloRequest):
-            return self._hello(request)
-        if isinstance(request, PingRequest):
-            return self._ping(request)
-        if isinstance(request, TelemetryRequest):
-            return self._telemetry(request)
-        raise BadSchemaError(f"unhandled request type {type(request).__name__}")
+        handle_op = self._HANDLE.get(request.op)
+        if handle_op is None:
+            raise BadSchemaError(f"op {request.op!r} is a serving op; dispatch it through begin()")
+        return handle_op(self, request)
 
     # -- shared validation --------------------------------------------------
 
@@ -668,3 +647,27 @@ class ApiHandler:
             telemetry=self.service.telemetry.snapshot(),
             registry=self.service.registry.snapshot(),
         )
+
+    #: The op table's dispatch, per op of :data:`repro.api.envelopes.OPS`:
+    #: serving ops (through the batching scheduler) start in ``begin``,
+    #: every other op runs to completion in ``handle``.
+    _BEGIN = {
+        "normalize": _begin_normalize,
+        "normalize_bulk": _begin_bulk,
+        "stream": _begin_stream,
+    }
+    _HANDLE = {
+        "spec": _spec,
+        "execute": _execute,
+        "execute_bulk": _execute_bulk,
+        "hello": _hello,
+        "ping": _ping,
+        "telemetry": _telemetry,
+    }
+
+
+#: Ops that flow through the service's batching scheduler.  Their one
+#: dispatch path is :meth:`ApiHandler.begin` + ``finish``: the async server
+#: drains them in an engine tick on its event loop, :meth:`ApiHandler.handle`
+#: drains them on the calling thread.
+SERVING_OPS = frozenset(ApiHandler._BEGIN)

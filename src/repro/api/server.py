@@ -16,10 +16,6 @@ from typing import Optional, Tuple
 from repro.api.envelopes import ErrorResponse
 from repro.tenancy.quota import estimate_rows
 
-#: Transport-level control ops of the shared-memory tier: handled inline on
-#: the event loop, never parsed as API requests, never admitted as work.
-SHM_CONTROL_OPS = ("shm_attach", "shm_release")
-
 
 def parse_address(address: str) -> Tuple[str, int]:
     """Split a ``host:port`` string (host may be empty for all interfaces)."""

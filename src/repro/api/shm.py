@@ -43,7 +43,7 @@ import bisect
 import os
 import threading
 from multiprocessing import shared_memory
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.envelopes import (
     BINARY_WIRE_VERSION,
@@ -52,7 +52,7 @@ from repro.api.envelopes import (
     BadSchemaError,
     TransportError,
     _binary_data_view,
-    is_binary_tensor_dict,
+    rewrite_slot_tensors,
 )
 from repro.api.framing import recv_frame, send_frame
 from repro.api.transport import (
@@ -70,31 +70,6 @@ DEFAULT_RING_BYTES = 32 * 1024 * 1024
 
 #: Server-side sanity cap on an attach request's declared segment sizes.
 MAX_SEGMENT_BYTES = 1 << 30
-
-
-def _rewrite(obj: Any, match: Callable[[dict], bool], rewrite: Callable[[dict], Any]) -> Any:
-    """Copy-on-write deep rewrite of matching dicts (mirrors envelopes walk)."""
-    if isinstance(obj, dict):
-        if match(obj):
-            return rewrite(obj)
-        out = None
-        for key, value in obj.items():
-            new = _rewrite(value, match, rewrite)
-            if new is not value:
-                if out is None:
-                    out = dict(obj)
-                out[key] = new
-        return obj if out is None else out
-    if isinstance(obj, list):
-        out = None
-        for index, value in enumerate(obj):
-            new = _rewrite(value, match, rewrite)
-            if new is not value:
-                if out is None:
-                    out = list(obj)
-                out[index] = new
-        return obj if out is None else out
-    return obj
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -263,7 +238,7 @@ def _stage_tensors(
             "data": {"offset": offset, "length": len(view)},
         }
 
-    return _rewrite(payload, is_binary_tensor_dict, stage)
+    return rewrite_slot_tensors(payload, stage)
 
 
 class ServerShmSession:
@@ -334,7 +309,7 @@ class ServerShmSession:
             out["data"] = memoryview(buffer)[offset : offset + length]
             return out
 
-        return _rewrite(payload, _is_shm_descriptor, resolve)
+        return rewrite_slot_tensors(payload, resolve, _is_shm_descriptor)
 
     def stage_outbound(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Move response tensors into the rx ring (inline fallback when full)."""
@@ -433,7 +408,7 @@ class _ClientShmSession:
             return out
 
         try:
-            envelope = _rewrite(envelope, _is_shm_descriptor, copy_out)
+            envelope = rewrite_slot_tensors(envelope, copy_out, _is_shm_descriptor)
         finally:
             if released:
                 self._send_release(conn, released, version)

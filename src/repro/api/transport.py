@@ -44,9 +44,10 @@ from repro.api.envelopes import (
     HelloRequest,
     SchemaVersionError,
     TransportError,
-    downgrade_binary_tensors,
+    binary_to_base64,
     negotiate_version,
     parse_hello_response,
+    rewrite_slot_tensors,
 )
 from repro.api.framing import (
     MAX_FRAME_BYTES,
@@ -708,7 +709,7 @@ class SocketTransport(Transport):
             # v2-or-older peer: silently fall back to base64 JSON frames.
             # Copy-on-write, so a fleet sending the same envelope to
             # replicas at different versions never cross-contaminates.
-            payload = downgrade_binary_tensors(payload)
+            payload = rewrite_slot_tensors(payload, binary_to_base64)
         return payload
 
     def _prepare(self, payload: Dict[str, Any], conn: _PoolConnection) -> Dict[str, Any]:

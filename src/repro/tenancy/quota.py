@@ -8,9 +8,10 @@ all three buckets are debited or none is, so a rejection never leaks
 partial charge and concurrent callers can never over-admit.
 
 The gate runs in the server's frame loop **before** frame decode.  The
-row estimate therefore comes from :func:`estimate_rows`, a structural walk
-over the peeked envelope (for binary frames: the JSON preamble only) that
-reads tensor ``shape`` fields without ever materializing a buffer.
+row estimate therefore comes from :func:`estimate_rows`, which reads the
+``shape`` of each tensor in the op's tensor slots of the peeked envelope
+(for binary frames: the JSON preamble only) without ever materializing a
+buffer.
 
 Rejections raise :class:`~repro.api.envelopes.QuotaExceededError` carrying
 ``retry_after_ms`` -- the bucket's own estimate of when enough tokens will
@@ -26,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from repro.api.envelopes import QuotaExceededError
+from repro.api.envelopes import QuotaExceededError, rewrite_slot_tensors
 
 __all__ = [
     "DEFAULT_TIER",
@@ -268,26 +269,23 @@ def _looks_like_tensor(value: Dict[str, Any]) -> bool:
 def estimate_rows(payload: Any) -> int:
     """Row (token) count of an envelope, from tensor shapes alone.
 
-    Structural walk over the (peeked) envelope: every tensor-shaped dict
-    contributes ``shape[0]`` rows when 2-D-or-higher, else 1.  Works on
-    JSON envelopes and on binary-frame preambles alike -- in a binary
-    preamble the tensor's ``data`` is a buffer index, and this function
-    never touches it, so no tensor bytes are materialized for a request
-    that ends up rejected.
+    Every tensor in the op's tensor slots contributes ``shape[0]`` rows
+    when 2-D-or-higher, else 1 (an op outside the op table: every
+    tensor-shaped dict, found by a deep walk).  Works on JSON envelopes and
+    binary-frame preambles alike: a tensor's ``data`` is never touched, so
+    no tensor bytes are materialized for a request that ends up rejected.
     """
     total = 0
-    stack = [payload]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, dict):
-            if _looks_like_tensor(value):
-                shape = value["shape"]
-                if len(shape) >= 2 and isinstance(shape[0], int) and shape[0] >= 0:
-                    total += shape[0]
-                else:
-                    total += 1
-                continue  # never descend into a tensor's fields
-            stack.extend(value.values())
-        elif isinstance(value, (list, tuple)):
-            stack.extend(value)
+
+    def count(tensor: Dict[str, Any]) -> Dict[str, Any]:
+        nonlocal total
+        shape = tensor["shape"]
+        if len(shape) >= 2 and isinstance(shape[0], int) and shape[0] >= 0:
+            total += shape[0]
+        else:
+            total += 1
+        return tensor
+
+    if isinstance(payload, dict):
+        rewrite_slot_tensors(payload, count, _looks_like_tensor)
     return total
