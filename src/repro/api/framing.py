@@ -226,10 +226,9 @@ def attach_buffers(data: bytes, preamble: Dict[str, Any]) -> Dict[str, Any]:
     ``data``; its JSON is not parsed again.  The buffer table is read and
     each binary tensor in the op's tensor slots has its integer ``data``
     index replaced by a zero-copy memoryview slice of ``data``.  Every
-    malformed input --
-    lengths that do not fit, buffer spans outside the payload, or a
-    dangling buffer index -- raises :class:`TransportError`; nothing ever
-    escapes as a raw ``struct.error`` or numpy exception.
+    malformed input -- lengths that do not fit, buffer spans outside the
+    payload, or a dangling buffer index -- raises :class:`TransportError`;
+    nothing ever escapes as a raw ``struct.error`` or numpy exception.
     """
     return _attach(data, preamble, _preamble_end(data))
 

@@ -88,10 +88,9 @@ def _hostile_envelope(op, shape, encoding):
     }
     if op == "normalize":
         envelope["tensor"] = _hostile_tensor(shape, encoding)
-    else:
-        envelope["tensors"] = [_hostile_tensor([1, HIDDEN], "base64"),
-                               _hostile_tensor(shape, encoding)]
-        envelope["tensors"][0]["data"] = "A" * (HIDDEN * 8 * 4 // 3)
+    else:  # a valid tensor first, so the bulk's per-tensor checks run in turn
+        zeros = tensors.TensorPayload.from_array(np.zeros((1, HIDDEN))).to_wire()
+        envelope["tensors"] = [zeros, _hostile_tensor(shape, encoding)]
     return envelope
 
 
