@@ -92,7 +92,7 @@ def bench_codec(megabytes: Optional[int] = None, seed: int = 0) -> Dict[str, obj
             "op": "normalize_bulk",
             "request_id": 1,
             "model": "bench",
-            "tensors": [
+            "items": [
                 TensorPayload.from_array(array, encoding=encoding).to_wire()
                 for array in arrays
             ],
@@ -101,7 +101,7 @@ def bench_codec(megabytes: Optional[int] = None, seed: int = 0) -> Dict[str, obj
         frame_sizes[encoding] = len(frame)
         decoder = FrameDecoder(max_frame_bytes=MAX_FRAME_BYTES)
         (decoded,) = decoder.feed(frame)
-        return [TensorPayload.from_wire(item).to_array() for item in decoded["tensors"]]
+        return [TensorPayload.from_wire(item).to_array() for item in decoded["items"]]
 
     # Sanity before timing: both paths reproduce the input bit-for-bit and
     # land in the frame kind they claim to.

@@ -185,14 +185,6 @@ def _decode_items(value, where, f):
     return tuple(decode(item, f"{where}.{f.name}[{i}]") for i, item in enumerate(value))
 
 
-def _encode_nested(value):
-    return value.to_wire()
-
-
-def _encode_items(values):
-    return [value.to_wire() for value in values]
-
-
 #: kind -> (accepted types, decode(value, where, field) or None, encode or None)
 _KINDS: Dict[str, Tuple[tuple, Optional[Callable], Optional[Callable]]] = {
     "str": ((str,), None, None),
@@ -203,10 +195,10 @@ _KINDS: Dict[str, Tuple[tuple, Optional[Callable], Optional[Callable]]] = {
     "dict": ((dict,), None, dict),
     "list": ((list,), lambda value, where, f: list(value), list),
     "deadline": ((object,), lambda value, where, f: validate_deadline_ms(value, where), None),
-    "tensor": ((dict,), _decode_nested, _encode_nested),
-    "tensors": ((list,), _decode_items, _encode_items),
-    "record": ((dict,), _decode_nested, _encode_nested),
-    "records": ((list,), _decode_items, _encode_items),
+    "tensor": ((dict,), _decode_nested, lambda value: value.to_wire()),
+    "tensors": ((list,), _decode_items, lambda values: [v.to_wire() for v in values]),
+    "record": ((dict,), _decode_nested, lambda value: value.to_wire()),
+    "records": ((list,), _decode_items, lambda values: [v.to_wire() for v in values]),
 }
 
 
@@ -632,11 +624,14 @@ class ErrorResponse:
 
 @dataclass(frozen=True)
 class Op:
-    """One op: the schema version that introduced it and its records."""
+    """One op: the schema version that introduced it, its records, and its
+    tensor slots: the union of both records' slots, so a slot walk never
+    trusts an envelope to say whether it is a request or a response."""
 
     since: int
     request: Type[_Record]
     response: Type[_Record]
+    slots: tuple = field(init=False)
 
     @property
     def name(self) -> str:
@@ -647,6 +642,11 @@ class Op:
             for f, *_ in record._decoders:
                 if f.since > self.since and f.required:  # older peers never send it
                     raise TypeError(f"{self.name}: field {f.name!r} is newer than the op")
+        declared = {slot[0]: slot for slot in self.request.slots}
+        for slot in self.response.slots:
+            if declared.setdefault(slot[0], slot) != slot:
+                raise TypeError(f"{self.name}: slot {slot[0]!r} differs by side")
+        object.__setattr__(self, "slots", tuple(declared.values()))
 
 
 #: op name -> :class:`Op`.  ``hello`` came with v2 but is parsed at any
@@ -675,18 +675,15 @@ OP_MIN_VERSIONS: Dict[str, int] = {
 SHM_CONTROL_OPS = ("shm_attach", "shm_release")
 
 #: Slots per op; errors and the shared-memory control ops carry no tensors.
-_NO_TENSORS = dict.fromkeys(("error", *SHM_CONTROL_OPS), ())
-_REQUEST_SLOTS = dict({name: op.request.slots for name, op in OPS.items()}, **_NO_TENSORS)
-_RESPONSE_SLOTS = dict({name: op.response.slots for name, op in OPS.items()}, **_NO_TENSORS)
+_SLOTS = {name: op.slots for name, op in OPS.items()}
+_SLOTS.update(dict.fromkeys(("error", *SHM_CONTROL_OPS), ()))
 
 
 def tensor_slots(payload: Any) -> Optional[tuple]:
-    """The tensor slots of ``payload``'s op (responses carry ``ok``), or
-    ``None`` for an op the table does not know."""
+    """The tensor slots of ``payload``'s op, or ``None`` for an op the
+    table does not know."""
     op = payload.get("op") if isinstance(payload, dict) else None
-    if not isinstance(op, str):
-        return None
-    return (_RESPONSE_SLOTS if "ok" in payload else _REQUEST_SLOTS).get(op)
+    return _SLOTS.get(op) if isinstance(op, str) else None
 
 
 def _map_slot(value: Any, children, match, rewrite) -> Any:

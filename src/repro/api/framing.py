@@ -51,9 +51,11 @@ import struct
 from typing import Any, Dict, List
 
 from repro.api.envelopes import (
+    BadSchemaError,
     PayloadTooLargeError,
     TransportError,
     _binary_data_view,
+    rewrite_binary_tensors,
     rewrite_slot_tensors,
 )
 
@@ -89,9 +91,10 @@ def _oversize_error(direction: str, length: int, max_frame_bytes: int) -> Payloa
 def encode_frame(payload: Dict[str, Any], max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """Serialize one envelope into a length-prefixed frame.
 
-    Envelopes carrying ``binary``-encoded tensors in their op's tensor
-    slots become binary frames (raw buffers, no base64); everything else
-    stays a JSON frame.
+    Envelopes carrying ``binary``-encoded tensors become binary frames
+    (raw buffers, no base64); everything else stays a JSON frame.  Only
+    the op's tensor slots are visited, unless a buffer sits elsewhere.  A
+    value JSON cannot carry raises :class:`BadSchemaError`.
     """
     buffers: List[memoryview] = []
 
@@ -102,9 +105,17 @@ def encode_frame(payload: Dict[str, Any], max_frame_bytes: int = MAX_FRAME_BYTES
         buffers.append(view)
         return out
 
-    preamble = json.dumps(
-        rewrite_slot_tensors(payload, _detach), separators=(",", ":")
-    ).encode("utf-8")
+    try:
+        text = json.dumps(rewrite_slot_tensors(payload, _detach), separators=(",", ":"))
+    except TypeError:
+        # A buffer outside the op's slots (a hand-built envelope): detach
+        # every binary tensor at any depth instead.
+        buffers.clear()
+        try:
+            text = json.dumps(rewrite_binary_tensors(payload, _detach), separators=(",", ":"))
+        except TypeError as error:
+            raise BadSchemaError(f"envelope is not JSON-serializable: {error}") from None
+    preamble = text.encode("utf-8")
     if not buffers:
         if len(preamble) > max_frame_bytes:
             raise _oversize_error("outgoing", len(preamble), max_frame_bytes)
@@ -224,8 +235,9 @@ def attach_buffers(data: bytes, preamble: Dict[str, Any]) -> Dict[str, Any]:
 
     ``preamble`` is the envelope :func:`peek_payload` returned for
     ``data``; its JSON is not parsed again.  The buffer table is read and
-    each binary tensor in the op's tensor slots has its integer ``data``
-    index replaced by a zero-copy memoryview slice of ``data``.  Every
+    each binary tensor in the op's tensor slots (at any depth, if the slots
+    leave a buffer unreferenced) has its integer ``data`` index replaced
+    by a zero-copy memoryview slice of ``data``.  Every
     malformed input -- lengths that do not fit, buffer spans outside the
     payload, or a dangling buffer index -- raises :class:`TransportError`;
     nothing ever escapes as a raw ``struct.error`` or numpy exception.
@@ -255,6 +267,8 @@ def _attach(data: bytes, preamble: Dict[str, Any], pos: int) -> Dict[str, Any]:
             )
         buffers.append(body[offset : offset + length])
 
+    attached = set()
+
     def _attach_one(tensor: Dict[str, Any]) -> Dict[str, Any]:
         index = tensor["data"]
         if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < buffer_count:
@@ -262,11 +276,17 @@ def _attach(data: bytes, preamble: Dict[str, Any], pos: int) -> Dict[str, Any]:
                 f"binary tensor references buffer {index!r}; the frame "
                 f"carries {buffer_count} buffer(s)"
             )
+        attached.add(index)
         out = dict(tensor)
         out["data"] = buffers[index]
         return out
 
-    return rewrite_slot_tensors(preamble, _attach_one)
+    envelope = rewrite_slot_tensors(preamble, _attach_one)
+    if len(attached) < buffer_count:
+        # Buffers referenced outside the op's slots (a hand-built
+        # envelope): attach every binary tensor at any depth instead.
+        envelope = rewrite_binary_tensors(preamble, _attach_one)
+    return envelope
 
 
 def decode_payload(data: bytes) -> Dict[str, Any]:

@@ -43,9 +43,12 @@ from repro.api.envelopes import (
     AuthenticationError,
     ERROR_CLASSES,
     ErrorResponse,
+    NormalizeBulkRequest,
     OverloadedError,
     QuotaExceededError,
+    TensorPayload,
     error_for_code,
+    parse_response,
 )
 from repro.api.retry import RetryPolicy
 from repro.api.transport import _overload_error
@@ -208,6 +211,9 @@ class TestTenantQuota:
             QuotaPolicy.from_dict({"requests_per_s": 1.0, "bogus": 2})
 
 
+_TENSOR = {"shape": [6, HIDDEN], "encoding": "binary", "data": 0}
+
+
 class TestEstimateRows:
     def test_counts_leading_dim_of_tensor_dicts(self):
         payload = {
@@ -235,6 +241,21 @@ class TestEstimateRows:
 
     def test_non_tensor_payloads_count_zero(self):
         assert estimate_rows({"op": "spec", "model": "tiny"}) == 0
+
+    @pytest.mark.parametrize(
+        "op, body",
+        [
+            ("normalize_bulk", {"tensors": [_TENSOR, _TENSOR]}),
+            ("stream", {"tensor": _TENSOR}),
+            ("execute", {"rows": _TENSOR}),
+            ("execute_bulk", {"groups": [{"rows": _TENSOR}, {"rows": _TENSOR}]}),
+        ],
+    )
+    def test_a_response_flag_on_a_request_still_counts_its_rows(self, op, body):
+        # `ok` marks a response, but a request may carry it too: the rows
+        # a request brings count whatever keys ride along.
+        honest = dict({"op": op}, **body)
+        assert estimate_rows(dict(honest, ok=True)) == estimate_rows(honest) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +619,35 @@ class TestServedTenancy:
                         client.normalize(np.ones((2, HIDDEN)), "tiny")
         assert excinfo.value.retry_after_ms >= 1
         assert calls == [], "rejected request paid a tensor decode"
+
+    def test_a_response_flag_on_a_request_is_metered_and_shed(self, registry):
+        # A bulk request forging `ok: true` is still served in full, so its
+        # rows are charged and count against the tenant's row quota.
+        tenancy = TenancyController(
+            directory=TenantDirectory(
+                tenants=[TenantSpec(name="acme", token="tok-acme", tier="metered")],
+                tiers={"metered": QuotaPolicy(requests_per_s=None, rows_per_s=10.0)},
+            )
+        )
+        bulk = NormalizeBulkRequest(
+            model="tiny",
+            tensors=(TensorPayload.from_array(np.ones((6, HIDDEN)), encoding="base64"),),
+        )
+        with NormalizationService(registry=registry) as service:
+            with AsyncNormServer(service, tenancy=tenancy) as server:
+                with NormClient.connect(
+                    server.host,
+                    server.port,
+                    token="tok-acme",
+                    retry_policy=RetryPolicy(max_attempts=1),
+                ) as client:
+                    forged = dict(bulk.to_wire(), ok=True)
+                    served = parse_response(client.transport.request(forged), "normalize_bulk")
+                    assert len(served.results) == 1
+                    assert tenancy.snapshot()["ledger"]["acme"]["rows"] == 6
+                    forged = dict(bulk.to_wire(), ok=True)  # 6 more rows: past the 10 burst
+                    with pytest.raises(QuotaExceededError):
+                        parse_response(client.transport.request(forged), "normalize_bulk")
 
     def test_quota_telemetry_reaches_the_snapshot(self, registry):
         with NormalizationService(registry=registry) as service:

@@ -6,6 +6,8 @@
 * A socket round trip of ``normalize`` and ``normalize_bulk`` visits only
   the ops' tensor slots: none of the deep envelope walks runs, on either
   side, for binary, downgraded (v2) and shared-memory traffic.
+* Every op's tensor slots cover both of its sides, and a buffer a
+  hand-built envelope keeps outside them still round-trips.
 * ``perfbench/tracing.py`` still finds every hot-path entry point it
   wraps, so a traced benchmark run attributes the codec's cost.
 """
@@ -17,7 +19,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.api import envelopes, tensors
+from repro.api import envelopes, framing, tensors
 from repro.api.aserver import AsyncNormServer
 from repro.api.client import NormClient
 from repro.api.envelopes import SCHEMA_VERSION
@@ -201,3 +203,39 @@ def test_a_field_newer_than_its_op_must_be_optional():
     with pytest.raises(TypeError, match="newer than the op"):
         envelopes.Op(1, LateRequest, envelopes.PingResponse)
     assert envelopes.Op(2, LateRequest, envelopes.PingResponse).name == "late"
+
+
+def test_op_slots_are_the_union_of_both_sides():
+    # A slot walk never trusts an envelope's `ok` to pick a side.
+    for op in envelopes.OPS.values():
+        assert set(op.request.slots) | set(op.response.slots) == set(op.slots)
+        assert envelopes.tensor_slots({"op": op.name, "ok": True}) == op.slots
+
+    @envelopes._record
+    class Clash(envelopes._Response):
+        op = "normalize"
+        tensor: list = envelopes.wire("tensors")
+
+    with pytest.raises(TypeError, match="differs by side"):
+        envelopes.Op(1, envelopes.NormalizeRequest, Clash)
+
+
+class TestBuffersOutsideTheSlots:
+    def test_round_trip_like_an_op_outside_the_table(self, rng):
+        arrays = [_rows(rng), _rows(rng, 1)]
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "op": "normalize_bulk",
+            "request_id": 1,
+            "items": [tensors.TensorPayload.from_array(a, "binary").to_wire() for a in arrays],
+        }
+        frame = framing.encode_frame(envelope)
+        assert framing.frame_kind(frame[framing.FRAME_HEADER.size:]) == "binary"
+        (decoded,) = framing.FrameDecoder().feed(frame)
+        for array, item in zip(arrays, decoded["items"]):
+            assert np.array_equal(tensors.TensorPayload.from_wire(item).to_array(), array)
+
+    def test_a_value_json_cannot_carry_is_a_typed_error(self):
+        envelope = {"schema_version": SCHEMA_VERSION, "op": "ping", "request_id": 1}
+        with pytest.raises(envelopes.BadSchemaError, match="not JSON-serializable"):
+            framing.encode_frame(dict(envelope, extra=object()))
