@@ -11,10 +11,14 @@ client, against a ``haan-serve --listen`` child serving llama-7b:
   lock-step ``normalize_bulk`` frames of 16 x 64-row tensors rotating over
   every layer (the shape of perfbench's ``prefill-bulk`` workload);
 * ``shed_beside_bulk`` -- the round trip of a request the pre-decode gate
-  sheds (an infeasible ``deadline_ms``), beside the same bulk client.
+  sheds (an infeasible ``deadline_ms``), beside the same bulk client;
+* ``small_beside_execute_bulk`` -- the small client while a second process
+  drives lock-step ``execute_bulk`` frames (16 groups of 64 rows) through
+  the ``remote`` backend, over the served spec of one layer.
 
-Each phase reports p50 / p99 / mean round-trip latency.  Every small
-response is checked bit-for-bit (output, mean, ISD) against the
+Each phase reports p50 / p99 / mean round-trip latency, and each second
+process its frames/s.  Every small response and every ``execute_bulk``
+result is checked bit-for-bit (output, mean, ISD) against the
 ``reference`` backend built from the served spec, and every shed probe
 must fail with the typed ``overloaded`` error.  There is no latency
 floor: the script exits 1 only on a failed, untyped or non-bit-identical
@@ -77,33 +81,84 @@ def _host_port(address: str):
     return host, int(port)
 
 
-# -- the bulk client (a child process of this script) --------------------------
+# -- the bulk clients (child processes of this script) -------------------------
 
 
-def bulk_client(address: str, seed: int) -> int:
-    """Lock-step ``normalize_bulk`` frames until stdin closes.
+def _normalize_bulk_sender(client: NormClient, rng):
+    """One lock-step ``normalize_bulk`` frame per call, rotating layers."""
+    served = client.fetch_spec(MODEL, layer_index=0)
+    hidden = served.spec.hidden_size
+    pool = [
+        [rng.normal(0.0, 1.0, (BULK_ROWS, hidden)) for _ in range(BULK_TENSORS)]
+        for _ in range(4)
+    ]
+
+    def send(frame: int) -> bool:
+        client.normalize_bulk(
+            pool[frame % len(pool)], MODEL, layer_index=frame % served.num_layers
+        )
+        return True
+
+    return send
+
+
+def _execute_bulk_sender(client: NormClient, address: str, rng):
+    """One lock-step ``execute_bulk`` frame per call, bit-checked.
+
+    The served spec of layer :data:`SMALL_LAYER` runs on the ``remote``
+    backend (``run_many`` ships one ``execute_bulk`` frame of
+    :data:`BULK_TENSORS` groups); each result must equal the ``reference``
+    backend's.
+    """
+    served = client.fetch_spec(MODEL, layer_index=SMALL_LAYER)
+    remote = build(
+        served.spec, backend="remote", gamma=served.gamma, beta=served.beta,
+        address=address, timeout=60.0,
+    )
+    reference = build(
+        served.spec, backend="reference", gamma=served.gamma, beta=served.beta
+    )
+    pool = [
+        [
+            (rng.normal(0.0, 1.0, (BULK_ROWS, served.spec.hidden_size)), None, None)
+            for _ in range(BULK_TENSORS)
+        ]
+        for _ in range(4)
+    ]
+    golden = [reference.run_many(groups) for groups in pool]
+
+    def send(frame: int) -> bool:
+        results = remote.run_many(pool[frame % len(pool)])
+        return len(results) == BULK_TENSORS and all(
+            np.array_equal(got, want)
+            for result, expected in zip(results, golden[frame % len(pool)])
+            for got, want in zip(result, expected)
+        )
+
+    return send
+
+
+def bulk_client(address: str, seed: int, op: str = "normalize_bulk") -> int:
+    """Lock-step bulk frames of ``op`` until stdin closes.
 
     Prints ``ready`` after its first frame and one JSON summary line at
-    the end; exits 1 if any frame failed.
+    the end; exits 1 if any frame failed (or, for ``execute_bulk``, was
+    not bit-identical to the ``reference`` backend).
     """
     rng = np.random.default_rng(seed)
     host, port = _host_port(address)
     frames = failed = 0
-    started = time.perf_counter()
     with NormClient.connect(host, port, timeout=60.0) as client:
         client.wait_until_ready()
-        served = client.fetch_spec(MODEL, layer_index=0)
-        hidden = served.spec.hidden_size
-        pool = [
-            [rng.normal(0.0, 1.0, (BULK_ROWS, hidden)) for _ in range(BULK_TENSORS)]
-            for _ in range(4)
-        ]
+        if op == "execute_bulk":
+            send = _execute_bulk_sender(client, address, rng)
+        else:
+            send = _normalize_bulk_sender(client, rng)
+        started = time.perf_counter()
         while True:
             try:
-                client.normalize_bulk(
-                    pool[frames % len(pool)], MODEL,
-                    layer_index=frames % served.num_layers,
-                )
+                if not send(frames):
+                    failed += 1
             except Exception:  # noqa: BLE001 -- counted, reported at the end
                 failed += 1
             frames += 1
@@ -113,16 +168,23 @@ def bulk_client(address: str, seed: int) -> int:
                 break  # the parent closed our stdin
     elapsed = time.perf_counter() - started
     print(json.dumps({
+        "op": op,
         "frames": frames,
         "failed": failed,
+        "frames_per_s": frames / elapsed,
         "rows_per_s": frames * BULK_TENSORS * BULK_ROWS / elapsed,
     }), flush=True)
     return 1 if failed else 0
 
 
-def _start_bulk_client(address: str, seed: int) -> subprocess.Popen:
+def _start_bulk_client(
+    address: str, seed: int, op: str = "normalize_bulk"
+) -> subprocess.Popen:
     process = subprocess.Popen(
-        [sys.executable, __file__, "--bulk-client", address, "--seed", str(seed)],
+        [
+            sys.executable, __file__, "--bulk-client", address,
+            "--seed", str(seed), "--op", op,
+        ],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
     )
     line = process.stdout.readline()
@@ -203,10 +265,11 @@ class SmallClient:
 
 
 def bench_mixed_sizes(seconds: Optional[float] = None, seed: int = 0) -> Dict[str, object]:
-    """Small-client latency alone and beside a bulk client, plus shed time."""
+    """Small-client latency alone and beside bulk clients, plus shed time."""
     seconds = seconds or _seconds()
     child = ReplicaProcess(model=MODEL, startup_timeout=120.0)
     bulk: Optional[Dict[str, object]] = None
+    execute_bulk: Optional[Dict[str, object]] = None
     try:
         host, port = _host_port(child.start())
         with NormClient.connect(host, port, timeout=30.0) as client, NormClient.connect(
@@ -222,6 +285,11 @@ def bench_mixed_sizes(seconds: Optional[float] = None, seed: int = 0) -> Dict[st
                 phases["shed_beside_bulk"] = _summary(small.run_shed(probe, seconds))
             finally:
                 bulk = _stop_bulk_client(process)
+            process = _start_bulk_client(f"{host}:{port}", seed + 2, "execute_bulk")
+            try:
+                phases["small_beside_execute_bulk"] = _summary(small.run(seconds))
+            finally:
+                execute_bulk = _stop_bulk_client(process)
     finally:
         child.stop()
     return {
@@ -230,23 +298,30 @@ def bench_mixed_sizes(seconds: Optional[float] = None, seed: int = 0) -> Dict[st
         "seconds_per_phase": seconds,
         "phases": phases,
         "bulk_client": bulk,
+        "execute_bulk_client": execute_bulk,
         "failures": small.failures,
-        "correct": not small.failures and bulk["failed"] == 0 and bulk["exit_code"] == 0,
+        "correct": not small.failures
+        and all(c["failed"] == 0 and c["exit_code"] == 0 for c in (bulk, execute_bulk)),
     }
 
 
 def _report(result: Dict[str, object]) -> None:
     print(
         f"{result['model']}: 1-row lock-step client beside {result['bulk_frame']} "
-        f"normalize_bulk frames, {result['seconds_per_phase']:g} s per phase"
+        f"normalize_bulk / execute_bulk frames, {result['seconds_per_phase']:g} s per phase"
     )
     for name, phase in result["phases"].items():
         print(
-            f"  {name:>18}: p50 {phase['p50_ms']:7.3f} ms  p99 {phase['p99_ms']:7.3f} ms  "
+            f"  {name:>25}: p50 {phase['p50_ms']:7.3f} ms  p99 {phase['p99_ms']:7.3f} ms  "
             f"mean {phase['mean_ms']:7.3f} ms  (n={phase['requests']})"
         )
     bulk = result["bulk_client"]
     print(f"  bulk client: {bulk['frames']} frames, {bulk['rows_per_s']:.0f} rows/s")
+    execute = result["execute_bulk_client"]
+    print(
+        f"  execute_bulk client: {execute['frames']} frames, "
+        f"{execute['frames_per_s']:.1f} frames/s, {execute['failed']} failed"
+    )
     print(f"  every response correct: {result['correct']}")
     for failure in result["failures"][:10]:
         print(f"    {failure}")
@@ -258,9 +333,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", default=None, help="write the result JSON here")
     parser.add_argument("--bulk-client", default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--op", default="normalize_bulk", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.bulk_client is not None:
-        return bulk_client(args.bulk_client, args.seed)
+        return bulk_client(args.bulk_client, args.seed, args.op)
 
     result = bench_mixed_sizes(seconds=args.seconds, seed=args.seed)
     _report(result)
