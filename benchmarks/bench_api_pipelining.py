@@ -105,7 +105,7 @@ def bench_api_pipelining(
 
     config = BatcherConfig(max_batch_size=32)
     with NormalizationService(registry=registry, config=config) as service:
-        with AsyncNormServer(service, workers=8, max_inflight=64) as server:
+        with AsyncNormServer(service, max_inflight=64) as server:
             setups["in_process"] = _measure_paths(
                 server.host, server.port, payloads, model_name, outputs, "in-process"
             )

@@ -5,14 +5,12 @@ Acceptance target of the fleet tier (ISSUE 6): bulk requests/sec against
 same host, and every fleet path must stay **bit-identical** to a single
 server -- including with one replica SIGKILLed mid-run.
 
-Each replica is one ``haan-serve --listen`` process: an asyncio event loop
-plus the continuous scheduler's engine thread, both under one GIL.  A
-serving frame never waits on a timer -- the scheduler drains whatever is
-queued every engine tick -- so a replica is *CPU-bound*: it sustains about
-one core's worth of codec, event-loop and kernel work (~400-700 bulk
-frames/sec of this workload on a 2-vCPU Xeon VM), and ``--workers`` only
-sizes the executor of the execute/snapshot ops, which this workload does
-not use.  Each benchmark client drives its own calibration dataset, so the
+Each replica is one ``haan-serve --listen`` process whose one asyncio
+event-loop thread runs every op, the kernels included.  A serving frame
+never waits on a timer -- the loop drains whatever is queued every engine
+tick -- so a replica is *CPU-bound*: it sustains about one core's worth of
+codec, event-loop and kernel work (~400-700 bulk frames/sec of this
+workload on a 2-vCPU Xeon VM).  Each benchmark client drives its own calibration dataset, so the
 consistent-hash ring spreads the keys across the fleet and N replicas add
 up to N cores of serving capacity.  The speedup therefore needs at least
 as many free cores as replicas, on top of the cores the eight client

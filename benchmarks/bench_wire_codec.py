@@ -169,7 +169,7 @@ def bench_transports(
     outputs: Dict[str, List[np.ndarray]] = {}
     encodings: Dict[str, str] = {}
     with NormalizationService(registry=registry, config=config) as service:
-        with AsyncNormServer(service, workers=8, max_inflight=64) as server:
+        with AsyncNormServer(service, max_inflight=64) as server:
 
             def run(name: str, transport: str, encoding: Optional[str]) -> None:
                 with NormClient.connect(

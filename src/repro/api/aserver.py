@@ -7,17 +7,19 @@ requests in flight (bounded by ``max_inflight``; excess becomes TCP
 backpressure) and responses go out in completion order, demultiplexed by
 ``request_id`` on the client.
 
-Division of labor per frame:
+Everything runs on the event loop's one thread, ``haan-async-server``:
 
-* **event loop** -- everything a serving op needs, the kernel included:
-  incremental framing (:class:`FrameDecoder`), the pre-decode gate
-  (tenant quota + overload admission on the peeked JSON preamble, before
-  any tensor bytes are touched), shm control ops, chaos gate, hello
-  authentication, per-connection in-flight accounting, the zero-copy
-  tensor decode (:func:`attach_buffers`: memoryview slices, O(tensor
-  count) not O(bytes)), :meth:`ApiHandler.begin` (validate + submit), the
-  engine tick, ``finish`` (response envelope), response encoding and the
-  write.  A serving op never leaves the loop's thread.
+* **per frame** -- incremental framing (:class:`FrameDecoder`), the
+  pre-decode gate (tenant quota + overload admission on the peeked JSON
+  preamble, before any tensor bytes are touched), shm control ops, chaos
+  gate, hello authentication, per-connection in-flight accounting, the
+  zero-copy tensor decode (:func:`attach_buffers`: memoryview slices,
+  O(tensor count) not O(bytes)), :meth:`ApiHandler.begin` (validate +
+  submit), the engine tick, ``finish`` (response envelope), response
+  encoding and the write.  The ops that bypass the scheduler
+  (``execute``, ``execute_bulk``, ``spec``, ``hello``, ``ping``,
+  ``telemetry``) do their work in ``finish``, so an ``execute_bulk``
+  kernel, like a batch, holds the loop for its duration.
 * **the engine tick** -- a loop callback that drains the service's
   continuous batching scheduler one batch at a time
   (:meth:`~repro.serving.batcher.ContinuousBatcher.drain_once`: EDF/aging
@@ -27,10 +29,6 @@ Division of labor per frame:
   ``call_soon`` runs on the next loop iteration, frames that arrived
   meanwhile on **any connection** are read and submitted first, so they
   coalesce into one batch.  A kernel holds the loop for its duration.
-* **bounded executor** -- only the ops that run kernels or build
-  snapshots inside :meth:`ApiHandler.handle` (``execute``,
-  ``execute_bulk``, ``telemetry``, ``spec``, ``hello``, ``ping``): one
-  hop each, so the loop never blocks on them.
 
 A thread that calls the service directly (``service.normalize``) drains
 on its own thread and may resolve wire requests in its batch; their
@@ -39,8 +37,8 @@ waiters are then woken through ``call_soon_threadsafe``.
 Shutdown: :meth:`close` (callable from any thread, e.g. a SIGTERM
 handler) optionally drains admitted work for
 ``drain_timeout`` seconds -- new frames are answered with a typed
-``overloaded`` "draining" error -- then tears the loop down and joins every
-thread it started.
+``overloaded`` "draining" error -- then tears the loop down and joins its
+thread.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ import asyncio
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Dict, Optional, Set
 
@@ -74,12 +71,8 @@ from repro.api.framing import (
 # perfbench/tracing.py times the server codec by wrapping this module's
 # decode_payload, so the name must exist on it.
 from repro.api.framing import decode_payload  # noqa: F401
-from repro.api.handler import SERVING_OPS, ApiHandler
-from repro.api.server import (
-    _applied_degradation,
-    complete_work,
-    shed_error_envelope,
-)
+from repro.api.handler import ApiHandler
+from repro.api.server import _applied_degradation, complete_work
 
 
 async def _await_pendings(loop: asyncio.AbstractEventLoop, pendings) -> None:
@@ -168,9 +161,8 @@ class _AsyncConnection:
 class AsyncNormServer:
     """Serve one :class:`NormalizationService` on an asyncio event loop.
 
-    ``workers`` sizes the executor that runs the non-serving ops (see the
-    module docstring).  The service's scheduler is drained by the engine
-    tick on this server's event loop.
+    Every op runs on the loop's thread (see the module docstring); the
+    service's scheduler is drained by the engine tick there.
     """
 
     def __init__(
@@ -180,7 +172,6 @@ class AsyncNormServer:
         port: int = 0,
         handler: Optional[ApiHandler] = None,
         max_frame_bytes: int = MAX_FRAME_BYTES,
-        workers: int = 8,
         max_inflight: int = 32,
         admission: Optional[AdmissionController] = None,
         max_queue_depth: int = 256,
@@ -189,14 +180,11 @@ class AsyncNormServer:
         enable_shm: bool = True,
         tenancy=None,
     ):
-        if workers < 1:
-            raise ValueError("workers must be positive")
         if max_inflight < 1:
             raise ValueError("max_inflight must be positive")
         self.service = service
         self.handler = handler if handler is not None else ApiHandler(service)
         self.max_frame_bytes = max_frame_bytes
-        self.workers = workers
         self.max_inflight = max_inflight
         self.admission = (
             admission
@@ -228,9 +216,6 @@ class AsyncNormServer:
         self._aserver: Optional[asyncio.base_events.Server] = None
         self._thread: Optional[threading.Thread] = None
         self._startup_error: Optional[BaseException] = None
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="haan-async-worker"
-        )
         self._closing = False
         self._draining = False
         #: Whether an engine tick is scheduled on the loop (loop thread only).
@@ -312,7 +297,7 @@ class AsyncNormServer:
             loop.close()
 
     def close(self, drain_timeout: float = 0.0) -> None:
-        """Stop accepting, optionally drain, tear the loop down, join threads.
+        """Stop accepting, optionally drain, tear the loop down, join its thread.
 
         Callable from any thread (the ``haan-serve`` SIGTERM handler calls
         it from the main thread).  ``drain_timeout`` > 0 lets admitted
@@ -331,7 +316,6 @@ class AsyncNormServer:
                 self._sock.close()
             except OSError:
                 pass
-            self._pool.shutdown(wait=True)
             return
         loop = self._loop
         try:
@@ -346,7 +330,6 @@ class AsyncNormServer:
         except RuntimeError:
             pass
         thread.join(timeout=10.0)
-        self._pool.shutdown(wait=True)
         # Freeze the final wire gauges so the shutdown summary still reports
         # session totals without pinning this closed server.
         attach = getattr(self.service.telemetry, "attach_section", None)
@@ -403,7 +386,6 @@ class AsyncNormServer:
                 "peak_inflight": self.peak_inflight,
                 "inflight_current": sum(c.inflight_count for c in live),
                 "backpressure_waits": self.backpressure_waits,
-                "workers": self.workers,
                 "max_inflight": self.max_inflight,
                 "bytes_received": self._retired_bytes_in + sum(c.bytes_in for c in live),
                 "bytes_sent": self._retired_bytes_out + sum(c.bytes_out for c in live),
@@ -525,7 +507,7 @@ class AsyncNormServer:
                     # is unhashable and would otherwise kill this coroutine.
                     await self._try_send(
                         connection,
-                        self._error_envelope(
+                        self.handler.error_envelope(
                             payload, BadSchemaError("envelope 'op' must be a string")
                         ),
                     )
@@ -553,7 +535,7 @@ class AsyncNormServer:
                         )
                     except ApiError as error:
                         await self._try_send(
-                            connection, self._error_envelope(payload, error)
+                            connection, self.handler.error_envelope(payload, error)
                         )
                         continue
                 is_work = op in WORK_OPS
@@ -565,7 +547,7 @@ class AsyncNormServer:
                 ):
                     await self._try_send(
                         connection,
-                        self._error_envelope(
+                        self.handler.error_envelope(
                             payload,
                             AuthenticationError(
                                 "this server requires a tenant bearer token; "
@@ -574,16 +556,16 @@ class AsyncNormServer:
                         ),
                     )
                     continue
-                # The shedding gate *before* any tensor decode, evaluated
-                # right here on the event loop -- O(1) on the peeked
-                # preamble, so a shed request never touches the executor.
+                # The shedding gate *before* any tensor decode -- O(1) on
+                # the peeked preamble, so a shed request never reaches the
+                # handler.
                 try:
                     self.gate.check(
                         payload, tenant=connection.tenant, nbytes=len(body)
                     )
                 except (OverloadedError, ApiError) as error:
                     await self._try_send(
-                        connection, self._error_envelope(payload, error)
+                        connection, self.handler.error_envelope(payload, error)
                     )
                     continue
                 # Awaiting at max_inflight pauses this coroutine's reads:
@@ -613,7 +595,7 @@ class AsyncNormServer:
                         return
                     await self._try_send(
                         connection,
-                        self._error_envelope(
+                        self.handler.error_envelope(
                             payload,
                             OverloadedError(
                                 "server is draining and accepts no new work"
@@ -674,40 +656,23 @@ class AsyncNormServer:
             try:
                 payload = connection.shm.resolve_inbound(payload)
             except ApiError as error:
-                return self._error_envelope(payload, error)
+                return self.handler.error_envelope(payload, error)
         degrade_level = 0
         if self.ladder is not None and is_work:
             degrade_level = self.ladder.observe(self.admission.pressure())
         tenant_name = connection.tenant.name if connection.tenant is not None else None
-        if payload.get("op") in SERVING_OPS:
-            # Validate and submit, let the engine tick run the batch, then
-            # build the envelope: binary and shm tensors are zero-copy
-            # views both ways.
-            pendings, finish = self.handler.begin(payload, degrade_level, tenant_name)
-            if pendings:
-                self._schedule_tick()
-                await _await_pendings(self._loop, pendings)
-            response = finish()
-        else:
-            # execute/spec/hello/ping/telemetry: one blocking handler call
-            # in the executor (execute runs kernels; telemetry snapshots
-            # can be large).
-            response = await asyncio.get_running_loop().run_in_executor(
-                self._pool, self.handler.handle, payload, degrade_level, tenant_name
-            )
+        # Validate and submit, let the engine tick run the batch, then build
+        # the envelope: binary and shm tensors are zero-copy views both ways.
+        pendings, finish = self.handler.begin(payload, degrade_level, tenant_name)
+        if pendings:
+            self._schedule_tick()
+            await _await_pendings(self._loop, pendings)
+        response = finish()
         if self.ladder is not None and is_work:
             applied = _applied_degradation(response)
             if applied is not None:
                 self.ladder.record_applied(applied)
         return response
-
-    def _error_envelope(self, payload: dict, error: BaseException) -> dict:
-        return shed_error_envelope(
-            payload,
-            error,
-            self.handler.min_schema_version,
-            self.handler.max_schema_version,
-        )
 
     # -- sending -------------------------------------------------------------
 

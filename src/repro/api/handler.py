@@ -58,6 +58,16 @@ from repro.api.envelopes import (
 )
 
 
+def _unbatched(op):
+    """An op-table entry for an op that bypasses the batching scheduler:
+    no pendings, and ``op(self, request)`` runs in ``build``."""
+
+    def begin_op(self, request, degrade_level, tenant):
+        return [], lambda: op(self, request)
+
+    return begin_op
+
+
 class ApiHandler:
     """Dispatch parsed envelopes against one :class:`NormalizationService`.
 
@@ -98,22 +108,53 @@ class ApiHandler:
         self.min_schema_version, self.max_schema_version = schema_versions
         #: key -> (engine, per-engine run lock).  The cache lock only guards
         #: the mapping itself; each engine runs under its own lock (its
-        #: backend owns mutable scratch), so concurrent connections
-        #: executing *different* specs never serialize on each other.
+        #: backend owns mutable scratch).  The async server runs every op on
+        #: its loop thread; the locks serve threads sharing an in-process
+        #: handler, which never serialize on each other executing
+        #: *different* specs.
         self._engine_cache: "OrderedDict[Tuple, Any]" = OrderedDict()
         self._engine_cache_size = engine_cache_size
         self._cache_lock = threading.Lock()
 
-    # -- entry point --------------------------------------------------------
+    # -- entry points -------------------------------------------------------
 
     def handle(
         self, payload: Any, degrade_level: int = 0, tenant: Optional[str] = None
     ) -> Dict[str, Any]:
         """Handle one request envelope; always returns a response envelope.
 
-        The response echoes the *request's* ``schema_version`` whenever it
-        is one this handler speaks, so a client that negotiated down keeps
-        receiving envelopes at its version.
+        :meth:`begin`, then the service's ``wait`` (which drains the queue
+        on this thread), then ``finish`` -- the path the async server takes
+        too, except that it drains in an engine tick on its event loop and
+        awaits instead.
+        """
+        pendings, finish = self.begin(payload, degrade_level, tenant)
+        self.service.wait(pendings)
+        return finish()
+
+    def begin(
+        self, payload: Any, degrade_level: int = 0, tenant: Optional[str] = None
+    ):
+        """Start one request envelope without blocking on the scheduler.
+
+        The one dispatch path of every op in :data:`repro.api.envelopes.OPS`.
+        Validates and decodes the envelope, submits serving ops into the
+        service, and returns ``(pendings, finish)``:
+
+        * ``pendings`` -- the :class:`ResponseFuture` objects the request
+          enqueued (empty for the ops that bypass the scheduler, and when
+          validation already failed);
+        * ``finish()`` -- builds the response envelope (running the whole
+          op when it bypasses the scheduler); the caller must invoke it only
+          once every pending future is done, after which it never waits.
+
+        Never raises: failures become error envelopes (see
+        :meth:`error_envelope`).  The response echoes the *request's*
+        ``schema_version`` whenever it is one this handler speaks, so a
+        client that negotiated down keeps receiving envelopes at its
+        version.  Nothing drains the service's queue between ``begin`` and
+        ``finish``; the caller does: :meth:`handle` calls the service's
+        ``wait``, the async server schedules an engine tick.
 
         ``degrade_level`` is the server's current
         :class:`~repro.serving.degrade.DegradationLadder` level; serving
@@ -126,124 +167,50 @@ class ApiHandler:
         envelope arrived on (None = anonymous); serving ops carry it into
         the service so the cost ledger can attribute the batch's modelled
         cycles/energy per tenant.  It never affects the computation.
-
-        Serving ops go through :meth:`begin`, then the service's ``wait``
-        (which drains the queue on this thread), then ``finish`` -- the
-        same path as the async server, which drains in an engine tick on
-        its event loop and awaits instead.
         """
-        op = payload.get("op") if isinstance(payload, dict) else None
-        if isinstance(op, str) and op in SERVING_OPS:
-            pendings, finish = self.begin(payload, degrade_level, tenant)
-            self.service.wait(pendings)
-            return finish()
-        request_id, echo_version = self._preamble(payload)
         try:
             request = parse_request(payload)
-        except ApiError as error:
-            return self._stamp(
-                ErrorResponse.from_exception(error, request_id).to_wire(), echo_version
-            )
-        try:
-            return self._stamp(self._dispatch(request).to_wire(), echo_version)
+            pendings, build = self._OPS[request.op](self, request, degrade_level, tenant)
         except BaseException as error:  # noqa: BLE001 -- one envelope per request
             if not isinstance(error, Exception):
                 raise  # KeyboardInterrupt / SystemExit propagate to the server
-            return self._stamp(
-                ErrorResponse.from_exception(error, request.request_id).to_wire(),
-                echo_version,
-            )
-
-    def _preamble(self, payload: Any) -> Tuple[Optional[int], Optional[int]]:
-        """``(request_id, echo_version)`` salvaged from a raw envelope."""
-        request_id = None
-        echo_version = None
-        if isinstance(payload, dict):
-            request_id = payload.get("request_id")
-            if isinstance(request_id, bool) or not isinstance(request_id, int):
-                request_id = None
-            version = payload.get("schema_version")
-            if (
-                not isinstance(version, bool)
-                and isinstance(version, int)
-                and self.min_schema_version <= version <= self.max_schema_version
-            ):
-                echo_version = version
-        return request_id, echo_version
-
-    @staticmethod
-    def _stamp(response: Dict[str, Any], echo_version: Optional[int]) -> Dict[str, Any]:
-        if echo_version is not None:
-            response["schema_version"] = echo_version
-        return response
-
-    # -- async entry point ---------------------------------------------------
-
-    def begin(
-        self, payload: Any, degrade_level: int = 0, tenant: Optional[str] = None
-    ):
-        """Submit a serving op without blocking on its result.
-
-        The one dispatch path of the ops in :data:`SERVING_OPS` (the ones
-        that flow through the batching scheduler).  Validates and decodes
-        the envelope, submits into the service, and returns
-        ``(pendings, finish)``:
-
-        * ``pendings`` -- the :class:`ResponseFuture` objects the request
-          enqueued (empty when validation already failed);
-        * ``finish()`` -- builds the response envelope; the caller must
-          invoke it only once every pending future is done, after which it
-          never blocks.
-
-        Never raises: failures become error envelopes with the same
-        taxonomy mapping as every other op.  Nothing drains the service's
-        queue between ``begin`` and ``finish``; the caller does.
-        :meth:`handle` calls the service's ``wait``, which drains on the
-        calling thread.  The async server schedules an engine tick on its
-        event loop and awaits the futures' done-callbacks.
-        """
-        request_id, echo_version = self._preamble(payload)
-        try:
-            request = parse_request(payload)
-        except ApiError as error:
-            envelope = self._stamp(
-                ErrorResponse.from_exception(error, request_id).to_wire(), echo_version
-            )
-            return [], lambda: envelope
-        try:
-            begin_op = self._BEGIN.get(request.op)
-            if begin_op is None:
-                raise BadSchemaError(
-                    f"op {request.op!r} is not a serving op; dispatch it through handle()"
-                )
-            pendings, build = begin_op(self, request, degrade_level, tenant)
-        except BaseException as error:  # noqa: BLE001 -- one envelope per request
-            if not isinstance(error, Exception):
-                raise
-            envelope = self._stamp(
-                ErrorResponse.from_exception(error, request.request_id).to_wire(),
-                echo_version,
-            )
+            envelope = self.error_envelope(payload, error)
             return [], lambda: envelope
 
         def finish() -> Dict[str, Any]:
             try:
-                return self._stamp(build().to_wire(), echo_version)
+                return self._stamp(payload, build().to_wire())
             except BaseException as error:  # noqa: BLE001
                 if not isinstance(error, Exception):
                     raise
-                return self._stamp(
-                    ErrorResponse.from_exception(error, request.request_id).to_wire(),
-                    echo_version,
-                )
+                return self.error_envelope(payload, error)
 
         return pendings, finish
 
-    def _dispatch(self, request):
-        handle_op = self._HANDLE.get(request.op)
-        if handle_op is None:
-            raise BadSchemaError(f"op {request.op!r} is a serving op; dispatch it through begin()")
-        return handle_op(self, request)
+    def error_envelope(self, payload: Any, error: BaseException) -> Dict[str, Any]:
+        """The error envelope answering ``payload`` with ``error``.
+
+        Echoes the request's ``request_id`` and, when this handler speaks
+        it, its ``schema_version``, so an error -- raised by an op or by a
+        server gate before the handler -- demultiplexes and parses exactly
+        like a handled response.
+        """
+        request_id = payload.get("request_id") if isinstance(payload, dict) else None
+        if isinstance(request_id, bool) or not isinstance(request_id, int):
+            request_id = None
+        return self._stamp(payload, ErrorResponse.from_exception(error, request_id).to_wire())
+
+    def _stamp(self, payload: Any, envelope: Dict[str, Any]) -> Dict[str, Any]:
+        """``envelope``, echoing ``payload``'s schema version if this handler
+        speaks it."""
+        version = payload.get("schema_version") if isinstance(payload, dict) else None
+        if (
+            not isinstance(version, bool)
+            and isinstance(version, int)
+            and self.min_schema_version <= version <= self.max_schema_version
+        ):
+            envelope["schema_version"] = version
+        return envelope
 
     # -- shared validation --------------------------------------------------
 
@@ -546,7 +513,7 @@ class ApiHandler:
         encoding = request.groups[0].rows.encoding
         # Decode every group before taking the engine lock and encode the
         # responses after releasing it: only engine.run needs the lock, so
-        # connections sharing a cached engine never serialize on codec work.
+        # threads sharing a cached engine never serialize on codec work.
         decoded = [
             (
                 group.rows.to_array(),
@@ -648,26 +615,18 @@ class ApiHandler:
             registry=self.service.registry.snapshot(),
         )
 
-    #: The op table's dispatch, per op of :data:`repro.api.envelopes.OPS`:
-    #: serving ops (through the batching scheduler) start in ``begin``,
-    #: every other op runs to completion in ``handle``.
-    _BEGIN = {
+    #: The op table: every op of :data:`repro.api.envelopes.OPS` ->
+    #: ``(self, request, degrade_level, tenant) -> (pendings, build)``.
+    #: Serving ops submit into the batching scheduler; the others return
+    #: no pendings and run in ``build``.
+    _OPS = {
         "normalize": _begin_normalize,
         "normalize_bulk": _begin_bulk,
         "stream": _begin_stream,
+        "spec": _unbatched(_spec),
+        "execute": _unbatched(_execute),
+        "execute_bulk": _unbatched(_execute_bulk),
+        "hello": _unbatched(_hello),
+        "ping": _unbatched(_ping),
+        "telemetry": _unbatched(_telemetry),
     }
-    _HANDLE = {
-        "spec": _spec,
-        "execute": _execute,
-        "execute_bulk": _execute_bulk,
-        "hello": _hello,
-        "ping": _ping,
-        "telemetry": _telemetry,
-    }
-
-
-#: Ops that flow through the service's batching scheduler.  Their one
-#: dispatch path is :meth:`ApiHandler.begin` + ``finish``: the async server
-#: drains them in an engine tick on its event loop, :meth:`ApiHandler.handle`
-#: drains them on the calling thread.
-SERVING_OPS = frozenset(ApiHandler._BEGIN)

@@ -3,9 +3,8 @@
 :class:`~repro.api.aserver.AsyncNormServer` is the TCP front of a
 :class:`~repro.serving.service.NormalizationService`; this module keeps the
 pieces it shares with the CLIs, the chaos harness and the fleet: address
-parsing, the envelope of a frame shed before the handler, the degradation
-stamp of a response, and the retire-and-meter step of an admitted work
-frame.
+parsing, the degradation stamp of a response, and the retire-and-meter
+step of an admitted work frame.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import time
 from typing import Optional, Tuple
 
-from repro.api.envelopes import ErrorResponse
 from repro.tenancy.quota import estimate_rows
 
 
@@ -23,29 +21,6 @@ def parse_address(address: str) -> Tuple[str, int]:
     if not separator or not port.isdigit():
         raise ValueError(f"expected HOST:PORT, got {address!r}")
     return host or "0.0.0.0", int(port)
-
-
-def shed_error_envelope(
-    payload: dict, error: BaseException, min_version: int, max_version: int
-) -> dict:
-    """An error envelope for a frame rejected before reaching the handler.
-
-    Mirrors the handler's request_id / schema_version echo so shed
-    responses demultiplex and parse exactly like handled ones.
-    """
-    request_id = payload.get("request_id") if isinstance(payload, dict) else None
-    if isinstance(request_id, bool) or not isinstance(request_id, int):
-        request_id = None
-    envelope = ErrorResponse.from_exception(error, request_id).to_wire()
-    if isinstance(payload, dict):
-        version = payload.get("schema_version")
-        if (
-            not isinstance(version, bool)
-            and isinstance(version, int)
-            and min_version <= version <= max_version
-        ):
-            envelope["schema_version"] = version
-    return envelope
 
 
 def _applied_degradation(response: dict) -> Optional[int]:

@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--layer", type=int, default=0, help="normalization layer")
     parser.add_argument("--backend", default="vectorized", help="execution backend")
     parser.add_argument("--seed", type=int, default=0, help="payload RNG seed")
-    parser.add_argument("--workers", type=int, default=4, help="workers per server")
     parser.add_argument(
         "--timeout", type=float, default=15.0, help="per-request client timeout"
     )
@@ -132,7 +131,6 @@ class _Replicas:
     def __init__(
         self,
         count: int,
-        workers: int,
         max_queue_depth: int = 256,
         gates: Optional[List[Optional[FaultGate]]] = None,
     ):
@@ -149,7 +147,6 @@ class _Replicas:
                 )
                 server = AsyncNormServer(
                     service,
-                    workers=workers,
                     max_queue_depth=max_queue_depth,
                     fault_gate=gates[index] if gates else None,
                 ).start()
@@ -187,7 +184,7 @@ def _run_chaos(args: argparse.Namespace, plan: FaultPlan) -> int:
             FaultGate(plan, replica=f"replica-{index}")
             for index in range(args.replicas)
         ]
-    replicas = _Replicas(args.replicas, args.workers, gates=gates)
+    replicas = _Replicas(args.replicas, gates=gates)
     chaos: Optional[ChaosTransport] = None
     try:
         golden = _golden_engine(replicas, args)
@@ -276,7 +273,7 @@ def _chaos_verdict(summary: Dict[str, Any]) -> List[str]:
 
 
 def _run_overload(args: argparse.Namespace) -> int:
-    replicas = _Replicas(1, workers=1, max_queue_depth=args.max_queue_depth)
+    replicas = _Replicas(1, max_queue_depth=args.max_queue_depth)
     try:
         golden = _golden_engine(replicas, args)
         hidden = replicas.registry.get(args.model, args.dataset).layer(args.layer).hidden_size

@@ -78,10 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--depth", type=int, default=8, help="pipelining depth")
     parser.add_argument("--seed", type=int, default=0, help="synthetic payload RNG seed")
     parser.add_argument(
-        "--workers", type=int, default=8,
-        help="executor threads per replica (execute and snapshot ops)",
-    )
-    parser.add_argument(
         "--timeout", type=float, default=60.0, help="per-request client timeout"
     )
     parser.add_argument(
@@ -148,7 +144,6 @@ def _serve(args: argparse.Namespace) -> int:
         restart=True,
         model=args.model,
         dataset=args.dataset,
-        workers=args.workers,
     )
     interrupted = signal.getsignal(signal.SIGTERM)
 
@@ -199,7 +194,6 @@ def _traffic(args: argparse.Namespace, attach: Optional[List[str]]) -> int:
             restart=False,  # a --kill-one death must stick: failover, not restart
             model=args.model,
             dataset=args.dataset,
-            workers=args.workers,
         )
     try:
         if supervisor is not None:

@@ -2,7 +2,7 @@
 
 Each replica is one ``haan-serve --listen 127.0.0.1:0`` process
 (:mod:`repro.serving.cli`): its own interpreter, its own
-``CalibrationRegistry``, its own worker pool -- a real failure domain, so
+``CalibrationRegistry``, its own event loop -- a real failure domain, so
 killing one exercises exactly what the fleet's health/failover layer must
 absorb.  The supervisor parses the server's startup line
 (``haan-serve: listening on HOST:PORT ...``, printed with ``flush=True``
@@ -33,7 +33,6 @@ class ReplicaProcess:
         self,
         model: str = "tiny",
         dataset: str = "default",
-        workers: int = 8,
         max_inflight: int = 32,
         max_batch_size: int = 32,
         registry_capacity: int = 4,
@@ -57,8 +56,6 @@ class ReplicaProcess:
             dataset,
             "--listen",
             f"{host}:0",
-            "--workers",
-            str(workers),
             "--max-inflight",
             str(max_inflight),
             "--max-batch-size",

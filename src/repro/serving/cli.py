@@ -85,13 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         "however hot the competing buckets",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=8,
-        help="executor threads in --listen mode for the execute and "
-        "snapshot ops (normalize/bulk/stream never leave the event loop)",
-    )
-    parser.add_argument(
         "--max-inflight",
         type=int,
         default=32,
@@ -183,8 +176,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.requests < 1 or args.rows < 1:
         parser.error("--requests and --rows must be positive")
-    if args.workers < 1 or args.max_inflight < 1:
-        parser.error("--workers and --max-inflight must be positive")
+    if args.max_inflight < 1:
+        parser.error("--max-inflight must be positive")
     if args.max_queue_depth < 1:
         parser.error("--max-queue-depth must be positive")
     if args.drain_timeout < 0:
@@ -370,7 +363,6 @@ def _serve_forever(
                 service,
                 host=host,
                 port=port,
-                workers=args.workers,
                 max_inflight=args.max_inflight,
                 max_queue_depth=args.max_queue_depth,
                 ladder=ladder,
@@ -403,7 +395,7 @@ def _serve_forever(
             print(
                 f"haan-serve: listening on {server.host}:{server.port} "
                 f"(model {args.model!r}, dataset {args.dataset!r}; "
-                f"{args.workers} workers, {args.max_inflight} in-flight "
+                f"{args.max_inflight} in-flight "
                 f"per connection, queue bound {args.max_queue_depth}"
                 f"{', degradation ladder on' if ladder is not None else ''}"
                 f"{', shm attach refused' if args.no_shm else ''}"

@@ -467,7 +467,6 @@ class ServingTelemetry:
             rows.append(
                 [
                     "wire pool",
-                    f"{wire['workers']} workers / "
                     f"max inflight {wire['max_inflight']} per conn",
                 ]
             )

@@ -80,7 +80,7 @@ def golden_engine(registry):
 @pytest.fixture()
 def live_server(registry):
     svc = NormalizationService(registry=registry)
-    server = AsyncNormServer(svc, workers=8, max_inflight=64).start()
+    server = AsyncNormServer(svc, max_inflight=64).start()
     yield server
     server.close()
     svc.close()
@@ -540,7 +540,7 @@ class TestServerRestartMidFlight:
         self, registry, golden_engine
     ):
         svc = NormalizationService(registry=registry)
-        server = AsyncNormServer(svc, workers=4).start()
+        server = AsyncNormServer(svc).start()
         port = server.port
         client = NormClient.connect(server.host, port, pool_size=2)
         try:
@@ -572,7 +572,7 @@ class TestServerRestartMidFlight:
             deadline = time.monotonic() + 5.0
             while True:
                 try:
-                    server2 = AsyncNormServer(svc2, port=port, workers=4).start()
+                    server2 = AsyncNormServer(svc2, port=port).start()
                     break
                 except OSError:
                     if time.monotonic() > deadline:

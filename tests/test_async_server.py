@@ -16,12 +16,12 @@ Covered here:
 * graceful drain: in-flight work answered, post-drain work refused;
 * the tenancy handshake (token auth, typed rejection) and the chaos
   ``FaultGate`` contract on the server core;
-* the one-hop serving path: ``normalize`` / ``normalize_bulk`` /
-  ``stream`` over binary, JSON and shm frames never enter the executor,
-  ``execute`` enters it exactly once, and a bulk frame's scheduler futures
-  resolve on the loop without a cross-thread wake;
+* one thread per server: every op's ``begin`` and ``finish`` run on the
+  loop thread (serving ops over binary, JSON and shm frames too), and
+  neither ``execute`` nor a bulk frame's scheduler futures need a
+  cross-thread wake;
 * the engine tick: kernels run on the loop thread, the server starts no
-  scheduler thread, a thread calling the service directly beside live
+  thread but its loop's, a thread calling the service directly beside live
   wire traffic resolves wire requests safely, and a drained close answers
   work queued behind a pending tick;
 * tenant metering lands before the response frame is written.
@@ -41,6 +41,7 @@ import pytest
 from repro.api.aserver import AsyncNormServer, _await_pendings
 from repro.api.client import NormClient
 from repro.api.envelopes import (
+    OPS,
     ApiError,
     AuthenticationError,
     BadSchemaError,
@@ -412,44 +413,99 @@ class TestAsyncChaos:
             service.close()
 
 
+def _served(registry):
+    """The served spec of tiny layer 0: ``(spec, gamma, beta)``."""
+    plan = registry.get("tiny", "default").layer(0).plan
+    return plan.spec, plan.gamma, plan.beta
+
+
+#: One client call per op of the wire protocol (the hello is the
+#: connect-time handshake).
+_OP_CALLS = {
+    "normalize": lambda client, served, rng: client.normalize(_rows(rng), "tiny"),
+    "normalize_bulk": lambda client, served, rng: client.normalize_bulk(
+        [_rows(rng, 2), _rows(rng, 1)], "tiny"
+    ),
+    "stream": lambda client, served, rng: list(
+        client.stream(iter([_rows(rng, 2), _rows(rng, 1)]), "tiny")
+    ),
+    "spec": lambda client, served, rng: client.fetch_spec("tiny"),
+    "execute": lambda client, served, rng: client.execute_spec(
+        served[0], _rows(rng), gamma=served[1], beta=served[2]
+    ),
+    "execute_bulk": lambda client, served, rng: client.execute_spec_bulk(
+        served[0], [(_rows(rng, 2), None, None)], gamma=served[1], beta=served[2]
+    ),
+    "hello": lambda client, served, rng: client.wait_until_ready(),
+    "ping": lambda client, served, rng: client.ping(),
+    "telemetry": lambda client, served, rng: client.telemetry(),
+}
+
+
 class TestOneHopServingPath:
-    """Serving ops run on the loop; only execute and snapshot ops hop."""
+    """Every op runs on the loop thread; none needs a cross-thread wake."""
 
     @staticmethod
-    def _count_hops(server):
-        """Count executor submits and loop wake-ups from now on."""
-        counts = {"submits": 0, "wakes": 0}
-        pool_submit = server._pool.submit
+    def _count_wakes(server):
+        """Count loop wake-ups from other threads from now on."""
+        counts = {"wakes": 0}
         loop_wake = server._loop.call_soon_threadsafe
-
-        def submit(*args, **kwargs):
-            counts["submits"] += 1
-            return pool_submit(*args, **kwargs)
 
         def call_soon_threadsafe(*args, **kwargs):
             counts["wakes"] += 1
             return loop_wake(*args, **kwargs)
 
-        server._pool.submit = submit
         server._loop.call_soon_threadsafe = call_soon_threadsafe
         return counts
+
+    @staticmethod
+    def _record_threads(server, monkeypatch):
+        """Record ``(op, stage, thread)`` for each ``begin`` / ``finish``."""
+        records = []
+        begin = server.handler.begin
+
+        def recorded_begin(payload, *args, **kwargs):
+            op = payload.get("op")
+            records.append((op, "begin", threading.current_thread().name))
+            pendings, finish = begin(payload, *args, **kwargs)
+
+            def recorded_finish():
+                records.append((op, "finish", threading.current_thread().name))
+                return finish()
+
+            return pendings, recorded_finish
+
+        monkeypatch.setattr(server.handler, "begin", recorded_begin)
+        return records
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_every_op_runs_on_the_loop(self, registry, rng, monkeypatch, op):
+        service = _service(registry)
+        with AsyncNormServer(service) as server:
+            records = self._record_threads(server, monkeypatch)
+            with NormClient.connect(server.host, server.port) as client:
+                _OP_CALLS[op](client, _served(registry), rng)
+        service.close()
+        stages = [(stage, thread) for name, stage, thread in records if name == op]
+        assert {stage for stage, _ in stages} == {"begin", "finish"}, records
+        assert {thread for _, thread in stages} == {"haan-async-server"}, stages
 
     @pytest.mark.parametrize(
         "transport,encoding,frames",
         [("socket", "binary", "binary"), ("socket", "base64", "json"), ("shm", "binary", "shm")],
     )
-    def test_serving_ops_never_enter_the_executor(
-        self, registry, rng, transport, encoding, frames
+    def test_serving_ops_never_leave_the_loop(
+        self, registry, rng, monkeypatch, transport, encoding, frames
     ):
         service = _service(registry)
         with AsyncNormServer(service) as server:
             with NormClient.connect(
                 server.host, server.port, transport=transport
             ) as client:
-                # Warm-up: the hello handshake (a snapshot op) and the shm
-                # attach happen before counting starts.
+                # Warm-up: the hello handshake and the shm attach happen
+                # before recording starts.
                 client.normalize(_rows(rng), "tiny", encoding=encoding)
-                counts = self._count_hops(server)
+                records = self._record_threads(server, monkeypatch)
                 payload = _rows(rng)
                 result = client.normalize(payload, "tiny", encoding=encoding)
                 np.testing.assert_array_equal(result.output, _golden(registry, payload))
@@ -463,37 +519,38 @@ class TestOneHopServingPath:
                     client.stream(iter(chunks), "tiny", encoding=encoding), chunks
                 ):
                     np.testing.assert_array_equal(got.output, _golden(registry, sent))
-                assert counts["submits"] == 0
+                assert {op for op, _, _ in records} == {"normalize", "normalize_bulk", "stream"}
+                assert {thread for _, _, thread in records} == {"haan-async-server"}
                 (connection,) = server.wire_snapshot()["per_connection"]
                 assert connection["encoding"] == frames
         service.close()
 
-    def test_binary_execute_takes_exactly_one_hop(self, registry, rng):
+    def test_binary_execute_needs_no_cross_thread_wake(self, registry, rng):
         service = _service(registry)
         with AsyncNormServer(service) as server:
             with NormClient.connect(server.host, server.port) as client:
-                served = client.fetch_spec("tiny")
-                counts = self._count_hops(server)
+                client.wait_until_ready()  # hello off the count
+                counts = self._count_wakes(server)
+                spec, gamma, beta = _served(registry)
                 rows = _rows(rng)
                 output, _, _ = client.execute_spec(
-                    served.spec, rows, gamma=served.gamma, beta=served.beta,
-                    backend="reference",
+                    spec, rows, gamma=gamma, beta=beta, backend="reference"
                 )
                 np.testing.assert_array_equal(output, _golden(registry, rows))
-                assert counts["submits"] == 1
+                assert counts == {"wakes": 0}
         service.close()
 
     def test_sixteen_tensor_bulk_needs_no_cross_thread_wake(self, registry, rng):
         # The engine tick resolves the bulk frame's futures on the loop's
-        # own thread: no executor hop, no self-pipe wake.
+        # own thread: no self-pipe wake.
         service = _service(registry)
         with AsyncNormServer(service) as server:
             with NormClient.connect(server.host, server.port) as client:
                 client.normalize(_rows(rng), "tiny")  # hello off the count
-                counts = self._count_hops(server)
+                counts = self._count_wakes(server)
                 bulk = [_rows(rng, 2) for _ in range(16)]
                 results = client.normalize_bulk(bulk, "tiny")
-                assert counts == {"submits": 0, "wakes": 0}
+                assert counts == {"wakes": 0}
                 for got, sent in zip(results, bulk):
                     np.testing.assert_array_equal(got.output, _golden(registry, sent))
         service.close()
@@ -575,13 +632,13 @@ class TestEngineTickOnTheLoop:
             np.testing.assert_array_equal(got, want)
         assert threads and set(threads) == {"haan-async-server"}
 
-    def test_server_starts_no_scheduler_thread(self, registry, rng):
+    def test_server_starts_only_its_loop_thread(self, registry, rng):
         before = {t.ident for t in threading.enumerate()}
         service = _service(registry)
         with AsyncNormServer(service) as server:
             with NormClient.connect(server.host, server.port) as client:
-                client.normalize(_rows(rng), "tiny")
-                client.normalize_bulk([_rows(rng, 2) for _ in range(4)], "tiny")
+                for call in _OP_CALLS.values():
+                    call(client, _served(registry), rng)
                 started = {
                     t.name for t in threading.enumerate() if t.ident not in before
                 }
@@ -591,11 +648,7 @@ class TestEngineTickOnTheLoop:
             for name in started
             if name.startswith("haan-") and not name.startswith("haan-norm-client")
         }
-        assert "haan-async-server" in serving
-        assert all(
-            name == "haan-async-server" or name.startswith("haan-async-worker")
-            for name in serving
-        ), serving
+        assert serving == {"haan-async-server"}
 
     def test_foreign_thread_drain_resolves_wire_requests(self, registry, rng):
         # With the tick switched off, only a thread calling the service

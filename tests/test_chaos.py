@@ -444,7 +444,7 @@ class TestAdmissionController:
         """A shed answer arrives in well under 100 ms, while the admitted
         request is still running."""
         service = NormalizationService(registry=registry)
-        server = AsyncNormServer(service, workers=1, max_queue_depth=1).start()
+        server = AsyncNormServer(service, max_queue_depth=1).start()
         _, release = hold_engine(service, server)
         try:
             with NormClient.connect(server.host, server.port, timeout=5.0) as client:

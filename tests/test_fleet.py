@@ -900,7 +900,7 @@ class TestFleetCLI:
 
 class TestFleetSupervisor:
     def test_lifecycle_kill_restart_and_close(self):
-        supervisor = FleetSupervisor(2, restart=True, model="tiny", workers=2)
+        supervisor = FleetSupervisor(2, restart=True, model="tiny")
         try:
             addresses = supervisor.start()
             assert len(addresses) == 2
