@@ -413,32 +413,31 @@ class TestAsyncChaos:
             service.close()
 
 
-def _served(registry):
-    """The served spec of tiny layer 0: ``(spec, gamma, beta)``."""
-    plan = registry.get("tiny", "default").layer(0).plan
-    return plan.spec, plan.gamma, plan.beta
+def _plan(registry):
+    """The served plan of tiny layer 0 (spec, gamma, beta)."""
+    return registry.get("tiny", "default").layer(0).plan
 
 
 #: One client call per op of the wire protocol (the hello is the
 #: connect-time handshake).
 _OP_CALLS = {
-    "normalize": lambda client, served, rng: client.normalize(_rows(rng), "tiny"),
-    "normalize_bulk": lambda client, served, rng: client.normalize_bulk(
+    "normalize": lambda client, plan, rng: client.normalize(_rows(rng), "tiny"),
+    "normalize_bulk": lambda client, plan, rng: client.normalize_bulk(
         [_rows(rng, 2), _rows(rng, 1)], "tiny"
     ),
-    "stream": lambda client, served, rng: list(
+    "stream": lambda client, plan, rng: list(
         client.stream(iter([_rows(rng, 2), _rows(rng, 1)]), "tiny")
     ),
-    "spec": lambda client, served, rng: client.fetch_spec("tiny"),
-    "execute": lambda client, served, rng: client.execute_spec(
-        served[0], _rows(rng), gamma=served[1], beta=served[2]
+    "spec": lambda client, plan, rng: client.fetch_spec("tiny"),
+    "execute": lambda client, plan, rng: client.execute_spec(
+        plan.spec, _rows(rng), gamma=plan.gamma, beta=plan.beta
     ),
-    "execute_bulk": lambda client, served, rng: client.execute_spec_bulk(
-        served[0], [(_rows(rng, 2), None, None)], gamma=served[1], beta=served[2]
+    "execute_bulk": lambda client, plan, rng: client.execute_spec_bulk(
+        plan.spec, [(_rows(rng, 2), None, None)], gamma=plan.gamma, beta=plan.beta
     ),
-    "hello": lambda client, served, rng: client.wait_until_ready(),
-    "ping": lambda client, served, rng: client.ping(),
-    "telemetry": lambda client, served, rng: client.telemetry(),
+    "hello": lambda client, plan, rng: client.wait_until_ready(),
+    "ping": lambda client, plan, rng: client.ping(),
+    "telemetry": lambda client, plan, rng: client.telemetry(),
 }
 
 
@@ -484,7 +483,7 @@ class TestOneHopServingPath:
         with AsyncNormServer(service) as server:
             records = self._record_threads(server, monkeypatch)
             with NormClient.connect(server.host, server.port) as client:
-                _OP_CALLS[op](client, _served(registry), rng)
+                _OP_CALLS[op](client, _plan(registry), rng)
         service.close()
         stages = [(stage, thread) for name, stage, thread in records if name == op]
         assert {stage for stage, _ in stages} == {"begin", "finish"}, records
@@ -531,10 +530,10 @@ class TestOneHopServingPath:
             with NormClient.connect(server.host, server.port) as client:
                 client.wait_until_ready()  # hello off the count
                 counts = self._count_wakes(server)
-                spec, gamma, beta = _served(registry)
+                plan = _plan(registry)
                 rows = _rows(rng)
                 output, _, _ = client.execute_spec(
-                    spec, rows, gamma=gamma, beta=beta, backend="reference"
+                    plan.spec, rows, gamma=plan.gamma, beta=plan.beta, backend="reference"
                 )
                 np.testing.assert_array_equal(output, _golden(registry, rows))
                 assert counts == {"wakes": 0}
@@ -638,7 +637,7 @@ class TestEngineTickOnTheLoop:
         with AsyncNormServer(service) as server:
             with NormClient.connect(server.host, server.port) as client:
                 for call in _OP_CALLS.values():
-                    call(client, _served(registry), rng)
+                    call(client, _plan(registry), rng)
                 started = {
                     t.name for t in threading.enumerate() if t.ident not in before
                 }
