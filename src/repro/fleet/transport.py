@@ -61,7 +61,7 @@ from repro.fleet.health import BreakerConfig
 from repro.fleet.router import FleetRouter
 
 #: Ops whose routing key is the serving tuple (model, dataset, accelerator).
-_SERVING_OPS = ("normalize", "normalize_bulk", "stream", "spec")
+_KEYED_OPS = ("normalize", "normalize_bulk", "stream", "spec")
 
 #: Bulk ops and the envelope field their item list lives in.
 _BULK_FIELDS = {"normalize_bulk": "tensors", "execute_bulk": "groups"}
@@ -312,7 +312,7 @@ class FleetTransport(Transport):
     def routing_key(payload: Dict[str, Any]) -> Optional[Tuple]:
         """The consistent-hash key of one request envelope (None: un-keyed)."""
         op = payload.get("op")
-        if op in _SERVING_OPS:
+        if op in _KEYED_OPS:
             return (
                 payload.get("model"),
                 payload.get("dataset"),
@@ -388,7 +388,7 @@ class FleetTransport(Transport):
         self.retry_policy.record_attempt()
         attempt = 0
         while True:
-            envelope = self._dispatch(payload, op)
+            envelope = self._route(payload, op)
             retry_after_ms = _overload_error(envelope)
             if retry_after_ms is None:
                 return envelope
@@ -404,7 +404,7 @@ class FleetTransport(Transport):
             time.sleep(delay)
             attempt += 1
 
-    def _dispatch(self, payload: Dict[str, Any], op: Optional[str]) -> Dict[str, Any]:
+    def _route(self, payload: Dict[str, Any], op: Optional[str]) -> Dict[str, Any]:
         field = _BULK_FIELDS.get(op)
         if field is not None and self.scatter:
             items = payload.get(field)
