@@ -16,10 +16,10 @@ Everything runs on the event loop's one thread, ``haan-async-server``:
   zero-copy tensor decode (:func:`attach_buffers`: memoryview slices,
   O(tensor count) not O(bytes)), :meth:`ApiHandler.begin` (validate +
   submit), the engine tick, ``finish`` (response envelope), response
-  encoding and the write.  The ops that bypass the scheduler
-  (``execute``, ``execute_bulk``, ``spec``, ``hello``, ``ping``,
-  ``telemetry``) do their work in ``finish``, so an ``execute_bulk``
-  kernel, like a batch, holds the loop for its duration.
+  encoding and the write.  Every op that runs a kernel (``normalize``,
+  ``normalize_bulk``, ``stream``, ``execute``, ``execute_bulk``) submits
+  into the scheduler; the others (``spec``, ``hello``, ``ping``,
+  ``telemetry``) submit nothing and do their work in ``finish``.
 * **the engine tick** -- a loop callback that drains the service's
   continuous batching scheduler one batch at a time
   (:meth:`~repro.serving.batcher.ContinuousBatcher.drain_once`: EDF/aging
@@ -72,7 +72,7 @@ from repro.api.framing import (
 # decode_payload, so the name must exist on it.
 from repro.api.framing import decode_payload  # noqa: F401
 from repro.api.handler import ApiHandler
-from repro.api.server import _applied_degradation, complete_work
+from repro.tenancy.quota import estimate_rows
 
 
 async def _await_pendings(loop: asyncio.AbstractEventLoop, pendings) -> None:
@@ -638,7 +638,17 @@ class AsyncNormServer:
                 response = await self._respond(connection, payload, is_work)
             finally:
                 if is_work:
-                    complete_work(self, connection.tenant, payload, nbytes, started)
+                    # Retire the work frame -- free its admission slot, meter
+                    # it -- before writing the response, so a client that read
+                    # its answer finds its own charge in the ledger (modelled
+                    # cycles/energy arrive through the service's cost observer).
+                    elapsed = time.perf_counter() - started
+                    self.admission.complete(elapsed)
+                    if self.tenancy is not None:
+                        rows = estimate_rows(payload)
+                        self.tenancy.charge_request(
+                            connection.tenant, rows=rows, nbytes=nbytes, wall_seconds=elapsed
+                        )
             sent = await self._try_send(connection, response)
             if sent:
                 with self._lock:
@@ -669,9 +679,22 @@ class AsyncNormServer:
             await _await_pendings(self._loop, pendings)
         response = finish()
         if self.ladder is not None and is_work:
-            applied = _applied_degradation(response)
-            if applied is not None:
-                self.ladder.record_applied(applied)
+            # Record the level actually applied.  Single responses stamp it
+            # at the top level, stream responses inside ``result``, bulk
+            # responses per item in ``results`` (all items of one bulk ran
+            # at one level -- the first is representative).
+            candidates = [response]
+            result = response.get("result")
+            if isinstance(result, dict):
+                candidates.append(result)
+            results = response.get("results")
+            if isinstance(results, (list, tuple)) and results and isinstance(results[0], dict):
+                candidates.append(results[0])
+            for candidate in candidates:
+                applied = candidate.get("degradation")
+                if isinstance(applied, int) and not isinstance(applied, bool):
+                    self.ladder.record_applied(applied)
+                    break
         return response
 
     # -- sending -------------------------------------------------------------

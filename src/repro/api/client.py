@@ -54,6 +54,13 @@ def _resolve_encoding(encoding: Optional[str]) -> str:
     return "binary" if encoding is None else encoding
 
 
+def _tensor(values, encoding: str, dtype=None) -> Optional[TensorPayload]:
+    """``values`` as a wire tensor (None stays None)."""
+    return None if values is None else TensorPayload.from_array(
+        np.asarray(values, dtype=dtype), encoding
+    )
+
+
 @dataclass(frozen=True)
 class ClientNormResult:
     """Decoded result of one normalize call."""
@@ -483,24 +490,13 @@ class NormClient:
         ``(output, mean, isd)``.  Used by the engine's ``remote`` backend.
         """
         encoding = _resolve_encoding(encoding)
-        spec_dict = spec.to_dict() if hasattr(spec, "to_dict") else dict(spec)
-
-        def _tensor(arr) -> Optional[TensorPayload]:
-            return None if arr is None else TensorPayload.from_array(np.asarray(arr), encoding)
-
         request = ExecuteSpecRequest(
-            spec=spec_dict,
-            rows=TensorPayload.from_array(np.asarray(rows, dtype=np.float64), encoding),
-            gamma=_tensor(gamma),
-            beta=_tensor(beta),
-            segment_starts=(
-                None
-                if segment_starts is None
-                else TensorPayload.from_array(
-                    np.asarray(segment_starts, dtype=np.int64), encoding
-                )
-            ),
-            anchor_isd=_tensor(anchor_isd),
+            spec=spec.to_dict() if hasattr(spec, "to_dict") else dict(spec),
+            rows=_tensor(rows, encoding, np.float64),
+            gamma=_tensor(gamma, encoding),
+            beta=_tensor(beta, encoding),
+            segment_starts=_tensor(segment_starts, encoding, np.int64),
+            anchor_isd=_tensor(anchor_isd, encoding),
             backend=backend,
         )
         response = parse_response(self.transport.request(request.to_wire()), "execute")
@@ -523,40 +519,24 @@ class NormClient:
 
         ``groups`` is a sequence of ``(rows, segment_starts, anchor_isd)``
         triples (the optional parts may be None).  The spec and affine
-        parameters travel once; the server compiles once and runs every
-        group under a single engine-lock acquisition.  Returns one
-        ``(output, mean, isd)`` per group, in order.
+        parameters travel once; the server compiles once and submits every
+        group to its batching scheduler, where groups of one size class
+        stack into one kernel call.  Returns one ``(output, mean, isd)``
+        per group, in order.
         """
         encoding = _resolve_encoding(encoding)
-        spec_dict = spec.to_dict() if hasattr(spec, "to_dict") else dict(spec)
-        wire_groups = []
-        for rows, segment_starts, anchor_isd in groups:
-            wire_groups.append(
-                ExecuteGroup(
-                    rows=TensorPayload.from_array(
-                        np.asarray(rows, dtype=np.float64), encoding
-                    ),
-                    segment_starts=(
-                        None
-                        if segment_starts is None
-                        else TensorPayload.from_array(
-                            np.asarray(segment_starts, dtype=np.int64), encoding
-                        )
-                    ),
-                    anchor_isd=(
-                        None
-                        if anchor_isd is None
-                        else TensorPayload.from_array(
-                            np.asarray(anchor_isd, dtype=np.float64), encoding
-                        )
-                    ),
-                )
-            )
         request = ExecuteBulkRequest(
-            spec=spec_dict,
-            groups=tuple(wire_groups),
-            gamma=None if gamma is None else TensorPayload.from_array(np.asarray(gamma), encoding),
-            beta=None if beta is None else TensorPayload.from_array(np.asarray(beta), encoding),
+            spec=spec.to_dict() if hasattr(spec, "to_dict") else dict(spec),
+            groups=tuple(
+                ExecuteGroup(
+                    rows=_tensor(rows, encoding, np.float64),
+                    segment_starts=_tensor(segment_starts, encoding, np.int64),
+                    anchor_isd=_tensor(anchor_isd, encoding, np.float64),
+                )
+                for rows, segment_starts, anchor_isd in groups
+            ),
+            gamma=_tensor(gamma, encoding),
+            beta=_tensor(beta, encoding),
             backend=backend,
         )
         response = parse_response(self.transport.request(request.to_wire()), "execute_bulk")

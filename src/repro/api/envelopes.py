@@ -480,8 +480,8 @@ class ExecuteResult(_Record):
 @_record
 class ExecuteBulkRequest(_Request):
     """Run one shipped spec over many row-groups in one frame: the spec
-    compiles once and every group runs under one engine-lock acquisition
-    (the ``remote`` backend's ``run_many``)."""
+    compiles once and every group rides the batching scheduler, stacked
+    with other groups of the spec (the ``remote`` backend's ``run_many``)."""
 
     op = "execute_bulk"
     spec: Dict[str, Any] = wire("dict")

@@ -15,11 +15,7 @@ mapped onto their wire codes and anything unexpected collapsed to
 
 from __future__ import annotations
 
-import hashlib
-import json
-import threading
-from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -29,10 +25,8 @@ from repro.api.envelopes import (
     ApiError,
     BadSchemaError,
     ErrorResponse,
-    ExecuteBulkRequest,
     ExecuteBulkResponse,
     ExecuteResult,
-    ExecuteSpecRequest,
     ExecuteSpecResponse,
     HelloRequest,
     HelloResponse,
@@ -58,9 +52,13 @@ from repro.api.envelopes import (
 )
 
 
+def _array(tensor: Optional[TensorPayload]) -> Optional[np.ndarray]:
+    return None if tensor is None else tensor.to_array()
+
+
 def _unbatched(op):
-    """An op-table entry for an op that bypasses the batching scheduler:
-    no pendings, and ``op(self, request)`` runs in ``build``."""
+    """An op-table entry for an op that runs no kernel: no pendings, and
+    ``op(self, request)`` runs in ``build``."""
 
     def begin_op(self, request, degrade_level, tenant):
         return [], lambda: op(self, request)
@@ -74,16 +72,13 @@ class ApiHandler:
     Parameters
     ----------
     service:
-        The serving front door every ``normalize`` / ``spec`` / ``telemetry``
-        request resolves through.  ``execute`` requests bypass it: they ship
-        their own :class:`~repro.engine.spec.EngineSpec` and run on a
-        handler-local engine cache.
+        The serving front door every request resolves through.  ``execute``
+        requests ship their own :class:`~repro.engine.spec.EngineSpec` and
+        go through the same batching scheduler as ``normalize``; the
+        service compiles and caches their engines.
     max_payload_elements:
         Upper bound on scalar elements per request tensor; larger payloads
         fail with ``payload_too_large`` before any decoding work happens.
-    engine_cache_size:
-        Number of (spec, affine, backend) engines the ``execute`` op keeps
-        compiled between requests.
     schema_versions:
         The ``(min, max)`` schema-version range this handler advertises in
         hello/ping negotiation (defaults to the package range; tests inject
@@ -96,25 +91,13 @@ class ApiHandler:
         self,
         service,
         max_payload_elements: int = DEFAULT_MAX_ELEMENTS,
-        engine_cache_size: int = 32,
         schema_versions: Tuple[int, int] = (MIN_SCHEMA_VERSION, SCHEMA_VERSION),
     ):
         if max_payload_elements < 1:
             raise ValueError("max_payload_elements must be positive")
-        if engine_cache_size < 1:
-            raise ValueError("engine_cache_size must be positive")
         self.service = service
         self.max_payload_elements = max_payload_elements
         self.min_schema_version, self.max_schema_version = schema_versions
-        #: key -> (engine, per-engine run lock).  The cache lock only guards
-        #: the mapping itself; each engine runs under its own lock (its
-        #: backend owns mutable scratch).  The async server runs every op on
-        #: its loop thread; the locks serve threads sharing an in-process
-        #: handler, which never serialize on each other executing
-        #: *different* specs.
-        self._engine_cache: "OrderedDict[Tuple, Any]" = OrderedDict()
-        self._engine_cache_size = engine_cache_size
-        self._cache_lock = threading.Lock()
 
     # -- entry points -------------------------------------------------------
 
@@ -142,11 +125,11 @@ class ApiHandler:
         service, and returns ``(pendings, finish)``:
 
         * ``pendings`` -- the :class:`ResponseFuture` objects the request
-          enqueued (empty for the ops that bypass the scheduler, and when
+          enqueued (empty for the ops that run no kernel, and when
           validation already failed);
         * ``finish()`` -- builds the response envelope (running the whole
-          op when it bypasses the scheduler); the caller must invoke it only
-          once every pending future is done, after which it never waits.
+          op when it runs no kernel); the caller must invoke it only once
+          every pending future is done, after which it never waits.
 
         Never raises: failures become error envelopes (see
         :meth:`error_envelope`).  The response echoes the *request's*
@@ -331,25 +314,19 @@ class ApiHandler:
             request, self._resolve(future)
         )
 
-    def _check_bulk_size(self, request: NormalizeBulkRequest) -> None:
+    def _check_bulk_size(self, tensors, label: str) -> None:
         # Size-check the whole request (per tensor AND aggregate) before any
         # array is materialized: an oversized bulk must not cost the decode.
         total_elements = 0
-        for index, tensor in enumerate(request.tensors):
-            self._check_size(tensor, f"tensors[{index}]")
+        for index, tensor in enumerate(tensors):
+            self._check_size(tensor, label.format(index))
             total_elements += tensor.num_elements
         if total_elements > self.max_payload_elements:
             raise PayloadTooLargeError(
-                f"bulk request carries {total_elements} elements across "
-                f"{len(request.tensors)} tensors; this server accepts at most "
+                f"request carries {total_elements} elements across "
+                f"{len(tensors)} tensors; this server accepts at most "
                 f"{self.max_payload_elements} per request"
             )
-
-    def _decode_bulk(self, request: NormalizeBulkRequest) -> List[np.ndarray]:
-        return [
-            self._decode_rows(tensor, f"normalize_bulk tensors[{index}]")
-            for index, tensor in enumerate(request.tensors)
-        ]
 
     def _build_bulk(
         self, request: NormalizeBulkRequest, responses
@@ -372,8 +349,11 @@ class ApiHandler:
     ):
         self._check_backend(request.backend)
         self._check_model(request.model)
-        self._check_bulk_size(request)
-        arrays = self._decode_bulk(request)
+        self._check_bulk_size(request.tensors, "tensors[{}]")
+        arrays = [
+            self._decode_rows(tensor, f"normalize_bulk tensors[{index}]")
+            for index, tensor in enumerate(request.tensors)
+        ]
         futures = self._call_service(
             self.service.submit_many,
             arrays,
@@ -457,128 +437,60 @@ class ApiHandler:
             num_layers=artifact.num_layers,
         )
 
-    def _execute(self, request: ExecuteSpecRequest) -> ExecuteSpecResponse:
+    def _begin_execute(self, request, degrade_level: int, tenant: Optional[str]):
+        """``execute`` and ``execute_bulk``: submit every row-group (an
+        ``execute`` request is its own single group) into the service,
+        which validates them all before queuing any."""
         from repro.engine.spec import EngineSpec
 
         self._check_backend(request.backend)
-        self._check_size(request.rows, "rows")
+        bulk = request.op == "execute_bulk"
+        groups = request.groups if bulk else (request,)
+        self._check_bulk_size(
+            [group.rows for group in groups], "groups[{}].rows" if bulk else "rows"
+        )
         try:
             spec = EngineSpec.from_dict(request.spec)
         except (TypeError, ValueError) as error:
             raise BadSchemaError(f"invalid engine spec: {error}") from error
-        gamma = None if request.gamma is None else request.gamma.to_array()
-        beta = None if request.beta is None else request.beta.to_array()
-        rows = request.rows.to_array()
-        segment_starts = (
-            None
-            if request.segment_starts is None
-            else request.segment_starts.to_array().astype(np.int64, copy=False)
-        )
-        anchor_isd = None if request.anchor_isd is None else request.anchor_isd.to_array()
-        engine, run_lock = self._engine_for(spec, request.backend, gamma, beta)
-        try:
-            with run_lock:
-                output, mean, isd = engine.run(rows, segment_starts, anchor_isd)
-        except ValueError as error:
-            raise BadSchemaError(str(error)) from error
-        return ExecuteSpecResponse(
-            request_id=request.request_id,
-            output=TensorPayload.from_array(output, request.rows.encoding),
-            mean=TensorPayload.from_array(mean, request.rows.encoding),
-            isd=TensorPayload.from_array(isd, request.rows.encoding),
+        futures = self._call_service(
+            self.service.submit_execute,
+            spec,
+            [
+                (group.rows.to_array(), _array(group.segment_starts), _array(group.anchor_isd))
+                for group in groups
+            ],
             backend=request.backend,
+            gamma=_array(request.gamma),
+            beta=_array(request.beta),
+            tenant=tenant,
+            deadline_ms=request.deadline_ms,
         )
+        encoding = groups[0].rows.encoding
 
-    def _execute_bulk(self, request: ExecuteBulkRequest) -> ExecuteBulkResponse:
-        from repro.engine.spec import EngineSpec
-
-        self._check_backend(request.backend)
-        total_elements = 0
-        for index, group in enumerate(request.groups):
-            self._check_size(group.rows, f"groups[{index}].rows")
-            total_elements += group.rows.num_elements
-        if total_elements > self.max_payload_elements:
-            raise PayloadTooLargeError(
-                f"bulk execute carries {total_elements} elements across "
-                f"{len(request.groups)} groups; this server accepts at most "
-                f"{self.max_payload_elements} per request"
-            )
-        try:
-            spec = EngineSpec.from_dict(request.spec)
-        except (TypeError, ValueError) as error:
-            raise BadSchemaError(f"invalid engine spec: {error}") from error
-        gamma = None if request.gamma is None else request.gamma.to_array()
-        beta = None if request.beta is None else request.beta.to_array()
-        engine, run_lock = self._engine_for(spec, request.backend, gamma, beta)
-        encoding = request.groups[0].rows.encoding
-        # Decode every group before taking the engine lock and encode the
-        # responses after releasing it: only engine.run needs the lock, so
-        # threads sharing a cached engine never serialize on codec work.
-        decoded = [
-            (
-                group.rows.to_array(),
-                None
-                if group.segment_starts is None
-                else group.segment_starts.to_array().astype(np.int64, copy=False),
-                None if group.anchor_isd is None else group.anchor_isd.to_array(),
-            )
-            for group in request.groups
-        ]
-        raw: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        try:
-            # One lock acquisition for the whole bulk: the spec compiled
-            # once, the backend's scratch stays warm across groups.
-            with run_lock:
-                for rows, segment_starts, anchor_isd in decoded:
-                    raw.append(engine.run(rows, segment_starts, anchor_isd))
-        except ValueError as error:
-            raise BadSchemaError(str(error)) from error
-        return ExecuteBulkResponse(
-            request_id=request.request_id,
-            results=tuple(
+        def build():
+            results = tuple(
                 ExecuteResult(
-                    output=TensorPayload.from_array(output, encoding),
-                    mean=TensorPayload.from_array(mean, encoding),
-                    isd=TensorPayload.from_array(isd, encoding),
+                    output=TensorPayload.from_array(response.output, encoding),
+                    mean=TensorPayload.from_array(response.mean, encoding),
+                    isd=TensorPayload.from_array(response.isd, encoding),
                 )
-                for output, mean, isd in raw
-            ),
-            backend=request.backend,
-        )
+                for response in map(self._resolve, futures)
+            )
+            if bulk:
+                return ExecuteBulkResponse(
+                    request_id=request.request_id, results=results, backend=request.backend
+                )
+            (result,) = results
+            return ExecuteSpecResponse(
+                request_id=request.request_id,
+                output=result.output,
+                mean=result.mean,
+                isd=result.isd,
+                backend=request.backend,
+            )
 
-    def _engine_for(self, spec, backend: str, gamma, beta):
-        """LRU cache of compiled engines for the ``execute`` op.
-
-        Keyed by the full spec JSON, the backend name and a digest of the
-        affine parameters, so repeated remote-backend traffic pays the
-        compile (and backend construction) once.  Returns
-        ``(engine, run_lock)``; the lock serializes runs of *this* engine
-        only (its backend owns mutable scratch).
-        """
-        digest = hashlib.sha256()
-        for arr in (gamma, beta):
-            digest.update(b"\x00" if arr is None else np.ascontiguousarray(arr).tobytes())
-        key = (json.dumps(spec.to_dict(), sort_keys=True), backend, digest.hexdigest())
-        with self._cache_lock:
-            entry = self._engine_cache.get(key)
-            if entry is not None:
-                self._engine_cache.move_to_end(key)
-                return entry
-        from repro.engine.registry import build
-
-        try:
-            engine = build(spec, backend=backend, gamma=gamma, beta=beta)
-        except ValueError as error:
-            raise BadSchemaError(str(error)) from error
-        entry = (engine, threading.Lock())
-        with self._cache_lock:
-            # A racing thread may have built the same engine; keep the
-            # first one so its lock stays authoritative.
-            entry = self._engine_cache.setdefault(key, entry)
-            self._engine_cache.move_to_end(key)
-            while len(self._engine_cache) > self._engine_cache_size:
-                self._engine_cache.popitem(last=False)
-        return entry
+        return futures, build
 
     def _hello(self, request: HelloRequest) -> HelloResponse:
         from repro.engine.registry import available_backends
@@ -617,15 +529,15 @@ class ApiHandler:
 
     #: The op table: every op of :data:`repro.api.envelopes.OPS` ->
     #: ``(self, request, degrade_level, tenant) -> (pendings, build)``.
-    #: Serving ops submit into the batching scheduler; the others return
-    #: no pendings and run in ``build``.
+    #: The ops that run a kernel submit into the batching scheduler; the
+    #: others return no pendings and run in ``build``.
     _OPS = {
         "normalize": _begin_normalize,
         "normalize_bulk": _begin_bulk,
         "stream": _begin_stream,
+        "execute": _begin_execute,
+        "execute_bulk": _begin_execute,
         "spec": _unbatched(_spec),
-        "execute": _unbatched(_execute),
-        "execute_bulk": _unbatched(_execute_bulk),
         "hello": _unbatched(_hello),
         "ping": _unbatched(_ping),
         "telemetry": _unbatched(_telemetry),

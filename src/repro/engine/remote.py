@@ -106,7 +106,7 @@ class RemoteBackend(NormBackend):
 
         ``groups`` holds ``(rows, segment_starts, anchor_isd)`` triples.
         The spec and affine parameters ship once instead of per group, the
-        server compiles once and runs every group back to back -- the bulk
+        server compiles once and stacks the groups into batches -- the bulk
         counterpart of :meth:`run` that amortizes the wire and compile cost
         over the whole list while staying bit-identical to local execution.
         """

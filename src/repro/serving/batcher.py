@@ -317,8 +317,8 @@ class ContinuousBatcher:
             budget_ms = pending.request.deadline_ms
             pending.set_exception(
                 DeadlineExceededError(
-                    f"deadline_ms={budget_ms:g} expired before request "
-                    f"{pending.request.request_id} reached the engine"
+                    f"deadline_ms={budget_ms:g} expired before the request "
+                    f"reached the engine"
                 )
             )
 

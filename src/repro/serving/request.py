@@ -14,9 +14,11 @@ request deposited.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+import json
+from dataclasses import dataclass, field
+from typing import Any, Optional
 
 import numpy as np
 
@@ -54,6 +56,38 @@ class RequestKey:
     #: (forced subsampling / skip fast path), so they must never share a
     #: micro-batch with full-fidelity traffic.
     degrade: int = 0
+
+
+@dataclass(frozen=True)
+class ExecuteKey:
+    """Coalescing key of ``execute`` requests: those shipping the same spec
+    (``spec_json``) and affine digest to the same backend may share a
+    micro-batch.  The key alone determines the engine (:meth:`compile`);
+    ``spec`` / ``gamma`` / ``beta`` ride outside equality and hashing."""
+
+    spec_json: str
+    backend: str
+    affine_digest: str
+    spec: Any = field(compare=False, repr=False)
+    gamma: Optional[np.ndarray] = field(compare=False, repr=False)
+    beta: Optional[np.ndarray] = field(compare=False, repr=False)
+
+    @classmethod
+    def for_spec(cls, spec, backend: str, gamma=None, beta=None) -> "ExecuteKey":
+        """The affine vectors are copied to float64: the digest is over
+        canonical bytes, and the key never pins a receive buffer."""
+        affine = [None if v is None else np.array(v, dtype=np.float64) for v in (gamma, beta)]
+        digest = hashlib.sha256()
+        for values in affine:
+            digest.update(b"\x00" if values is None else values.tobytes())
+        spec_json = json.dumps(spec.to_dict(), sort_keys=True)
+        return cls(spec_json, backend, digest.hexdigest(), spec, *affine)
+
+    def compile(self):
+        """``(engine, applied_level)``; a shipped spec is never degraded."""
+        from repro.engine.registry import build
+
+        return build(self.spec, backend=self.backend, gamma=self.gamma, beta=self.beta), 0
 
 
 class NormRequest:
@@ -129,6 +163,14 @@ class NormRequest:
             f"NormRequest(id={self.request_id}, key={self.key}, "
             f"rows={self.num_rows})"
         )
+
+
+class ExecuteRequest(NormRequest):
+    """One row-group of an ``execute`` op: unlike a normalize payload,
+    which is one segment, it carries its own ``segment_starts`` (None =
+    one segment), assigned after construction."""
+
+    __slots__ = ("segment_starts",)
 
 
 @dataclass(slots=True)

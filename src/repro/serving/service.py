@@ -26,7 +26,8 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.registry import validate_backend_name
+from repro.core.subsampling import validate_segment_lengths
+from repro.engine.registry import build, validate_backend_name
 from repro.engine.spec import spec_for_layer
 from repro.llm.hooks import ActivationContext, scatter_isd, stack_anchor_isds
 from repro.numerics.kernels import KernelWorkspace
@@ -38,8 +39,11 @@ from repro.serving.batcher import (
     ResponseFuture,
 )
 from repro.serving.registry import CalibrationRegistry
-from repro.serving.request import NormRequest, NormResponse, RequestKey
+from repro.serving.request import ExecuteKey, ExecuteRequest, NormRequest, NormResponse, RequestKey
 from repro.serving.telemetry import ServingTelemetry
+
+#: Most engines the service compiles itself and keeps between batches.
+ENGINE_CACHE_SIZE = 32
 
 
 class NormalizationService:
@@ -64,12 +68,11 @@ class NormalizationService:
         # workspace mid-kernel would corrupt each other.
         self._workspace = KernelWorkspace()
         self._execute_lock = threading.Lock()
-        # Engines compiled for degraded requests (forced subsampling /
-        # forced skip fast path): the layer's own engine cache only knows
-        # its calibrated spec, so degraded variants live here, keyed by
-        # the full request key.  Guarded by the execute lock (the only
-        # place the cache is read or written).
-        self._degraded_engines = {}
+        # Engines no calibrated layer owns (a layer's own engine cache only
+        # knows its calibrated spec): shipped specs by ExecuteKey, degraded
+        # variants by request key.  An LRU of ``(engine, applied_level)``,
+        # guarded by the execute lock (the only place it is used).
+        self._engines = {}
         self._queue_clock = time.monotonic
         #: Optional per-batch cost-attribution hook
         #: ``(tenants, counts, cost_record) -> None`` called after a
@@ -193,6 +196,31 @@ class NormalizationService:
             ]
         )
 
+    def submit_execute(
+        self,
+        spec,
+        groups: Sequence,
+        backend: str = "vectorized",
+        gamma: Optional[np.ndarray] = None,
+        beta: Optional[np.ndarray] = None,
+        tenant: Optional[str] = None,
+        deadline_ms: Optional[float] = None,
+    ) -> List[ResponseFuture]:
+        """Enqueue ``(rows, segment_starts, anchor_isd)`` row-groups (the
+        optional parts may be None) that run a shipped :class:`EngineSpec`;
+        one future per group.  Groups of one spec, affine and backend stack
+        into one kernel call, across calls, like normalize requests.  Every
+        group is checked before any is queued: a malformed one fails this
+        call with ``ValueError``, never the batch it would have shared.
+        """
+        validate_backend_name(backend)
+        key = ExecuteKey.for_spec(spec, backend, gamma, beta)
+        requests = [
+            _execute_request(key, index, *group, tenant=tenant, deadline_ms=deadline_ms)
+            for index, group in enumerate(groups)
+        ]
+        return self.batcher.submit_many(requests)
+
     def _validate_key(self, key: RequestKey) -> None:
         """Front-door name validation: backend, model, accelerator.
 
@@ -289,18 +317,19 @@ class NormalizationService:
         with self._execute_lock:
             self._execute_batch_locked(key, batch, total_rows)
 
-    def _degraded_engine(self, artifact, layer, key: RequestKey):
-        """``(engine, applied_level)`` for a degraded request key.
+    def _cached_engine(self, key, compile_engine):
+        """``(engine, applied_level)`` of ``key``, compiled on a cache miss.
+        Called under the execute lock."""
+        entry = self._engines.pop(key, None) or compile_engine()
+        self._engines[key] = entry  # most recently used last
+        if len(self._engines) > ENGINE_CACHE_SIZE:
+            del self._engines[next(iter(self._engines))]
+        return entry
 
-        Degraded engines are compiled from the layer's calibrated spec with
-        the ladder level's knobs forced (:func:`degraded_spec`) and cached
-        per full key -- the layer's own engine cache only ever holds the
-        calibrated spec.  Called under the execute lock.
-        """
-        cache_key = key
-        cached = self._degraded_engines.get(cache_key)
-        if cached is not None:
-            return cached
+    def _compile_degraded(self, artifact, layer, key: RequestKey):
+        """``(engine, applied_level)`` for a degraded request key: the
+        layer's calibrated spec with the ladder level's knobs forced
+        (:func:`degraded_spec`)."""
         spec = spec_for_layer(layer)
         source = None
         if key.degrade >= 2 and spec.predictor_anchor_log_isd is None:
@@ -316,8 +345,6 @@ class NormalizationService:
         if applied_level == 0:
             engine = layer.engine_for(key.backend, accelerator=key.accelerator)
         else:
-            from repro.engine.registry import build
-
             kwargs = {}
             if key.accelerator is not None:
                 from repro.hardware.configs import resolve_accelerator_config
@@ -337,40 +364,49 @@ class NormalizationService:
                     f"config; pick a cost-modelling backend (simulated*) "
                     f"or drop accelerator={key.accelerator!r}"
                 ) from error
-        self._degraded_engines[cache_key] = (engine, applied_level)
         return engine, applied_level
 
     def _execute_batch_locked(
         self, key: RequestKey, batch: List[PendingRequest], total_rows: int
     ) -> None:
+        shipped = key.__class__ is ExecuteKey
         try:
-            artifact = self.registry.get(key.model, key.dataset)
-            layer = artifact.layer(key.layer_index, reference=key.reference)
-            # The layer's compiled plan + the request's backend name resolve
-            # through the engine registry; the name itself was validated at
-            # submit() time, so failures here mean construction problems
-            # (e.g. an accelerator selection on a cost-less backend).
-            if key.degrade == 0:
-                engine = layer.engine_for(key.backend, accelerator=key.accelerator)
-                applied_level = 0
+            if shipped:
+                engine, applied_level = self._cached_engine(key, key.compile)
             else:
-                engine, applied_level = self._degraded_engine(artifact, layer, key)
+                artifact = self.registry.get(key.model, key.dataset)
+                layer = artifact.layer(key.layer_index, reference=key.reference)
+                # The layer's compiled plan + the request's backend name
+                # resolve through the engine registry; the name itself was
+                # validated at submit() time, so failures here mean
+                # construction problems (e.g. an accelerator selection on a
+                # cost-less backend).
+                if key.degrade == 0:
+                    engine = layer.engine_for(key.backend, accelerator=key.accelerator)
+                    applied_level = 0
+                else:
+                    engine, applied_level = self._cached_engine(
+                        key, lambda: self._compile_degraded(artifact, layer, key)
+                    )
         except Exception as error:  # noqa: BLE001 -- fail the whole batch
             self.telemetry.observe_error()
             for pending in batch:
                 pending.set_exception(error)
             return
 
+        spec = engine.spec
         good: List[PendingRequest] = []
         rows_list: List[np.ndarray] = []
         for pending in batch:
+            # Shipped groups were width-checked at submit; only normalize
+            # payloads can miss the layer's width here.
             rows = pending.request.rows
-            if rows.shape[1] != layer.hidden_size:
+            if rows.shape[1] != spec.hidden_size:
                 total_rows -= rows.shape[0]
                 pending.set_exception(
                     ValueError(
                         f"payload width {rows.shape[1]} does not match hidden "
-                        f"size {layer.hidden_size} of {key.model}/{key.dataset} "
+                        f"size {spec.hidden_size} of {key.model}/{key.dataset} "
                         f"layer {key.layer_index}"
                     )
                 )
@@ -383,14 +419,21 @@ class NormalizationService:
         counts = [rows.shape[0] for rows in rows_list]
         contexts = [pending.request.context for pending in good]
         starts = np.cumsum([0] + counts[:-1])
+        if shipped:
+            # An execute group brings its own segments (one if it has
+            # none), offset to where its rows sit in the stack.
+            starts = np.concatenate([
+                [offset] if pending.request.segment_starts is None
+                else pending.request.segment_starts + offset
+                for pending, offset in zip(good, starts)
+            ])
         # Stack the request segments into pooled staging instead of
         # `np.concatenate`: the size-bucketed queues make batch shapes
         # recur, so steady-state serving re-fills the same buffer.  Only
         # the output matrix (owned by the responses) is allocated per batch.
-        stacked = self._workspace.matrix("service.staging", total_rows, layer.hidden_size)
+        stacked = self._workspace.matrix("service.staging", total_rows, spec.hidden_size)
         np.concatenate(rows_list, axis=0, out=stacked)
-        output = np.empty((total_rows, layer.hidden_size))
-        spec = engine.spec
+        output = np.empty((total_rows, spec.hidden_size))
         anchor = None
         if spec.skipped:
             anchor = stack_anchor_isds(contexts, spec.predictor_anchor_layer, counts)
@@ -413,7 +456,8 @@ class NormalizationService:
         # modelled cycles/energy alongside wall clock.  Reading right after
         # the run under the execute lock ties the record to this batch.
         cost_record = getattr(engine.backend, "last_record", None)
-        scatter_isd(contexts, layer.layer_index, isd, counts)
+        if not shipped:
+            scatter_isd(contexts, layer.layer_index, isd, counts)
 
         # Path flags come from the compiled plan -- configuration, not
         # per-call mutable state: services sharing a registry may run the
@@ -471,3 +515,38 @@ class NormalizationService:
             observer(
                 [pending.request.tenant for pending in good], counts, cost_record
             )
+
+
+def _execute_request(key, index, rows, segment_starts, anchor_isd, tenant, deadline_ms):
+    """The request of execute group ``index``; ``ValueError`` if malformed.
+    A skipped spec's anchor ISD goes into a fresh context at the spec's
+    anchor layer, where ``stack_anchor_isds`` finds it."""
+    spec = key.spec
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != spec.hidden_size:
+        raise ValueError(
+            f"execute group {index}: rows must be (rows, {spec.hidden_size}); "
+            f"got shape {rows.shape}"
+        )
+    count = rows.shape[0]
+    if segment_starts is not None:
+        segment_starts = np.asarray(segment_starts, dtype=np.int64)
+        if segment_starts.ndim != 1 or not segment_starts.size:
+            raise ValueError(f"execute group {index}: segment_starts must be a non-empty vector")
+        # Segments tile the rows exactly iff they start at 0 and increase
+        # strictly below ``count``.
+        validate_segment_lengths(np.diff(segment_starts, append=count), count)
+    context = None
+    if anchor_isd is not None:
+        anchor_isd = np.asarray(anchor_isd, dtype=np.float64)
+        if anchor_isd.shape != (count,):
+            raise ValueError(
+                f"execute group {index}: anchor_isd must have shape ({count},); "
+                f"got {anchor_isd.shape}"
+            )
+        if spec.skipped:
+            context = ActivationContext()
+            context.store_isd(spec.predictor_anchor_layer, anchor_isd)
+    request = ExecuteRequest(key, rows, context, tenant, deadline_ms)
+    request.segment_starts = segment_starts
+    return request

@@ -11,6 +11,10 @@ The contracts under test, in order:
 * the ``remote`` engine backend: ``engine.build(spec, backend="remote")``
   round-trips through a live ``AsyncNormServer`` bit-identically to the local
   ``reference`` backend, for computed and skipped specs;
+* batched execute: ``execute`` / ``execute_bulk`` groups stack in the
+  scheduler (across frames and connections) bit-identically to running
+  each group alone, expired budgets are shed with ``deadline_exceeded``,
+  and a malformed group fails its own frame with ``bad_schema``;
 * resilience: error taxonomy over the wire, payload-size rejection, and
   client reconnect after a server restart on the same port;
 * the serving front door: unknown backend / model / accelerator names fail
@@ -22,6 +26,7 @@ The contracts under test, in order:
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import numpy as np
@@ -34,6 +39,8 @@ from repro.api.envelopes import (
     ApiError,
     BadSchemaError,
     ErrorResponse,
+    ExecuteBulkRequest,
+    ExecuteGroup,
     ExecuteSpecRequest,
     NormalizeRequest,
     NormalizeResponse,
@@ -616,13 +623,180 @@ class TestRemoteBackend:
 
     def test_server_side_engine_cache_reused(self, registry, rng):
         svc = NormalizationService(registry=registry)
-        handler = ApiHandler(svc, engine_cache_size=4)
+        handler = ApiHandler(svc)
         spec = EngineSpec(kind="rmsnorm", hidden_size=HIDDEN)
         with NormClient(InProcessTransportWithHandler(handler)) as client:
             for _ in range(3):
                 client.execute_spec(spec, rng.normal(size=(2, HIDDEN)))
-        assert len(handler._engine_cache) == 1
+        assert len(svc._engines) == 1
         svc.close()
+
+
+def _execute_groups(rng):
+    """Row-groups of every execute-group shape, all in the 8-row size class
+    (so they stack into one batch): bare, with ``segment_starts``, with an
+    ``anchor_isd`` holding NaN entries, and with both."""
+    return [
+        (rng.normal(size=(5, HIDDEN)), None, None),
+        (rng.normal(size=(6, HIDDEN)), np.array([0, 2, 5]), None),
+        (
+            rng.normal(size=(7, HIDDEN)),
+            None,
+            np.array([1.0, np.nan, 0.5, 2.0, np.nan, 1.1, 0.9]),
+        ),
+        (
+            rng.normal(size=(8, HIDDEN)),
+            np.array([0, 3]),
+            np.array([0.7, 1.3, np.nan, 1.0, 0.6, 2.2, 1.4, np.nan]),
+        ),
+    ]
+
+
+def _execute_bulk_wire(spec, groups, gamma, beta, request_id=None, deadline_ms=None):
+    def tensor(values):
+        return None if values is None else TensorPayload.from_array(np.asarray(values))
+
+    return ExecuteBulkRequest(
+        spec=spec.to_dict(),
+        groups=tuple(
+            ExecuteGroup(
+                rows=tensor(rows),
+                segment_starts=tensor(starts),
+                anchor_isd=tensor(anchor),
+            )
+            for rows, starts, anchor in groups
+        ),
+        gamma=tensor(gamma),
+        beta=tensor(beta),
+        request_id=request_id,
+        deadline_ms=deadline_ms,
+    ).to_wire()
+
+
+class TestBatchedExecute:
+    """``execute`` / ``execute_bulk`` groups ride the batching scheduler:
+    they stack with other groups of their spec, expired budgets are shed,
+    and a malformed group is refused before it is queued."""
+
+    def test_mixed_bulk_frame_stacks_bit_identical_to_reference(self, live_server, rng):
+        computed, skipped, gamma, beta = TestRemoteBackend()._specs(rng)
+        batcher = live_server.service.batcher
+        with NormClient.connect(live_server.host, live_server.port) as client:
+            for spec in (computed, skipped):
+                groups = _execute_groups(rng)
+                before = batcher.batches_executed
+                got = client.execute_spec_bulk(spec, groups, gamma=gamma, beta=beta)
+                assert batcher.batches_executed == before + 1  # one kernel call
+                reference = build(spec, backend="reference", gamma=gamma, beta=beta)
+                for parts, (rows, starts, anchor) in zip(got, groups):
+                    for got_part, want in zip(parts, reference.run(rows, starts, anchor)):
+                        assert np.array_equal(got_part, want)
+
+    def test_two_connections_share_one_batch(self, live_server, rng):
+        computed, _, gamma, beta = TestRemoteBackend()._specs(rng)
+        service = live_server.service
+        # Hold the engine tick until both connections' requests are queued.
+        live_server._schedule_tick = lambda: None
+        payloads = [rng.normal(size=(3, HIDDEN)), rng.normal(size=(4, HIDDEN))]
+        results = {}
+
+        def call(index):
+            with NormClient.connect(live_server.host, live_server.port) as client:
+                results[index] = client.execute_spec(
+                    computed, payloads[index], gamma=gamma, beta=beta
+                )
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        for caller in callers:
+            caller.start()
+        deadline = time.monotonic() + 10.0
+        while service.batcher.pending_count < 2:
+            assert time.monotonic() < deadline, "execute requests never queued"
+            time.sleep(0.005)
+        before = service.batcher.batches_executed
+        del live_server._schedule_tick
+        live_server._loop.call_soon_threadsafe(live_server._schedule_tick)
+        for caller in callers:
+            caller.join(timeout=10.0)
+            assert not caller.is_alive()
+        assert service.batcher.batches_executed == before + 1
+        reference = build(computed, backend="reference", gamma=gamma, beta=beta)
+        for index, rows in enumerate(payloads):
+            for got_part, want in zip(results[index], reference.run(rows)):
+                assert np.array_equal(got_part, want)
+
+    @pytest.mark.parametrize("malformed", ["width", "segment_starts", "anchor_isd"])
+    def test_malformed_group_fails_alone(self, registry, rng, malformed):
+        _, skipped, gamma, beta = TestRemoteBackend()._specs(rng)
+        svc = NormalizationService(registry=registry)
+        handler = ApiHandler(svc)
+        rows = rng.normal(size=(4, HIDDEN))
+        bad_group = {
+            "width": (rng.normal(size=(4, HIDDEN + 1)), None, None),
+            "segment_starts": (rows, np.array([0, 2, 2]), None),
+            "anchor_isd": (rows, None, np.ones(3)),
+        }[malformed]
+        good = [[(rng.normal(size=(4, HIDDEN)), None, np.full(4, 1.2))] for _ in range(2)]
+        first = handler.begin(_execute_bulk_wire(skipped, good[0], gamma, beta, 1))
+        # The malformed frame's well-formed group is refused with it.
+        bad_pendings, bad_finish = handler.begin(
+            _execute_bulk_wire(skipped, [good[1][0], bad_group], gamma, beta, 2)
+        )
+        second = handler.begin(_execute_bulk_wire(skipped, good[1], gamma, beta, 3))
+        assert bad_pendings == []
+        assert svc.batcher.pending_count == 2
+        assert svc.batcher.drain_once() == 2  # the well-formed frames share a batch
+        error = bad_finish()
+        assert error["error"]["code"] == "bad_schema", error
+        assert error["request_id"] == 2
+        reference = build(skipped, backend="reference", gamma=gamma, beta=beta)
+        for (pendings, finish), groups in zip((first, second), good):
+            (result,) = parse_response(finish(), "execute_bulk").results
+            (rows, starts, anchor), = groups
+            expected = reference.run(rows, starts, anchor)
+            for got_part, want in zip((result.output, result.mean, result.isd), expected):
+                assert np.array_equal(got_part.to_array(), want)
+        svc.close()
+
+    @pytest.mark.parametrize("over", ["in_process", "socket"])
+    def test_expired_budget_sheds_execute_ops(self, registry, rng, over):
+        from repro.api.admission import AdmissionController
+        from repro.api.envelopes import DeadlineExceededError
+
+        computed, _, gamma, beta = TestRemoteBackend()._specs(rng)
+        rows = rng.normal(size=(2, HIDDEN))
+        execute = ExecuteSpecRequest(
+            spec=computed.to_dict(),
+            rows=TensorPayload.from_array(rows),
+            request_id=2,
+            deadline_ms=1e-6,
+        ).to_wire()
+        bulk = _execute_bulk_wire(
+            computed, [(rows, None, None)], gamma, beta, request_id=3, deadline_ms=1e-6
+        )
+        svc = NormalizationService(registry=registry)
+        if over == "in_process":
+            answer = ApiHandler(svc).handle
+            server = None
+        else:
+            # A near-zero service-time estimate, so the admission gate lets
+            # the budget through to the scheduler.
+            admission = AdmissionController(initial_service_time=1e-12, ema_alpha=1e-9)
+            server = AsyncNormServer(svc, admission=admission).start()
+            client = NormClient.connect(server.host, server.port)
+            answer = client.transport.request
+        try:
+            for wire, op in ((execute, "execute"), (bulk, "execute_bulk")):
+                response = answer(wire)
+                assert response["request_id"] == wire["request_id"]
+                with pytest.raises(DeadlineExceededError, match="before the request"):
+                    parse_response(response, op)
+        finally:
+            if server is not None:
+                client.close()
+                server.close()
+            svc.close()
+        assert svc.batcher.requests_shed == 2
 
 
 class InProcessTransportWithHandler:

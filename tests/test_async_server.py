@@ -17,9 +17,9 @@ Covered here:
 * the tenancy handshake (token auth, typed rejection) and the chaos
   ``FaultGate`` contract on the server core;
 * one thread per server: every op's ``begin`` and ``finish`` run on the
-  loop thread (serving ops over binary, JSON and shm frames too), and
-  neither ``execute`` nor a bulk frame's scheduler futures need a
-  cross-thread wake;
+  loop thread (serving ops over binary, JSON and shm frames too), and the
+  scheduler futures of neither an ``execute`` frame nor a bulk frame need
+  a cross-thread wake;
 * the engine tick: kernels run on the loop thread, the server starts no
   thread but its loop's, a thread calling the service directly beside live
   wire traffic resolves wire requests safely, and a drained close answers
