@@ -1,21 +1,25 @@
 """`AsyncNormServer`: the normalization service behind a TCP socket.
 
-The one wire server core (``haan-serve --listen``).  Connections are
-coroutines on one event loop, so holding 10k mostly-idle connections costs
-kilobytes apiece rather than a thread stack.  A connection may have many
-requests in flight (bounded by ``max_inflight``; excess becomes TCP
-backpressure) and responses go out in completion order, demultiplexed by
-``request_id`` on the client.
+The one wire server core (``haan-serve --listen``).  Each connection is
+an ``asyncio.BufferedProtocol`` plus one reader coroutine on one event
+loop, so holding 10k mostly-idle connections costs kilobytes apiece
+rather than a thread stack.  A connection may have many requests in
+flight (bounded by ``max_inflight``; at the bound reading pauses and the
+excess becomes TCP backpressure) and responses go out in completion
+order, demultiplexed by ``request_id`` on the client.
 
 Everything runs on the event loop's one thread, ``haan-async-server``:
 
-* **per frame** -- incremental framing (:class:`FrameDecoder`), the
-  pre-decode gate (tenant quota + overload admission on the peeked JSON
-  preamble, before any tensor bytes are touched), shm control ops, chaos
-  gate, hello authentication, per-connection in-flight accounting, the
-  zero-copy tensor decode (:func:`attach_buffers`: memoryview slices,
-  O(tensor count) not O(bytes)), :meth:`ApiHandler.begin` (validate +
-  submit), the engine tick, ``finish`` (response envelope), response
+* **per read** -- ``recv_into`` a :class:`FrameDecoder` buffer: between
+  frames a scratch region all connections share (reads run one at a
+  time), and for a frame larger than one read, a buffer sized by its
+  announced length, so the frame's bytes are copied once.
+* **per frame** -- the pre-decode gate (tenant quota + overload
+  admission on the peeked JSON preamble, before any tensor bytes are
+  touched), shm control ops, chaos gate, hello authentication,
+  per-connection in-flight accounting, the zero-copy tensor decode
+  (:func:`attach_buffers`: memoryview slices, O(tensor count) not
+  O(bytes)), :meth:`ApiHandler.begin` (validate + submit), the engine tick, ``finish`` (response envelope), response
   encoding and the write.  Every op that runs a kernel (``normalize``,
   ``normalize_bulk``, ``stream``, ``execute``, ``execute_bulk``) submits
   into the scheduler; the others (``spec``, ``hello``, ``ping``,
@@ -48,7 +52,7 @@ import socket
 import threading
 import time
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.api.admission import WORK_OPS, AdmissionController, PreDecodeGate
 from repro.api.envelopes import (
@@ -61,6 +65,7 @@ from repro.api.envelopes import (
 )
 from repro.api.framing import (
     MAX_FRAME_BYTES,
+    SCRATCH_BYTES,
     FrameDecoder,
     attach_buffers,
     encode_frame,
@@ -109,11 +114,20 @@ async def _await_pendings(loop: asyncio.AbstractEventLoop, pendings) -> None:
     await waiter
 
 
-class _AsyncConnection:
-    """Per-connection pipelining state: send lock + in-flight bound."""
+class _AsyncConnection(asyncio.BufferedProtocol):
+    """One client connection: the protocol that reads its frames, plus its
+    pipelining state (send lock, in-flight bound, gauges).
+
+    The transport calls :meth:`get_buffer`, ``recv_into`` and
+    :meth:`buffer_updated` back to back on the loop thread, so the
+    decoder reads small frames into the server's one shared scratch and a
+    larger frame straight into a buffer of its own size.  Complete frames
+    queue for the connection's reader coroutine (:meth:`received`).
+    """
 
     __slots__ = (
-        "writer",
+        "server",
+        "transport",
         "conn_id",
         "send_lock",
         "inflight",
@@ -128,23 +142,24 @@ class _AsyncConnection:
         "shm",
         "tenant",
         "decoder",
+        "error",
+        "_received",
+        "_eof",
+        "_waiter",
+        "_write_paused",
+        "_drain_waiters",
     )
 
-    def __init__(
-        self,
-        writer: asyncio.StreamWriter,
-        max_inflight: int,
-        conn_id: int,
-        decoder: FrameDecoder,
-    ):
-        self.writer = writer
-        self.conn_id = conn_id
+    def __init__(self, server: "AsyncNormServer"):
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.conn_id = 0
         self.send_lock = asyncio.Lock()
         #: The reader coroutine awaits this once ``max_inflight`` requests
-        #: are being handled: reading pauses, the kernel buffer fills and
-        #: the client feels TCP backpressure instead of the server
+        #: are being handled, with reading paused: the kernel buffer fills
+        #: and the client feels TCP backpressure instead of the server
         #: buffering without bound.
-        self.inflight = asyncio.Semaphore(max_inflight)
+        self.inflight = asyncio.Semaphore(server.max_inflight)
         self.inflight_count = 0
         self.peak_inflight = 0
         self.frames = 0
@@ -155,7 +170,98 @@ class _AsyncConnection:
         self.encoding = "json"
         self.shm = None
         self.tenant = None
-        self.decoder = decoder
+        self.decoder = FrameDecoder(
+            server.max_frame_bytes, raw=True, scratch=server._scratch
+        )
+        #: The decode error that poisoned the stream, if any.
+        self.error: Optional[ApiError] = None
+        self._received: List[object] = []
+        self._eof = False
+        self._waiter: Optional[asyncio.Future] = None
+        self._write_paused = False
+        self._drain_waiters: List[asyncio.Future] = []
+
+    # -- protocol callbacks (loop thread) ------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._accept(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.decoder.get_buffer(sizehint)
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.bytes_in += nbytes
+        try:
+            frames = self.decoder.buffer_updated(nbytes)
+        except ApiError as error:
+            # The stream cannot be resynchronized: read nothing more.
+            self.error = error
+            self.transport.pause_reading()
+            self._wake()
+            return
+        if frames:
+            if self._received:
+                # The reader has not taken the last read's frames (it waits
+                # on an in-flight slot or a slow send): stop reading until
+                # it catches up.
+                self.transport.pause_reading()
+            self._received.extend(frames)
+            self._wake()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._wake()
+        return True  # half-open: the reader closes once it saw the EOF
+
+    def connection_lost(self, exc) -> None:
+        self._eof = True
+        self._wake()
+        self._write_paused = False
+        waiters, self._drain_waiters = self._drain_waiters, []
+        for waiter in waiters:
+            if not waiter.done():
+                waiter.set_exception(ConnectionResetError("connection lost"))
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        waiters, self._drain_waiters = self._drain_waiters, []
+        for waiter in waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+
+    def _wake(self) -> None:
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    # -- coroutine side ------------------------------------------------------
+
+    async def received(self) -> List[object]:
+        """The next frames read, in order; ``[]`` once the stream ended
+        (EOF, or :attr:`error` set)."""
+        while not self._received:
+            if self._eof or self.error is not None:
+                return []
+            # Caught up: lift any pause (backlog or in-flight bound).
+            self.transport.resume_reading()
+            self._waiter = self.server._loop.create_future()
+            try:
+                await self._waiter
+            finally:
+                self._waiter = None
+        frames, self._received = self._received, []
+        return frames
+
+    async def drain(self) -> None:
+        """Wait while the transport's write buffer is above its high mark."""
+        if self._write_paused:
+            waiter = self.server._loop.create_future()
+            self._drain_waiters.append(waiter)
+            await waiter
 
 
 class AsyncNormServer:
@@ -208,12 +314,15 @@ class AsyncNormServer:
         self._sock.listen(256)
         self.host, self.port = self._sock.getsockname()[:2]
         self._lock = threading.Lock()
+        #: The read buffer every connection's decoder shares between frames
+        #: (reads run one at a time on the loop thread).
+        self._scratch = memoryview(bytearray(SCRATCH_BYTES))
         self._connections: Dict[int, _AsyncConnection] = {}
         #: Strong refs to in-flight dispatch tasks (the loop only keeps
         #: weak ones; an untracked task can be garbage-collected mid-run).
         self._tasks: Set["asyncio.Task"] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._aserver: Optional[asyncio.base_events.Server] = None
+        self._aserver: Optional[asyncio.AbstractServer] = None
         self._thread: Optional[threading.Thread] = None
         self._startup_error: Optional[BaseException] = None
         self._closing = False
@@ -273,7 +382,7 @@ class AsyncNormServer:
         self._loop = loop
         try:
             self._aserver = loop.run_until_complete(
-                asyncio.start_server(self._serve_connection, sock=self._sock)
+                loop.create_server(lambda: _AsyncConnection(self), sock=self._sock)
             )
         except BaseException as error:  # noqa: BLE001 -- surface via start()
             self._startup_error = error
@@ -354,10 +463,10 @@ class AsyncNormServer:
         with self._lock:
             connections = list(self._connections.values())
         for connection in connections:
-            # Closing the transport EOFs the reader coroutine, whose finally
+            # Closing the transport ends the reader coroutine, whose finally
             # block retires the connection's gauges.
             try:
-                connection.writer.close()
+                connection.transport.close()
             except Exception:  # noqa: BLE001 -- transport may be half-dead
                 pass
 
@@ -423,28 +532,23 @@ class AsyncNormServer:
 
     # -- connection handling -------------------------------------------------
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            try:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            except OSError:
-                pass
-        decoder = FrameDecoder(self.max_frame_bytes, raw=True)
+    def _accept(self, connection: _AsyncConnection) -> None:
+        """Register a new connection and start its reader coroutine."""
         with self._lock:
             if self._closing and not self._draining:
-                writer.close()
+                connection.transport.close()
                 return
             self.connections_total += 1
-            connection = _AsyncConnection(
-                writer, self.max_inflight, self.connections_total, decoder
-            )
+            connection.conn_id = self.connections_total
             self._connections[connection.conn_id] = connection
+        task = self._loop.create_task(self._serve_connection(connection))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _serve_connection(self, connection: _AsyncConnection) -> None:
+        decoder = connection.decoder
         try:
-            await self._read_loop(reader, connection, decoder)
+            await self._read_loop(connection)
         finally:
             with self._lock:
                 self._connections.pop(connection.conn_id, None)
@@ -459,37 +563,27 @@ class AsyncNormServer:
             async with connection.send_lock:
                 connection.closed = True
                 try:
-                    writer.close()
+                    connection.transport.close()
                 except Exception:  # noqa: BLE001
                     pass
             if connection.shm is not None:
                 connection.shm.close()
                 connection.shm = None
 
-    async def _read_loop(
-        self,
-        reader: asyncio.StreamReader,
-        connection: _AsyncConnection,
-        decoder: FrameDecoder,
-    ) -> None:
+    async def _read_loop(self, connection: _AsyncConnection) -> None:
         """The per-connection reader state machine."""
+        decoder = connection.decoder
         loop = asyncio.get_running_loop()
         while True:
-            try:
-                data = await reader.read(65536)
-            except (OSError, asyncio.IncompleteReadError):
-                return  # client went away (or server is closing)
-            if not data:
-                return  # clean EOF
-            connection.bytes_in += len(data)
-            try:
-                frames = decoder.feed(data)
-            except ApiError as error:
-                await self._try_send(
-                    connection, ErrorResponse.from_exception(error).to_wire()
-                )
-                return
-            if frames and connection.shm is None and decoder.last_kind is not None:
+            frames = await connection.received()
+            if not frames:
+                if connection.error is not None:
+                    await self._try_send(
+                        connection,
+                        ErrorResponse.from_exception(connection.error).to_wire(),
+                    )
+                return  # EOF, the client went away, or the server is closing
+            if connection.shm is None and decoder.last_kind is not None:
                 connection.encoding = decoder.last_kind
             for body in frames:
                 try:
@@ -568,12 +662,13 @@ class AsyncNormServer:
                         connection, self.handler.error_envelope(payload, error)
                     )
                     continue
-                # Awaiting at max_inflight pauses this coroutine's reads:
-                # backpressure, not buffering.
+                # At max_inflight the socket stops being read until a slot
+                # frees: backpressure, not buffering.
                 if connection.inflight.locked():
                     with self._lock:
                         connection.backpressure_waits += 1
                         self.backpressure_waits += 1
+                    connection.transport.pause_reading()
                 await connection.inflight.acquire()
                 with self._lock:
                     self.frames_received += 1
@@ -705,9 +800,9 @@ class AsyncNormServer:
             async with connection.send_lock:
                 if connection.closed:
                     return
-                connection.writer.write(data)
+                connection.transport.write(data)
                 connection.bytes_out += len(data)
-                await connection.writer.drain()
+                await connection.drain()
         except (OSError, ConnectionError):
             pass
 
@@ -729,9 +824,9 @@ class AsyncNormServer:
             async with connection.send_lock:
                 if connection.closed:
                     return False
-                connection.writer.write(data)
+                connection.transport.write(data)
                 connection.bytes_out += len(data)
-                await connection.writer.drain()
+                await connection.drain()
             return True
         except (OSError, ConnectionError):
             return False

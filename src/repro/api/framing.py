@@ -32,15 +32,18 @@ byte:
   it with ``np.frombuffer``.  Encoding writes each buffer straight from
   the source array's memoryview -- no base64, no text inflation.
 
-Two read paths share the decode rules:
-
-* :func:`recv_frame` -- blocking, one frame per call (simple clients);
-* :class:`FrameDecoder` -- incremental, bytes in / envelopes out, so a
-  pipelined peer that received several frames in one ``recv`` pays one
-  syscall for all of them.  It is also the deterministic harness for the
-  truncation/corruption property tests: malformed input -- JSON or binary
-  -- raises an :class:`ApiError` member, never hangs, never escapes as a
-  raw struct/numpy exception.
+Receiving copies a frame's bytes once, into a buffer sized by its
+announced length; binary tensors are then read-only views of that buffer.
+:class:`FrameDecoder` is the one reassembly path.  A socket reads into it
+with ``recv_into(decoder.get_buffer())`` and hands the byte count to
+``decoder.buffer_updated(n)`` -- the pair ``asyncio.BufferedProtocol``
+calls -- and :meth:`FrameDecoder.feed` copies bytes already in hand into
+the same buffers.  Small frames land in a scratch region, so a pipelined
+peer that sent several of them pays one syscall for all; a frame still
+partial after a read moves to a buffer of its own.  Malformed input --
+JSON or binary -- raises an :class:`ApiError` member, never hangs, never
+escapes as a raw struct/numpy exception.  :func:`recv_frame` reads exactly
+one frame into such a buffer (the hello handshake, simple clients).
 """
 
 from __future__ import annotations
@@ -48,7 +51,9 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
+
+import numpy as np
 
 from repro.api.envelopes import (
     BadSchemaError,
@@ -64,6 +69,9 @@ FRAME_HEADER = struct.Struct(">I")
 
 #: Default bound on one frame's payload (64 MiB).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Size of a decoder's scratch region: the most one read between frames asks for.
+SCRATCH_BYTES = 64 * 1024
 
 #: Magic opening a binary payload.  The first byte (0xAB) is a UTF-8
 #: continuation byte, so no JSON payload can ever start with it.
@@ -155,20 +163,26 @@ def send_frame(
     sock.sendall(encode_frame(payload, max_frame_bytes))
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    """Read exactly ``count`` bytes; EOF raises ``ConnectionError``."""
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
+def _frame_buffer(length: int) -> memoryview:
+    """A writable buffer for one frame body.  Its pages are left untouched
+    (no zero fill), so an announced length costs memory only as bytes arrive."""
+    return memoryview(np.empty(length, dtype=np.uint8))
+
+
+def _recv_exact(sock: socket.socket, count: int) -> memoryview:
+    """Read exactly ``count`` bytes into one buffer of that size (read-only
+    view); EOF raises ``ConnectionError``."""
+    view = _frame_buffer(count)
+    got = 0
+    while got < count:
+        received = sock.recv_into(view[got:])
+        if not received:
             raise ConnectionError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        got += received
+    return view.toreadonly()
 
 
-def frame_kind(body: bytes) -> str:
+def frame_kind(body) -> str:
     """``"binary"`` or ``"json"``, by the payload's first byte."""
     return "binary" if body[:1] == BINARY_MAGIC[:1] else "json"
 
@@ -292,15 +306,15 @@ def _attach(data: bytes, preamble: Dict[str, Any], pos: int) -> Dict[str, Any]:
 def decode_payload(data: bytes) -> Dict[str, Any]:
     """Decode one frame's payload bytes into an envelope dictionary.
 
-    Binary payloads decode zero-copy: each tensor buffer becomes a
-    memoryview slice over ``data``, which ``TensorPayload.to_array`` wraps
-    with ``np.frombuffer``.
+    ``data`` is any bytes-like object.  Binary payloads decode zero-copy:
+    each tensor buffer becomes a memoryview slice over ``data``, which
+    ``TensorPayload.to_array`` wraps with ``np.frombuffer``.
     """
     if frame_kind(data) == "binary":
         end = _preamble_end(data)
         return _attach(data, _parse_preamble(data, end), end)
     try:
-        payload = json.loads(data.decode("utf-8"))
+        payload = json.loads(str(data, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise TransportError(f"frame payload is not valid JSON: {error}") from error
     if not isinstance(payload, dict):
@@ -313,28 +327,62 @@ def decode_payload(data: bytes) -> Dict[str, Any]:
 class FrameDecoder:
     """Incremental frame decoder over an unbounded byte stream.
 
-    Feed raw received bytes in any chunking; complete envelopes come out in
-    order.  The buffered tail is bounded by ``max_frame_bytes`` + header: an
-    announced length beyond the limit fails *before* the body is buffered,
-    so a hostile peer cannot make this side hold unbounded memory.
+    Bytes arrive in any chunking; complete frames come out in order.  A
+    socket reads straight into :meth:`get_buffer` and reports the count to
+    :meth:`buffer_updated`; :meth:`feed` copies bytes already in hand
+    through the same pair.
+
+    * Between frames the buffer is a scratch region (``scratch``, or a
+      private one of :data:`SCRATCH_BYTES`).  Frames that complete there
+      are copied out, so the decoder holds nothing once a read ends on a
+      frame boundary.
+    * A frame still partial after a read moves to a buffer sized by its
+      announced length, and the following reads fill that buffer and no
+      more.  The completed body is handed out as a read-only memoryview of
+      it, so binary tensors stay zero-copy.
+    * Nothing is left in the scratch between calls, which is what lets one
+      scratch serve every connection of an event loop.
+
+    An announced length beyond ``max_frame_bytes`` fails before any buffer
+    is allocated, so a hostile peer cannot make this side hold more than
+    one frame's worth of memory.
 
     The decoder keeps codec counters for the telemetry layer:
     ``frames_json`` / ``frames_binary`` (decoded envelopes per payload
     kind), ``bytes_decoded`` (payload bytes of completed frames) and
     ``last_kind`` (the most recent frame's kind, or ``None``).
 
-    ``raw=True`` defers payload decoding: :meth:`feed` returns the frame
-    *bodies* (``bytes``) instead of envelopes, counters still tick per
-    kind.  The server reader uses this so its pre-decode gate can
-    :func:`peek_payload` a frame and shed it (quota, overload) before any
-    tensor buffer is materialized; admitted binary bodies then go through
-    :func:`attach_buffers`, so their preamble is parsed once.
+    ``raw=True`` defers payload decoding: frame *bodies* come out instead
+    of envelopes, counters still tick per kind.  The server reader uses
+    this so its pre-decode gate can :func:`peek_payload` a frame and shed
+    it (quota, overload) before any tensor buffer is materialized;
+    admitted binary bodies then go through :func:`attach_buffers`, so
+    their preamble is parsed once.
+
+    Every method that takes bytes raises :class:`PayloadTooLargeError` on
+    an oversized length prefix (the message names both the configured cap
+    and the offending length) and :class:`TransportError` on a payload
+    that is not a JSON object or a well-formed binary frame; both poison
+    the stream (framing cannot be resynchronized), so the caller must drop
+    the connection.
     """
 
-    def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES, raw: bool = False):
+    def __init__(
+        self,
+        max_frame_bytes: int = MAX_FRAME_BYTES,
+        raw: bool = False,
+        scratch: Optional[memoryview] = None,
+    ):
         self.max_frame_bytes = max_frame_bytes
         self.raw = raw
-        self._buffer = bytearray()
+        self._scratch = memoryview(
+            bytearray(SCRATCH_BYTES) if scratch is None else scratch
+        )
+        #: The first bytes (< 4) of the next frame's length prefix.
+        self._head = b""
+        #: The partial frame's body buffer, and how much of it is filled.
+        self._body: Optional[memoryview] = None
+        self._filled = 0
         self.frames_json = 0
         self.frames_binary = 0
         self.bytes_decoded = 0
@@ -342,42 +390,75 @@ class FrameDecoder:
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes buffered towards the next (incomplete) frame."""
-        return len(self._buffer)
+        """Bytes buffered towards the next (incomplete) frame, prefix included."""
+        if self._body is not None:
+            return FRAME_HEADER.size + self._filled
+        return len(self._head)
 
-    def feed(self, data: bytes) -> List[Any]:
-        """Absorb received bytes; returns every frame completed by them
-        (envelope dicts, or raw bodies in ``raw`` mode).
+    def get_buffer(self, sizehint: int = -1) -> memoryview:
+        """The writable region the next read should fill (never empty)."""
+        if self._body is not None:
+            return self._body[self._filled :]
+        head = len(self._head)
+        if head:
+            self._scratch[:head] = self._head
+        return self._scratch[head:]
 
-        Raises :class:`PayloadTooLargeError` on an oversized length prefix
-        (the message names both the configured cap and the offending
-        length) and :class:`TransportError` on a payload that is not a
-        JSON object or a well-formed binary frame; both poison the stream
-        (framing cannot be resynchronized), so the caller must drop the
-        connection.
-        """
-        self._buffer.extend(data)
-        frames: List[Dict[str, Any]] = []
-        while True:
-            if len(self._buffer) < FRAME_HEADER.size:
-                return frames
-            (length,) = FRAME_HEADER.unpack_from(self._buffer)
+    def buffer_updated(self, nbytes: int) -> List[Any]:
+        """Account ``nbytes`` written into :meth:`get_buffer`'s region;
+        returns every frame they completed (envelope dicts, or raw bodies
+        in ``raw`` mode)."""
+        if self._body is not None:
+            self._filled += nbytes
+            if self._filled < len(self._body):
+                return []
+            body, self._body = self._body.toreadonly(), None
+            return [self._emit(body)]
+        view = self._scratch
+        end = len(self._head) + nbytes
+        self._head = b""
+        frames: List[Any] = []
+        pos = 0
+        while end - pos >= FRAME_HEADER.size:
+            (length,) = FRAME_HEADER.unpack_from(view, pos)
             if length > self.max_frame_bytes:
                 raise _oversize_error("incoming", length, self.max_frame_bytes)
-            end = FRAME_HEADER.size + length
-            if len(self._buffer) < end:
+            start = pos + FRAME_HEADER.size
+            pos = start + length
+            if pos > end:
+                # Partial: the rest of this frame is read into its own buffer.
+                self._body = _frame_buffer(length)
+                self._filled = end - start
+                self._body[: self._filled] = view[start:end]
                 return frames
-            body = bytes(self._buffer[FRAME_HEADER.size : end])
-            del self._buffer[:end]
-            kind = frame_kind(body)
-            frame: Any = body if self.raw else decode_payload(body)
-            self.last_kind = kind
-            self.bytes_decoded += len(body)
-            if kind == "binary":
-                self.frames_binary += 1
-            else:
-                self.frames_json += 1
-            frames.append(frame)
+            frames.append(self._emit(bytes(view[start:pos])))
+        self._head = bytes(view[pos:end])
+        return frames
+
+    def feed(self, data) -> List[Any]:
+        """Absorb received bytes (copied into :meth:`get_buffer`'s region);
+        returns every frame completed by them."""
+        data = memoryview(data)
+        frames: List[Any] = []
+        pos = 0
+        while pos < len(data):
+            target = self.get_buffer()
+            count = min(len(target), len(data) - pos)
+            target[:count] = data[pos : pos + count]
+            pos += count
+            frames.extend(self.buffer_updated(count))
+        return frames
+
+    def _emit(self, body) -> Any:
+        kind = frame_kind(body)
+        frame = body if self.raw else decode_payload(body)
+        self.last_kind = kind
+        self.bytes_decoded += len(body)
+        if kind == "binary":
+            self.frames_binary += 1
+        else:
+            self.frames_json += 1
+        return frame
 
     def finish(self) -> None:
         """Assert the stream ended on a frame boundary.
@@ -385,9 +466,9 @@ class FrameDecoder:
         A peer that closed mid-frame left ``pending_bytes`` behind; that is
         a truncated stream, reported as :class:`TransportError`.
         """
-        if self._buffer:
+        if self.pending_bytes:
             raise TransportError(
-                f"stream ended mid-frame with {len(self._buffer)} buffered byte(s)"
+                f"stream ended mid-frame with {self.pending_bytes} buffered byte(s)"
             )
 
 

@@ -54,7 +54,7 @@ from repro.api.envelopes import (
     _binary_data_view,
     rewrite_slot_tensors,
 )
-from repro.api.framing import recv_frame, send_frame
+from repro.api.framing import encode_frame, recv_frame, send_frame
 from repro.api.transport import (
     SocketTransport,
     _PoolConnection,
@@ -382,7 +382,8 @@ class _ClientShmSession:
     def translate_reply(
         self, envelope: Dict[str, Any], conn: _PoolConnection, version: int
     ) -> Dict[str, Any]:
-        """Receiver-thread hook: reclaim tx slabs, copy rx slabs out, release.
+        """Reply hook (run by the connection's reader): reclaim tx slabs,
+        copy rx slabs out, release.
 
         Runs for orphaned replies too (the sender abandoned the request) --
         that is precisely when reclamation matters most.
@@ -420,8 +421,7 @@ class _ClientShmSession:
         """One-way ``shm_release``; a lost release just leaks until close."""
         frame = {"schema_version": version, "op": "shm_release", "slabs": offsets}
         try:
-            with conn._send_lock:
-                send_frame(conn.sock, frame, conn.max_frame_bytes)
+            conn.send(encode_frame(frame, conn.max_frame_bytes))
         except (ApiError, OSError):
             pass
 

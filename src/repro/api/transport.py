@@ -12,9 +12,12 @@ a :class:`NormalizationService` in this process or to a
 * :class:`SocketTransport` speaks the length-prefixed JSON frame protocol
   of :mod:`repro.api.framing` over a **pool** of TCP connections.  It is
   safe for concurrent callers and for pipelining: every connection may
-  carry many requests in flight, a dedicated receiver thread demultiplexes
-  responses by ``request_id`` (the server answers in completion order, not
-  arrival order), and requests spread over the pool by load.  On connect it
+  carry many requests in flight, and requests spread over the pool by
+  load.  The transport starts no thread.  Whichever caller waits for a
+  reply reads the connection and routes responses by ``request_id`` (the
+  server answers in completion order, not arrival order) to the other
+  waiters, then hands the read role on (leader/followers, Schmidt et al.,
+  PLoP 2000); a lock-step caller reads its own reply.  On connect it
   performs the ``hello`` schema-version handshake -- the server advertises
   its ``min..max`` range and the client downgrades within its own -- and
   stamps every outgoing envelope with the negotiated version.
@@ -29,12 +32,14 @@ its envelope (retrying cannot double-apply).
 
 from __future__ import annotations
 
+import math
+import select
 import socket
-import struct
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.api import framing
 from repro.api.envelopes import (
     BINARY_WIRE_VERSION,
     MIN_SCHEMA_VERSION,
@@ -59,30 +64,41 @@ from repro.api.retry import AMBIGUOUS, CLEAN, OVERLOADED, RetryPolicy
 
 
 class PendingReply:
-    """Client-side future of one in-flight request envelope."""
+    """Client-side future of one in-flight request envelope.
 
-    __slots__ = ("_event", "_value", "_error", "_on_abandon")
+    A reply registered on a pooled connection completes when some caller
+    reads its frame off that connection; waiting on it (:meth:`wait`,
+    :meth:`result`) makes the waiter that reader if nobody else is, and
+    :meth:`done` reads whatever has already arrived.  A bare
+    ``PendingReply()`` is completed by whoever built it
+    (:meth:`set_result` / :meth:`set_exception`).
+    """
 
-    def __init__(self) -> None:
-        self._event = threading.Event()
+    __slots__ = ("_value", "_error", "_done", "_conn", "_request_id", "_event")
+
+    def __init__(self, conn: Optional["_PoolConnection"] = None, request_id: Any = None):
         self._value: Optional[Dict[str, Any]] = None
         self._error: Optional[BaseException] = None
-        #: Called when a waiter times out: the owning connection withdraws
-        #: the request_id registration so abandoned requests do not pile up
-        #: in the in-flight map of a wedged-but-connected server.
-        self._on_abandon = None
+        self._done = False
+        self._conn = conn
+        self._request_id = request_id
+        self._event = threading.Event() if conn is None else None
 
     def set_result(self, value: Dict[str, Any]) -> None:
         self._value = value
+        self._done = True
         self._event.set()
 
     def set_exception(self, error: BaseException) -> None:
         self._error = error
+        self._done = True
         self._event.set()
 
     def done(self) -> bool:
         """Whether a response (or failure) has arrived."""
-        return self._event.is_set()
+        if not self._done and self._conn is not None:
+            self._conn.poll()
+        return self._done
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block up to ``timeout`` for completion; returns :meth:`done`.
@@ -91,23 +107,27 @@ class PendingReply:
         request stays registered and may still complete.  Hedged dispatch
         uses this to watch a straggler without abandoning it.
         """
-        return self._event.wait(timeout)
+        if self._done:
+            return True
+        if self._conn is None:
+            return self._event.wait(timeout)
+        return self._conn.wait_for(self, timeout)
 
     def abandon(self) -> None:
         """Withdraw the request registration (drop a hedged loser).
 
         The server may still answer; the connection's demultiplexer drops
-        the orphaned response.  Idempotent, and a no-op for transports
-        without a registration to withdraw.
+        the orphaned response.  Idempotent, and a no-op for a bare reply.
         """
-        if self._on_abandon is not None:
-            self._on_abandon()
+        if self._conn is not None:
+            self._conn.discard(self._request_id)
 
     def result(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         """Block until the response envelope arrives; failures re-raise."""
-        if not self._event.wait(timeout):
-            if self._on_abandon is not None:
-                self._on_abandon()
+        if not self.wait(timeout):
+            # Withdraw the registration so abandoned requests do not pile
+            # up in the in-flight map of a wedged-but-connected server.
+            self.abandon()
             raise TransportError(
                 f"no response within {timeout}s (request still in flight)"
             )
@@ -231,7 +251,21 @@ class InProcessTransport(Transport):
 
 
 class _PoolConnection:
-    """One pooled TCP connection: socket, receiver thread, in-flight map."""
+    """One pooled TCP connection: socket, in-flight map and the read role.
+
+    No thread of its own reads the socket (leader/followers): a caller
+    waiting for a reply takes the *read role* if it is free, reads frames
+    and routes every reply by ``request_id`` until its own has arrived,
+    then hands the role on.  Callers that find the role taken wait on the
+    condition until their reply is routed to them or the role frees up.
+    A lock-step caller therefore reads its own reply on its own thread.
+    A sender that finds the socket buffer full reads while it waits too,
+    so deep pipelines cannot wedge with both sides blocked on writes.
+
+    The socket stays blocking and its timeout is never changed after the
+    handshake (every thread shares it): deadlines are kept by ``poll``
+    before a read and around a non-blocking send.
+    """
 
     def __init__(
         self,
@@ -252,33 +286,24 @@ class _PoolConnection:
                 f"cannot connect to {self.address}: {error}", address=self.address
             ) from error
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # The receiver thread owns reads and must tolerate idle periods;
-        # per-request deadlines live on PendingReply.result, not the socket.
         sock.settimeout(None)
-        if send_timeout is not None and send_timeout > 0:
-            # Kernel-level send deadline (SO_SNDTIMEO touches only sends,
-            # unlike settimeout): a peer that stops reading while we hold
-            # the send lock surfaces as an OSError -> connection failure
-            # instead of blocking every sender on this connection forever.
-            try:
-                seconds = int(send_timeout)
-                micros = int((send_timeout - seconds) * 1e6)
-                sock.setsockopt(
-                    socket.SOL_SOCKET,
-                    socket.SO_SNDTIMEO,
-                    struct.pack("ll", seconds, micros),
-                )
-            except (OSError, ValueError, struct.error):
-                pass  # best effort: platforms without SO_SNDTIMEO keep blocking sends
         self.sock = sock
         self.max_frame_bytes = max_frame_bytes
+        #: Bound on one blocked send: a peer that stops reading surfaces as
+        #: an OSError -> connection failure instead of wedging every sender.
+        self.send_timeout = send_timeout if send_timeout and send_timeout > 0 else None
         self._send_lock = threading.Lock()
-        self._pending_lock = threading.Lock()
+        #: Guards ``_pending`` and ``_reading``; followers wait on it.
+        self._cond = threading.Condition(threading.Lock())
         self._pending: Dict[int, PendingReply] = {}
+        self._reading = False
+        #: Used only by the read-role holder.
+        self._decoder = FrameDecoder(max_frame_bytes)
+        self._readable = select.poll()
+        self._readable.register(sock, select.POLLIN)
         self._dead = False
-        self._receiver: Optional[threading.Thread] = None
-        #: Optional response hook (``envelope -> envelope``) run in the
-        #: receiver thread before a reply resolves -- and also for orphaned
+        #: Optional response hook (``envelope -> envelope``) run by the
+        #: reader before a reply resolves -- and also for orphaned
         #: responses, so a translating transport (shared memory) can
         #: reclaim per-request resources even when the waiter abandoned.
         #: An :class:`ApiError` it raises fails the reply.
@@ -288,21 +313,13 @@ class _PoolConnection:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start_receiver(self) -> None:
-        """Start demultiplexing responses (after any handshake traffic)."""
-        self._receiver = threading.Thread(
-            target=self._receive_loop, name="haan-norm-client-recv", daemon=True
-        )
-        self._receiver.start()
-
     @property
     def dead(self) -> bool:
         return self._dead
 
     @property
     def in_flight(self) -> int:
-        with self._pending_lock:
-            return len(self._pending)
+        return len(self._pending)
 
     def close(self, error: Optional[BaseException] = None) -> None:
         """Drop the socket and fail everything still in flight."""
@@ -328,11 +345,18 @@ class _PoolConnection:
             except Exception:  # noqa: BLE001 -- cleanup must not mask the close
                 pass
 
+    def _lost(self, message: str) -> None:
+        in_flight = self.in_flight
+        suffix = f" with {in_flight} request(s) in flight" if in_flight else ""
+        self.close(TransportError(message + suffix, address=self.address))
+
     def _fail_pending(self, error: BaseException) -> None:
-        with self._pending_lock:
+        with self._cond:
             pending, self._pending = self._pending, {}
-        for reply in pending.values():
-            reply.set_exception(error)
+            for reply in pending.values():
+                reply._error = error
+                reply._done = True
+            self._cond.notify_all()
 
     # -- sending -------------------------------------------------------------
 
@@ -343,9 +367,8 @@ class _PoolConnection:
             raise TransportError(
                 "pipelined requests need an integer request_id to demultiplex by"
             )
-        reply = PendingReply()
-        reply._on_abandon = lambda: self._discard(request_id)
-        with self._pending_lock:
+        reply = PendingReply(self, request_id)
+        with self._cond:
             if self._dead:
                 raise TransportError(
                     f"connection to {self.address} is closed", address=self.address
@@ -356,52 +379,140 @@ class _PoolConnection:
                 )
             self._pending[request_id] = reply
         try:
-            with self._send_lock:
-                send_frame(self.sock, payload, self.max_frame_bytes)
+            # Looked up on the module, so a wrapper installed there (the
+            # perfbench tracer) sees every encode.
+            self.send(framing.encode_frame(payload, self.max_frame_bytes))
         except ApiError:
             # Protocol-level failure (frame too large): the connection is
             # still healthy; withdraw the registration and surface it.
-            self._discard(request_id)
+            self.discard(request_id)
             raise
         except OSError as error:
-            self._discard(request_id)
+            self.discard(request_id)
             message = f"send to {self.address} failed: {error}"
             self.close(TransportError(message, address=self.address))
             raise TransportError(message, address=self.address) from error
         return reply
 
-    def _discard(self, request_id: int) -> None:
-        with self._pending_lock:
+    def send(self, frame: bytes) -> None:
+        """Write one encoded frame; raises ``OSError`` on failure or when
+        the socket stayed full for ``send_timeout`` without progress."""
+        view = memoryview(frame)
+        deadline = None
+        with self._send_lock:
+            while True:
+                try:
+                    sent = self.sock.send(view, socket.MSG_DONTWAIT)
+                except BlockingIOError:
+                    sent = 0
+                if sent == len(view):
+                    return
+                view = view[sent:]
+                if self.send_timeout is not None and (sent or deadline is None):
+                    deadline = time.monotonic() + self.send_timeout
+                self._await_writable(deadline)
+
+    def _await_writable(self, deadline: Optional[float]) -> None:
+        """Wait for room in the socket buffer, reading replies meanwhile if
+        nobody else is: the peer may be blocked writing to us."""
+        lead = self._take_read_role()
+        try:
+            poller = select.poll()
+            try:
+                poller.register(self.sock, select.POLLOUT | (select.POLLIN if lead else 0))
+            except ValueError as error:  # the socket was closed under us
+                raise OSError(f"connection to {self.address} is closed") from error
+            # Without the read role, wake now and then to take it over.
+            timeout = _poll_ms(deadline, cap=None if lead else 0.01)
+            events = poller.poll(timeout)
+            if not events and deadline is not None and time.monotonic() >= deadline:
+                raise TimeoutError(f"send to {self.address} timed out")
+            if lead and any(mask & ~select.POLLOUT for _fd, mask in events):
+                self._read(None)
+        finally:
+            if lead:
+                self._release_read_role()
+
+    def discard(self, request_id: int) -> None:
+        """Withdraw a registration (its late response is dropped)."""
+        with self._cond:
             self._pending.pop(request_id, None)
 
     # -- receiving -----------------------------------------------------------
 
-    def _receive_loop(self) -> None:
-        decoder = FrameDecoder(self.max_frame_bytes)
-        while True:
-            try:
-                data = self.sock.recv(65536)
-            except OSError as error:
-                self._on_disconnect(f"connection to {self.address} lost: {error}")
-                return
-            if not data:
-                self._on_disconnect(f"server {self.address} closed the connection")
-                return
-            try:
-                frames = decoder.feed(data)
-            except ApiError as error:
-                # The stream is unsynchronizable; everything in flight on
-                # this connection is unanswerable.
-                self.close(error)
-                return
-            for envelope in frames:
-                self._route(envelope)
+    def _take_read_role(self) -> bool:
+        with self._cond:
+            if self._reading:
+                return False
+            self._reading = True
+            return True
 
-    def _on_disconnect(self, message: str) -> None:
-        self._dead = True
-        in_flight = self.in_flight
-        suffix = f" with {in_flight} request(s) in flight" if in_flight else ""
-        self._fail_pending(TransportError(message + suffix, address=self.address))
+    def _release_read_role(self) -> None:
+        with self._cond:
+            self._reading = False
+            self._cond.notify_all()  # a follower may take the role over
+
+    def wait_for(self, reply: PendingReply, timeout: Optional[float]) -> bool:
+        """Block until ``reply`` completes (True) or ``timeout`` passes."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._cond:
+            while not reply._done and self._reading:
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    return False
+                self._cond.wait(remaining)
+            if reply._done:
+                return True
+            self._reading = True
+        try:
+            while not reply._done and self._read(deadline):
+                pass
+        finally:
+            self._release_read_role()
+        return reply._done
+
+    def poll(self) -> bool:
+        """Route whatever has already arrived, unless another caller holds
+        the read role; returns whether the connection is still alive.
+
+        Run before sending on an idle connection, it finds one the server
+        closed since its last reply while the frame can still go elsewhere.
+        """
+        if not self._take_read_role():
+            return not self._dead
+        try:
+            while not self._dead and self._readable.poll(0):
+                self._read(None)
+        finally:
+            self._release_read_role()
+        return not self._dead
+
+    def _read(self, deadline: Optional[float]) -> bool:
+        """One read (read-role holder only), routing every frame it
+        completes.  False once nothing more can arrive before ``deadline``:
+        it passed, or the connection died."""
+        if self._dead:
+            return False
+        if deadline is not None and not self._readable.poll(_poll_ms(deadline)):
+            return time.monotonic() < deadline
+        try:
+            count = self.sock.recv_into(self._decoder.get_buffer())
+        except OSError as error:
+            self._lost(f"connection to {self.address} lost: {error}")
+            return False
+        if not count:
+            self._lost(f"server {self.address} closed the connection")
+            return False
+        try:
+            frames = self._decoder.buffer_updated(count)
+        except ApiError as error:
+            # The stream is unsynchronizable; everything in flight on
+            # this connection is unanswerable.
+            self.close(error)
+            return False
+        for envelope in frames:
+            self._route(envelope)
+        return not self._dead
 
     def _route(self, envelope: Dict[str, Any]) -> None:
         request_id = envelope.get("request_id")
@@ -417,20 +528,33 @@ class _PoolConnection:
                 error = TransportError(f"unroutable response envelope: {envelope!r}")
             self.close(error)
             return
-        with self._pending_lock:
+        with self._cond:
             reply = self._pending.pop(request_id, None)
+        value: Optional[Dict[str, Any]] = envelope
+        failure: Optional[BaseException] = None
         if self.translate is not None:
             # Run the hook even for orphaned responses: it reclaims
             # per-request transport resources (shared-memory slabs).
             try:
-                envelope = self.translate(envelope)
+                value = self.translate(envelope)
             except ApiError as error:
-                if reply is not None:
-                    reply.set_exception(error)
-                return
-        if reply is not None:
-            reply.set_result(envelope)
-        # else: a response for an abandoned (timed-out) request; drop it.
+                value, failure = None, error
+        if reply is None:
+            return  # a response for an abandoned (timed-out) request
+        with self._cond:
+            reply._value = value
+            reply._error = failure
+            reply._done = True
+            self._cond.notify_all()
+
+
+def _poll_ms(deadline: Optional[float], cap: Optional[float] = None) -> int:
+    """Milliseconds until ``deadline`` (at most ``cap`` seconds) for
+    ``poll``; -1 waits without bound."""
+    remaining = None if deadline is None else max(deadline - time.monotonic(), 0.0)
+    if cap is not None:
+        remaining = cap if remaining is None else min(remaining, cap)
+    return -1 if remaining is None else math.ceil(remaining * 1000)
 
 
 class SocketTransport(Transport):
@@ -575,21 +699,20 @@ class SocketTransport(Transport):
             if self._negotiate and (self.negotiated_version is None or self.token is not None):
                 self._handshake(conn)
             # Subclass hook (e.g. the shared-memory transport's segment
-            # attach): runs after version negotiation, before the receiver
-            # thread takes over reads, so it may exchange frames
+            # attach): runs after version negotiation, before any request
+            # is read off the connection, so it may exchange frames
             # synchronously on the bare socket.
             self._after_handshake(conn)
         except BaseException:
             conn.close()
             raise
-        conn.start_receiver()
         return conn
 
     def _after_handshake(self, conn: _PoolConnection) -> None:
         """Post-handshake hook on each fresh connection (default: no-op)."""
 
     def _handshake(self, conn: _PoolConnection) -> None:
-        """Synchronous hello exchange on a fresh socket (pre-receiver).
+        """Synchronous hello exchange on a fresh socket (before any request).
 
         The hello envelope itself is stamped with the *minimum* version
         this client speaks: a legacy strict-equality peer at that version
@@ -639,6 +762,18 @@ class SocketTransport(Transport):
 
     def _get_connection(self) -> _PoolConnection:
         """The least-loaded live connection, dialing up to ``pool_size``.
+
+        Nothing reads an idle connection, so one the server closed since
+        its last reply is found here, by a non-blocking read before the
+        send: it is dropped and another picked, and no frame is lost to it.
+        """
+        while True:
+            conn = self._pick_connection()
+            if conn.in_flight or conn.poll():
+                return conn
+
+    def _pick_connection(self) -> _PoolConnection:
+        """One live-looking connection, dialing up to ``pool_size``.
 
         The dial decision reserves a slot under the pool lock before the
         (slow, unlocked) connect + handshake runs, so concurrent callers
