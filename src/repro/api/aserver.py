@@ -51,6 +51,7 @@ import asyncio
 import socket
 import threading
 import time
+from asyncio.streams import FlowControlMixin
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Dict, List, Optional, Set
 
@@ -114,9 +115,13 @@ async def _await_pendings(loop: asyncio.AbstractEventLoop, pendings) -> None:
     await waiter
 
 
-class _AsyncConnection(asyncio.BufferedProtocol):
+class _AsyncConnection(FlowControlMixin, asyncio.BufferedProtocol):
     """One client connection: the protocol that reads its frames, plus its
     pipelining state (send lock, in-flight bound, gauges).
+
+    Write flow control (``pause_writing`` / ``resume_writing`` and the
+    ``_drain_helper`` that :meth:`drain` awaits) is asyncio's own
+    ``FlowControlMixin``, the one behind ``StreamWriter.drain``.
 
     The transport calls :meth:`get_buffer`, ``recv_into`` and
     :meth:`buffer_updated` back to back on the loop thread, so the
@@ -146,11 +151,10 @@ class _AsyncConnection(asyncio.BufferedProtocol):
         "_received",
         "_eof",
         "_waiter",
-        "_write_paused",
-        "_drain_waiters",
     )
 
     def __init__(self, server: "AsyncNormServer"):
+        super().__init__(server._loop)
         self.server = server
         self.transport: Optional[asyncio.Transport] = None
         self.conn_id = 0
@@ -178,8 +182,6 @@ class _AsyncConnection(asyncio.BufferedProtocol):
         self._received: List[object] = []
         self._eof = False
         self._waiter: Optional[asyncio.Future] = None
-        self._write_paused = False
-        self._drain_waiters: List[asyncio.Future] = []
 
     # -- protocol callbacks (loop thread) ------------------------------------
 
@@ -215,23 +217,9 @@ class _AsyncConnection(asyncio.BufferedProtocol):
         return True  # half-open: the reader closes once it saw the EOF
 
     def connection_lost(self, exc) -> None:
+        super().connection_lost(exc)  # wakes the drain waiters
         self._eof = True
         self._wake()
-        self._write_paused = False
-        waiters, self._drain_waiters = self._drain_waiters, []
-        for waiter in waiters:
-            if not waiter.done():
-                waiter.set_exception(ConnectionResetError("connection lost"))
-
-    def pause_writing(self) -> None:
-        self._write_paused = True
-
-    def resume_writing(self) -> None:
-        self._write_paused = False
-        waiters, self._drain_waiters = self._drain_waiters, []
-        for waiter in waiters:
-            if not waiter.done():
-                waiter.set_result(None)
 
     def _wake(self) -> None:
         waiter = self._waiter
@@ -257,11 +245,9 @@ class _AsyncConnection(asyncio.BufferedProtocol):
         return frames
 
     async def drain(self) -> None:
-        """Wait while the transport's write buffer is above its high mark."""
-        if self._write_paused:
-            waiter = self.server._loop.create_future()
-            self._drain_waiters.append(waiter)
-            await waiter
+        """Wait while the transport's write buffer is above its high mark;
+        raises ``ConnectionResetError`` if the connection is already lost."""
+        await self._drain_helper()
 
 
 class AsyncNormServer:

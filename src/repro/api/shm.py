@@ -33,8 +33,10 @@ Fallback is graceful at every step: if the attach handshake is refused
 tensors simply stay inline in the v3 binary frame over TCP.
 
 Caveat (documented, by design): a request abandoned by its waiter keeps
-its tx slabs until the *reply* arrives or the connection closes -- slab
-lifetime follows the wire exchange, not the caller's patience.
+its tx slabs until the *reply* is read or the connection closes -- slab
+lifetime follows the wire exchange, not the caller's patience.  No thread
+reads an idle connection, so a late reply there is read (and its slabs
+freed) at the connection's next wait, ``done()`` or send.
 """
 
 from __future__ import annotations
@@ -386,7 +388,10 @@ class _ClientShmSession:
         copy rx slabs out, release.
 
         Runs for orphaned replies too (the sender abandoned the request) --
-        that is precisely when reclamation matters most.
+        that is precisely when reclamation matters most.  No thread reads
+        for an idle connection, though: an orphan that arrives there holds
+        its slabs until the connection is next read (a wait or ``done()``
+        on it, or the poll before its next send).
         """
         request_id = envelope.get("request_id")
         if not isinstance(request_id, bool) and isinstance(request_id, int):
@@ -418,11 +423,12 @@ class _ClientShmSession:
     def _send_release(
         self, conn: _PoolConnection, offsets: List[int], version: int
     ) -> None:
-        """One-way ``shm_release``; a lost release just leaks until close."""
+        """Queue a one-way ``shm_release`` (this runs on the connection's
+        reader, which may be mid-send); a lost release leaks until close."""
         frame = {"schema_version": version, "op": "shm_release", "slabs": offsets}
         try:
-            conn.send(encode_frame(frame, conn.max_frame_bytes))
-        except (ApiError, OSError):
+            conn.queue_frame(encode_frame(frame, conn.max_frame_bytes))
+        except ApiError:
             pass
 
     def close(self) -> None:

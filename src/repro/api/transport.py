@@ -261,6 +261,9 @@ class _PoolConnection:
     A lock-step caller therefore reads its own reply on its own thread.
     A sender that finds the socket buffer full reads while it waits too,
     so deep pipelines cannot wedge with both sides blocked on writes.
+    Frames a reply hook wants to send (:meth:`queue_frame`) wait in an
+    outbox and go out between reads, once the send lock is free: the
+    reader running the hook may be that very sender.
 
     The socket stays blocking and its timeout is never changed after the
     handshake (every thread shares it): deadlines are kept by ``poll``
@@ -293,10 +296,13 @@ class _PoolConnection:
         #: an OSError -> connection failure instead of wedging every sender.
         self.send_timeout = send_timeout if send_timeout and send_timeout > 0 else None
         self._send_lock = threading.Lock()
-        #: Guards ``_pending`` and ``_reading``; followers wait on it.
+        #: Guards ``_pending``, ``_reader`` and ``_outbox``; followers wait on it.
         self._cond = threading.Condition(threading.Lock())
         self._pending: Dict[int, PendingReply] = {}
-        self._reading = False
+        #: Thread ident of the read-role holder, if any.
+        self._reader: Optional[int] = None
+        #: Encoded frames queued by :meth:`queue_frame` (under ``_cond``).
+        self._outbox: List[bytes] = []
         #: Used only by the read-role holder.
         self._decoder = FrameDecoder(max_frame_bytes)
         self._readable = select.poll()
@@ -397,25 +403,64 @@ class _PoolConnection:
     def send(self, frame: bytes) -> None:
         """Write one encoded frame; raises ``OSError`` on failure or when
         the socket stayed full for ``send_timeout`` without progress."""
+        with self._send_lock:
+            self._write(frame)
+            self._write_outbox()
+        self._flush_outbox()
+
+    def queue_frame(self, frame: bytes) -> None:
+        """Send a one-way frame between reads, once the send lock is free.
+
+        For reply hooks: they run on the reader, which may be a sender
+        waiting for room in the socket buffer, so they must not send
+        themselves.  A failed write closes the connection.
+        """
+        with self._cond:
+            self._outbox.append(frame)
+
+    def _write(self, frame: bytes) -> None:
+        """Write all of ``frame`` (send lock held)."""
         view = memoryview(frame)
         deadline = None
-        with self._send_lock:
-            while True:
-                try:
-                    sent = self.sock.send(view, socket.MSG_DONTWAIT)
-                except BlockingIOError:
-                    sent = 0
-                if sent == len(view):
-                    return
-                view = view[sent:]
-                if self.send_timeout is not None and (sent or deadline is None):
-                    deadline = time.monotonic() + self.send_timeout
-                self._await_writable(deadline)
+        while True:
+            try:
+                sent = self.sock.send(view, socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                sent = 0
+            if sent == len(view):
+                return
+            view = view[sent:]
+            if self.send_timeout is not None and (sent or deadline is None):
+                deadline = time.monotonic() + self.send_timeout
+            self._await_writable(deadline)
+
+    def _write_outbox(self) -> None:
+        """Write every queued frame (send lock held)."""
+        while self._outbox and not self._dead:
+            with self._cond:
+                frames, self._outbox = self._outbox, []
+            try:
+                for frame in frames:
+                    self._write(frame)
+            except OSError as error:
+                # Whatever frame was cut short, the stream is unusable.
+                self._lost(f"send to {self.address} failed: {error}")
+
+    def _flush_outbox(self) -> None:
+        """Write queued frames unless another thread holds the send lock;
+        that thread flushes again after releasing it, so none is left."""
+        while self._outbox and not self._dead and self._send_lock.acquire(blocking=False):
+            try:
+                self._write_outbox()
+            finally:
+                self._send_lock.release()
 
     def _await_writable(self, deadline: Optional[float]) -> None:
         """Wait for room in the socket buffer, reading replies meanwhile if
         nobody else is: the peer may be blocked writing to us."""
-        lead = self._take_read_role()
+        # Already the reader when flushing the outbox between reads.
+        held = self._reader == threading.get_ident()
+        lead = held or self._take_read_role()
         try:
             poller = select.poll()
             try:
@@ -430,7 +475,7 @@ class _PoolConnection:
             if lead and any(mask & ~select.POLLOUT for _fd, mask in events):
                 self._read(None)
         finally:
-            if lead:
+            if lead and not held:
                 self._release_read_role()
 
     def discard(self, request_id: int) -> None:
@@ -442,31 +487,32 @@ class _PoolConnection:
 
     def _take_read_role(self) -> bool:
         with self._cond:
-            if self._reading:
+            if self._reader is not None:
                 return False
-            self._reading = True
+            self._reader = threading.get_ident()
             return True
 
     def _release_read_role(self) -> None:
         with self._cond:
-            self._reading = False
+            self._reader = None
             self._cond.notify_all()  # a follower may take the role over
+        self._flush_outbox()  # what the reply hooks queued while reading
 
     def wait_for(self, reply: PendingReply, timeout: Optional[float]) -> bool:
         """Block until ``reply`` completes (True) or ``timeout`` passes."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while not reply._done and self._reading:
+            while not reply._done and self._reader is not None:
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     return False
                 self._cond.wait(remaining)
             if reply._done:
                 return True
-            self._reading = True
+            self._reader = threading.get_ident()
         try:
             while not reply._done and self._read(deadline):
-                pass
+                self._flush_outbox()
         finally:
             self._release_read_role()
         return reply._done

@@ -6,6 +6,8 @@
   hands out read-only envelopes;
 * ``SocketTransport`` starts no thread: its callers read the connection
   (leader/followers), pipelined from several threads at once;
+* a sender blocked on a full socket reads replies, and the frames their
+  reply hooks send (shm slab releases) wait for it instead of deadlocking;
 * an idle pooled connection the server closed is found before the send,
   so even a non-idempotent ``execute`` redials cleanly;
 * a fleet hedge on a second connection wins while the primary replica is
@@ -26,7 +28,7 @@ from repro.api.client import NormClient
 from repro.api.envelopes import SCHEMA_VERSION, TensorPayload, TransportError
 from repro.api.framing import FRAME_HEADER, SCRATCH_BYTES, FrameDecoder, encode_frame
 from repro.api.retry import RetryPolicy
-from repro.api.transport import SocketTransport
+from repro.api.transport import SocketTransport, _PoolConnection
 from repro.chaos.gate import FaultGate
 from repro.chaos.plan import FaultPlan, FaultRule
 from repro.fleet.transport import FleetTransport
@@ -220,6 +222,48 @@ class TestClientWithoutReaderThread:
                 results = client.normalize_many(payloads, "tiny", depth=32, timeout=20.0)
         service.close()
         for payload, result in zip(payloads, results):
+            np.testing.assert_array_equal(result.output, _golden(registry, payload))
+
+    def test_deep_shm_pipeline_with_a_small_ring_does_not_deadlock(
+        self, registry, rng, monkeypatch
+    ):
+        # The rings hold two requests' tensors, so most requests travel
+        # inline and fill the socket while replies come back in rx slabs:
+        # the blocked sender reads those replies, and releasing their slabs
+        # is itself a frame to send on the connection it is sending on.
+        queued = []
+        original = _PoolConnection.queue_frame
+
+        def counting(conn, frame):
+            queued.append(len(frame))
+            original(conn, frame)
+
+        monkeypatch.setattr(_PoolConnection, "queue_frame", counting)
+        service = _service(registry)
+        payloads = [_rows(rng, 2730) for _ in range(32)]  # ~1 MiB each
+        outcome = {}
+
+        def pipeline():
+            try:
+                outcome["results"] = client.normalize_many(
+                    payloads, "tiny", depth=32, timeout=20.0
+                )
+            except BaseException as error:  # noqa: BLE001 -- reported below
+                outcome["error"] = error
+
+        with AsyncNormServer(service, max_inflight=1) as server:
+            with NormClient.connect(
+                server.host, server.port, transport="shm", ring_bytes=3 << 20, timeout=20.0
+            ) as client:
+                worker = threading.Thread(target=pipeline, daemon=True)
+                worker.start()
+                worker.join(60.0)
+                assert not worker.is_alive(), "shm pipeline deadlocked"
+                assert client.transport.stats()["shm"]["sessions"] == 1
+        service.close()
+        assert "error" not in outcome, outcome.get("error")
+        assert queued, "no reply came back through rx slabs"
+        for payload, result in zip(payloads, outcome["results"]):
             np.testing.assert_array_equal(result.output, _golden(registry, payload))
 
     def test_execute_after_server_restart_redials_cleanly(self, registry, rng):
