@@ -16,7 +16,7 @@ Everything runs on the event loop's one thread, ``haan-async-server``:
   announced length, so the frame's bytes are copied once.
 * **per frame** -- the pre-decode gate (tenant quota + overload
   admission on the peeked JSON preamble, before any tensor bytes are
-  touched), shm control ops, chaos gate, hello authentication,
+  touched), chaos gate, hello authentication,
   per-connection in-flight accounting, the zero-copy tensor decode
   (:func:`attach_buffers`: memoryview slices, O(tensor count) not
   O(bytes)), :meth:`ApiHandler.begin` (validate + submit), the engine tick, ``finish`` (response envelope), response
@@ -57,7 +57,6 @@ from typing import Dict, List, Optional, Set
 
 from repro.api.admission import WORK_OPS, AdmissionController, PreDecodeGate
 from repro.api.envelopes import (
-    SHM_CONTROL_OPS,
     ApiError,
     AuthenticationError,
     BadSchemaError,
@@ -144,7 +143,6 @@ class _AsyncConnection(FlowControlMixin, asyncio.BufferedProtocol):
         "bytes_in",
         "bytes_out",
         "encoding",
-        "shm",
         "tenant",
         "decoder",
         "error",
@@ -172,7 +170,6 @@ class _AsyncConnection(FlowControlMixin, asyncio.BufferedProtocol):
         self.bytes_in = 0
         self.bytes_out = 0
         self.encoding = "json"
-        self.shm = None
         self.tenant = None
         self.decoder = FrameDecoder(
             server.max_frame_bytes, raw=True, scratch=server._scratch
@@ -269,7 +266,6 @@ class AsyncNormServer:
         max_queue_depth: int = 256,
         ladder=None,
         fault_gate=None,
-        enable_shm: bool = True,
         tenancy=None,
     ):
         if max_inflight < 1:
@@ -291,7 +287,6 @@ class AsyncNormServer:
         )
         if tenancy is not None and getattr(service, "cost_observer", False) is None:
             service.cost_observer = tenancy.cost_observer
-        self.enable_shm = enable_shm
         # Bind synchronously so the port is known at construction (the
         # fleet supervisor and tests read .port before start()).
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -434,6 +429,13 @@ class AsyncNormServer:
 
     async def _shutdown(self, drain_timeout: float) -> None:
         if self._aserver is not None:
+            # Stop accepting, then yield once so every connection already
+            # accepted builds its transport first: asyncio fails to build one
+            # after Server.close() and leaves the accepted socket open until
+            # the garbage collector finds it.  Built ones reach _accept,
+            # which closes them.
+            self._loop.remove_reader(self._sock.fileno())
+            await asyncio.sleep(0)
             self._aserver.close()
             await self._aserver.wait_closed()
         if drain_timeout > 0:
@@ -552,9 +554,6 @@ class AsyncNormServer:
                     connection.transport.close()
                 except Exception:  # noqa: BLE001
                     pass
-            if connection.shm is not None:
-                connection.shm.close()
-                connection.shm = None
 
     async def _read_loop(self, connection: _AsyncConnection) -> None:
         """The per-connection reader state machine."""
@@ -569,7 +568,7 @@ class AsyncNormServer:
                         ErrorResponse.from_exception(connection.error).to_wire(),
                     )
                 return  # EOF, the client went away, or the server is closing
-            if connection.shm is None and decoder.last_kind is not None:
+            if decoder.last_kind is not None:
                 connection.encoding = decoder.last_kind
             for body in frames:
                 try:
@@ -591,9 +590,6 @@ class AsyncNormServer:
                             payload, BadSchemaError("envelope 'op' must be a string")
                         ),
                     )
-                    continue
-                if op in SHM_CONTROL_OPS:
-                    await self._handle_shm_control(connection, payload)
                     continue
                 if self.fault_gate is not None:
                     action = self.fault_gate.on_server_frame(payload)
@@ -743,17 +739,12 @@ class AsyncNormServer:
         self, connection: _AsyncConnection, payload: dict, is_work: bool
     ) -> dict:
         """The response envelope for one admitted frame."""
-        if connection.shm is not None:
-            try:
-                payload = connection.shm.resolve_inbound(payload)
-            except ApiError as error:
-                return self.handler.error_envelope(payload, error)
         degrade_level = 0
         if self.ladder is not None and is_work:
             degrade_level = self.ladder.observe(self.admission.pressure())
         tenant_name = connection.tenant.name if connection.tenant is not None else None
         # Validate and submit, let the engine tick run the batch, then build
-        # the envelope: binary and shm tensors are zero-copy views both ways.
+        # the envelope: binary tensors are zero-copy views both ways.
         pendings, finish = self.handler.begin(payload, degrade_level, tenant_name)
         if pendings:
             self._schedule_tick()
@@ -794,8 +785,6 @@ class AsyncNormServer:
 
     async def _try_send(self, connection: _AsyncConnection, payload: dict) -> bool:
         try:
-            if connection.shm is not None:
-                payload = connection.shm.stage_outbound(payload)
             data = encode_frame(payload, self.max_frame_bytes)
         except ApiError as error:
             # The *response* outgrew the frame limit: replace it with an
@@ -816,39 +805,3 @@ class AsyncNormServer:
             return True
         except (OSError, ConnectionError):
             return False
-
-    # -- shm control ---------------------------------------------------------
-
-    async def _handle_shm_control(
-        self, connection: _AsyncConnection, payload: dict
-    ) -> None:
-        """shm_attach / shm_release, handled inline (never admitted as work)."""
-        from repro.api.envelopes import SCHEMA_VERSION
-
-        op = payload.get("op")
-        if op == "shm_attach":
-            request_id = payload.get("request_id")
-            version = payload.get("schema_version")
-            if isinstance(version, bool) or not isinstance(version, int):
-                version = SCHEMA_VERSION
-            ack = {
-                "schema_version": version,
-                "op": "shm_attach",
-                "request_id": request_id,
-                "ok": True,
-                "accepted": False,
-            }
-            if self.enable_shm and connection.shm is None:
-                try:
-                    from repro.api.shm import ServerShmSession
-
-                    connection.shm = ServerShmSession.attach(payload)
-                    connection.encoding = "shm"
-                    ack["accepted"] = True
-                except (ApiError, OSError, ValueError) as error:
-                    ack["accepted"] = False
-                    ack["reason"] = str(error)
-            await self._try_send(connection, ack)
-        elif op == "shm_release":
-            if connection.shm is not None:
-                connection.shm.release(payload.get("slabs"))

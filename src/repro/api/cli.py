@@ -102,14 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         "against pre-v3 servers)",
     )
     parser.add_argument(
-        "--transport",
-        choices=("socket", "shm"),
-        default="socket",
-        help="client transport: plain TCP, or same-host shared-memory "
-        "slabs for tensor payloads ('shm' falls back to TCP when the "
-        "server refuses the attach; single-address connects only)",
-    )
-    parser.add_argument(
         "--token",
         default=None,
         help="tenant bearer token presented in the hello handshake "
@@ -185,8 +177,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as error:
         parser.error(str(error))
 
-    if args.transport == "shm" and len(addresses) > 1:
-        parser.error("--transport shm connects to a single server, not a fleet")
     try:
         if len(addresses) > 1:
             client = NormClient.connect_fleet(
@@ -199,7 +189,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 port,
                 pool_size=args.pool,
                 timeout=args.timeout,
-                transport=args.transport,
                 token=args.token,
             )
         with client:
@@ -245,21 +234,12 @@ def _run(client: NormClient, args: argparse.Namespace) -> int:
 
     mode = "bulk frame" if args.bulk else f"pipeline depth {args.depth}"
     negotiated = client.negotiated_version()
-    shm_note = ""
-    stats = getattr(client.transport, "stats", None)
-    if callable(stats):
-        shm = stats().get("shm")
-        if shm is not None:
-            shm_note = (
-                ", shm attached" if shm["sessions"] else ", shm refused (TCP fallback)"
-            )
     print(
         f"sending {len(payloads)} request(s) to {client.transport.address} "
         f"(model {args.model!r}, layer {args.layer}, backend {args.backend!r}, "
         f"{mode}, pool {args.pool}"
         + (f", accelerator {args.accelerator!r}" if args.accelerator else "")
         + (f", schema v{negotiated}" if negotiated is not None else "")
-        + shm_note
         + ")"
     )
     shared = dict(

@@ -153,31 +153,17 @@ class NormClient:
         )
 
     @classmethod
-    def connect(
-        cls, host: str, port: int, pool_size: int = 1, transport: str = "socket", **kwargs
-    ) -> "NormClient":
+    def connect(cls, host: str, port: int, pool_size: int = 1, **kwargs) -> "NormClient":
         """Client over TCP against a running :class:`AsyncNormServer`.
 
         The transport is pooled and thread-safe: concurrent callers may
         share one client, and ``pool_size`` connections carry their
         pipelined requests (demultiplexed by ``request_id``).
 
-        ``transport="shm"`` selects the same-host shared-memory transport
-        (:class:`~repro.api.shm.SharedMemoryTransport`): tensor buffers
-        travel through shared-memory slabs while control frames keep the
-        socket.  It degrades to plain TCP automatically when the server
-        refuses the attach (flag off, cross-host peer).
-
         ``token="..."`` presents a tenant bearer token in every
         connection's hello handshake (servers running ``--require-auth``
         reject tokenless work with a typed ``unauthenticated`` error).
         """
-        if transport == "shm":
-            from repro.api.shm import SharedMemoryTransport
-
-            return cls(SharedMemoryTransport(host, port, pool_size=pool_size, **kwargs))
-        if transport != "socket":
-            raise ValueError(f"unknown connect transport {transport!r} (socket or shm)")
         return cls(SocketTransport(host, port, pool_size=pool_size, **kwargs))
 
     @classmethod

@@ -15,9 +15,9 @@ This module owns that schema:
   :func:`parse_response` and the handler's dispatch.  Each record's
   **tensor slots** follow from its tensor fields (``tensor``,
   ``tensors[*]``, ``results[*].{tensor,mean,isd}``,
-  ``groups[*].{rows,segment_starts,anchor_isd}``, ...); framing,
-  shared-memory staging, the v2 downgrade and the quota's row count visit
-  only those (:func:`rewrite_slot_tensors`), never a whole envelope.
+  ``groups[*].{rows,segment_starts,anchor_isd}``, ...); framing, the v2
+  downgrade and the quota's row count visit only those
+  (:func:`rewrite_slot_tensors`), never a whole envelope.
 * Versions: peers speak ``MIN_SCHEMA_VERSION..SCHEMA_VERSION``,
   :func:`negotiate_version` picks the highest common one, and an op is
   rejected on envelopes older than it.  No field is version-gated: every
@@ -49,7 +49,9 @@ from repro.api.tensors import (  # noqa: F401 -- re-exported
 
 #: Newest schema version.  v2 added ``hello`` negotiation and the
 #: ``normalize_bulk``, ``stream`` and ``execute_bulk`` ops; v3 added the
-#: ``binary`` tensor encoding (binary frames) and the shared-memory ops.
+#: ``binary`` tensor encoding (binary frames).  v3 clients that still send
+#: the retired ``shm_attach`` op get a typed ``bad_schema`` error, which
+#: they read as a refusal and stay on plain TCP.
 SCHEMA_VERSION = 3
 
 #: First version whose frames may carry ``binary`` tensors; transports
@@ -671,12 +673,9 @@ OP_MIN_VERSIONS: Dict[str, int] = {
     name: op.since for name, op in OPS.items() if op.since > MIN_SCHEMA_VERSION
 }
 
-#: Transport control ops of the shared-memory tier: never API requests.
-SHM_CONTROL_OPS = ("shm_attach", "shm_release")
-
-#: Slots per op; errors and the shared-memory control ops carry no tensors.
+#: Slots per op; errors carry no tensors.
 _SLOTS = {name: op.slots for name, op in OPS.items()}
-_SLOTS.update(dict.fromkeys(("error", *SHM_CONTROL_OPS), ()))
+_SLOTS["error"] = ()
 
 
 def tensor_slots(payload: Any) -> Optional[tuple]:

@@ -43,8 +43,8 @@ _WIRE_DTYPES = {
 #: for a dtype's name.
 _DTYPE_NAMES = {native: (name, wire) for name, (wire, native, _) in _WIRE_DTYPES.items()}
 
-#: Tensor data encodings.  ``binary`` travels only in binary frames, over
-#: shared memory, or in-process.
+#: Tensor data encodings.  ``binary`` travels only in binary frames or
+#: in-process.
 TENSOR_ENCODINGS = ("base64", "list", "binary")
 
 #: Types a ``binary`` tensor's data may be.  JSON yields only str/list
@@ -63,8 +63,8 @@ def _new(cls, values: Dict[str, Any]):
 def _binary_data_view(data: Any, where: str = "tensor") -> memoryview:
     """A flat byte view over a ``binary`` tensor's data, validated.
 
-    The decoder hands out memoryview slices of the frame body or a
-    shared-memory slab; in-process callers keep the ndarray.  Anything not
+    The decoder hands out memoryview slices of the frame body; in-process
+    callers keep the ndarray.  Anything not
     a contiguous buffer raises :class:`BadSchemaError`.
     """
     if type(data) is memoryview and data.format == "B" and data.c_contiguous:

@@ -261,9 +261,6 @@ class _PoolConnection:
     A lock-step caller therefore reads its own reply on its own thread.
     A sender that finds the socket buffer full reads while it waits too,
     so deep pipelines cannot wedge with both sides blocked on writes.
-    Frames a reply hook wants to send (:meth:`queue_frame`) wait in an
-    outbox and go out between reads, once the send lock is free: the
-    reader running the hook may be that very sender.
 
     The socket stays blocking and its timeout is never changed after the
     handshake (every thread shares it): deadlines are kept by ``poll``
@@ -296,26 +293,16 @@ class _PoolConnection:
         #: an OSError -> connection failure instead of wedging every sender.
         self.send_timeout = send_timeout if send_timeout and send_timeout > 0 else None
         self._send_lock = threading.Lock()
-        #: Guards ``_pending``, ``_reader`` and ``_outbox``; followers wait on it.
+        #: Guards ``_pending`` and ``_reader``; followers wait on it.
         self._cond = threading.Condition(threading.Lock())
         self._pending: Dict[int, PendingReply] = {}
         #: Thread ident of the read-role holder, if any.
         self._reader: Optional[int] = None
-        #: Encoded frames queued by :meth:`queue_frame` (under ``_cond``).
-        self._outbox: List[bytes] = []
         #: Used only by the read-role holder.
         self._decoder = FrameDecoder(max_frame_bytes)
         self._readable = select.poll()
         self._readable.register(sock, select.POLLIN)
         self._dead = False
-        #: Optional response hook (``envelope -> envelope``) run by the
-        #: reader before a reply resolves -- and also for orphaned
-        #: responses, so a translating transport (shared memory) can
-        #: reclaim per-request resources even when the waiter abandoned.
-        #: An :class:`ApiError` it raises fails the reply.
-        self.translate = None
-        #: Called once when the connection dies, for owner-side cleanup.
-        self.on_close = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -344,12 +331,6 @@ class _PoolConnection:
                 f"connection to {self.address} closed", address=self.address
             )
         )
-        on_close, self.on_close = self.on_close, None
-        if on_close is not None:
-            try:
-                on_close()
-            except Exception:  # noqa: BLE001 -- cleanup must not mask the close
-                pass
 
     def _lost(self, message: str) -> None:
         in_flight = self.in_flight
@@ -403,64 +384,25 @@ class _PoolConnection:
     def send(self, frame: bytes) -> None:
         """Write one encoded frame; raises ``OSError`` on failure or when
         the socket stayed full for ``send_timeout`` without progress."""
-        with self._send_lock:
-            self._write(frame)
-            self._write_outbox()
-        self._flush_outbox()
-
-    def queue_frame(self, frame: bytes) -> None:
-        """Send a one-way frame between reads, once the send lock is free.
-
-        For reply hooks: they run on the reader, which may be a sender
-        waiting for room in the socket buffer, so they must not send
-        themselves.  A failed write closes the connection.
-        """
-        with self._cond:
-            self._outbox.append(frame)
-
-    def _write(self, frame: bytes) -> None:
-        """Write all of ``frame`` (send lock held)."""
         view = memoryview(frame)
         deadline = None
-        while True:
-            try:
-                sent = self.sock.send(view, socket.MSG_DONTWAIT)
-            except BlockingIOError:
-                sent = 0
-            if sent == len(view):
-                return
-            view = view[sent:]
-            if self.send_timeout is not None and (sent or deadline is None):
-                deadline = time.monotonic() + self.send_timeout
-            self._await_writable(deadline)
-
-    def _write_outbox(self) -> None:
-        """Write every queued frame (send lock held)."""
-        while self._outbox and not self._dead:
-            with self._cond:
-                frames, self._outbox = self._outbox, []
-            try:
-                for frame in frames:
-                    self._write(frame)
-            except OSError as error:
-                # Whatever frame was cut short, the stream is unusable.
-                self._lost(f"send to {self.address} failed: {error}")
-
-    def _flush_outbox(self) -> None:
-        """Write queued frames unless another thread holds the send lock;
-        that thread flushes again after releasing it, so none is left."""
-        while self._outbox and not self._dead and self._send_lock.acquire(blocking=False):
-            try:
-                self._write_outbox()
-            finally:
-                self._send_lock.release()
+        with self._send_lock:
+            while True:
+                try:
+                    sent = self.sock.send(view, socket.MSG_DONTWAIT)
+                except BlockingIOError:
+                    sent = 0
+                if sent == len(view):
+                    return
+                view = view[sent:]
+                if self.send_timeout is not None and (sent or deadline is None):
+                    deadline = time.monotonic() + self.send_timeout
+                self._await_writable(deadline)
 
     def _await_writable(self, deadline: Optional[float]) -> None:
         """Wait for room in the socket buffer, reading replies meanwhile if
         nobody else is: the peer may be blocked writing to us."""
-        # Already the reader when flushing the outbox between reads.
-        held = self._reader == threading.get_ident()
-        lead = held or self._take_read_role()
+        lead = self._take_read_role()
         try:
             poller = select.poll()
             try:
@@ -475,7 +417,7 @@ class _PoolConnection:
             if lead and any(mask & ~select.POLLOUT for _fd, mask in events):
                 self._read(None)
         finally:
-            if lead and not held:
+            if lead:
                 self._release_read_role()
 
     def discard(self, request_id: int) -> None:
@@ -496,7 +438,6 @@ class _PoolConnection:
         with self._cond:
             self._reader = None
             self._cond.notify_all()  # a follower may take the role over
-        self._flush_outbox()  # what the reply hooks queued while reading
 
     def wait_for(self, reply: PendingReply, timeout: Optional[float]) -> bool:
         """Block until ``reply`` completes (True) or ``timeout`` passes."""
@@ -512,7 +453,7 @@ class _PoolConnection:
             self._reader = threading.get_ident()
         try:
             while not reply._done and self._read(deadline):
-                self._flush_outbox()
+                pass
         finally:
             self._release_read_role()
         return reply._done
@@ -576,20 +517,9 @@ class _PoolConnection:
             return
         with self._cond:
             reply = self._pending.pop(request_id, None)
-        value: Optional[Dict[str, Any]] = envelope
-        failure: Optional[BaseException] = None
-        if self.translate is not None:
-            # Run the hook even for orphaned responses: it reclaims
-            # per-request transport resources (shared-memory slabs).
-            try:
-                value = self.translate(envelope)
-            except ApiError as error:
-                value, failure = None, error
-        if reply is None:
-            return  # a response for an abandoned (timed-out) request
-        with self._cond:
-            reply._value = value
-            reply._error = failure
+            if reply is None:
+                return  # a response for an abandoned (timed-out) request
+            reply._value = envelope
             reply._done = True
             self._cond.notify_all()
 
@@ -744,18 +674,10 @@ class SocketTransport(Transport):
             # (re-deriving the already-negotiated version is harmless).
             if self._negotiate and (self.negotiated_version is None or self.token is not None):
                 self._handshake(conn)
-            # Subclass hook (e.g. the shared-memory transport's segment
-            # attach): runs after version negotiation, before any request
-            # is read off the connection, so it may exchange frames
-            # synchronously on the bare socket.
-            self._after_handshake(conn)
         except BaseException:
             conn.close()
             raise
         return conn
-
-    def _after_handshake(self, conn: _PoolConnection) -> None:
-        """Post-handshake hook on each fresh connection (default: no-op)."""
 
     def _handshake(self, conn: _PoolConnection) -> None:
         """Synchronous hello exchange on a fresh socket (before any request).
@@ -893,14 +815,6 @@ class SocketTransport(Transport):
             payload = rewrite_slot_tensors(payload, binary_to_base64)
         return payload
 
-    def _prepare(self, payload: Dict[str, Any], conn: _PoolConnection) -> Dict[str, Any]:
-        """Per-send envelope rewrite: version stamp + binary downgrade.
-
-        Subclasses may rewrite further against the target connection (the
-        shared-memory transport stages tensor buffers into its slabs here).
-        """
-        return self._stamp_version(payload)
-
     def submit(self, payload: Dict[str, Any]) -> PendingReply:
         """Pipeline one request; the reply resolves when its frame arrives.
 
@@ -916,7 +830,7 @@ class SocketTransport(Transport):
                 conn = self._get_connection()
                 # Stamp after dialing: the first dial performs the hello
                 # handshake that decides the version to stamp.
-                return conn.submit(self._prepare(payload, conn))
+                return conn.submit(self._stamp_version(payload))
             except TransportError as error:
                 last_error = error
             except ApiError:
@@ -948,7 +862,7 @@ class SocketTransport(Transport):
             response: Optional[Dict[str, Any]] = None
             try:
                 conn = self._get_connection()
-                reply = conn.submit(self._prepare(payload, conn))
+                reply = conn.submit(self._stamp_version(payload))
             except TransportError as error:
                 # Dead connection at send time: the frame never left this
                 # process, so resending cannot double-apply for any op.
@@ -1033,14 +947,10 @@ def register_transport(name: str, factory) -> None:
 
 def available_transports() -> Tuple[str, ...]:
     """Registered transport names, sorted."""
-    # The fleet and shared-memory transports register themselves on import;
-    # make the listing complete even when nothing imported them yet.
+    # The fleet transport registers itself on import; make the listing
+    # complete even when nothing imported it yet.
     try:
         import repro.fleet.transport  # noqa: F401
-    except ImportError:
-        pass
-    try:
-        import repro.api.shm  # noqa: F401
     except ImportError:
         pass
     return tuple(sorted(_TRANSPORT_FACTORIES))
@@ -1050,8 +960,6 @@ def create_transport(name: str, **kwargs) -> Transport:
     """Instantiate a registered transport by name."""
     if name not in _TRANSPORT_FACTORIES and name == "fleet":
         import repro.fleet.transport  # noqa: F401  (self-registers)
-    if name not in _TRANSPORT_FACTORIES and name == "shm":
-        import repro.api.shm  # noqa: F401  (self-registers)
     try:
         factory = _TRANSPORT_FACTORIES[name]
     except KeyError:

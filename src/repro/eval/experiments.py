@@ -686,9 +686,6 @@ def run_api_roundtrip(
       frames (the default) and with legacy base64 JSON frames, pipelined
       (depth 8, many requests in flight on one connection), and bulk (all
       payloads in one ``normalize_bulk`` frame),
-    * ``NormClient`` over the same-host
-      :class:`~repro.api.shm.SharedMemoryTransport` (tensor buffers in
-      shared-memory slabs, control frames on the socket),
 
     and reporting per-path wall clock plus the exact maximum deviation
     from the direct path (the contract demands 0 for all of them).
@@ -762,13 +759,6 @@ def run_api_roundtrip(
                 outputs["socket-base64"] = _run_client(client, encoding="base64")
                 timings["socket-base64"] = _time.perf_counter() - start
 
-            # Same-host shared memory: tensors through slabs, frames on TCP.
-            with NormClient.connect(server.host, server.port, transport="shm") as client:
-                client.wait_until_ready()
-                start = _time.perf_counter()
-                outputs["shm"] = _run_client(client)
-                timings["shm"] = _time.perf_counter() - start
-
             with NormClient.connect(server.host, server.port) as client:
                 client.wait_until_ready()
                 start = _time.perf_counter()
@@ -800,7 +790,6 @@ def run_api_roundtrip(
         "in-process",
         "socket-binary",
         "socket-base64",
-        "shm",
         "socket-pipelined",
         "socket-bulk",
     )

@@ -27,9 +27,10 @@ cleanly and prints the telemetry summary.  ``haan-client`` is the matching clien
 from __future__ import annotations
 
 import argparse
+import os
+import select
 import signal
 import sys
-import threading
 from typing import List, Optional
 
 import numpy as np
@@ -107,13 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         "paper's fidelity knobs (subsampled stats, then the skip-eligible "
         "fast path) instead of shedding; responses are stamped with the "
         "level applied",
-    )
-    parser.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="refuse shared-memory attach requests in --listen mode: shm "
-        "clients fall back to binary frames over TCP (use when the "
-        "server must not map client-created segments)",
     )
     parser.add_argument(
         "--drain-timeout",
@@ -328,15 +322,6 @@ def _serve_forever(
         print(f"haan-serve: {error}", file=sys.stderr)
         return 2
 
-    stop = threading.Event()
-
-    def _signal_handler(_signum, _frame):
-        stop.set()
-
-    previous = {
-        signum: signal.signal(signum, _signal_handler)
-        for signum in (signal.SIGINT, signal.SIGTERM)
-    }
     service = NormalizationService(
         registry=registry, config=config, aging_window=args.aging_window_ms / 1000.0
     )
@@ -356,6 +341,18 @@ def _serve_forever(
         except (OSError, ValueError) as error:
             print(f"haan-serve: bad tenant file {args.tenants}: {error}", file=sys.stderr)
             return 2
+    # The handler runs on the main thread between two bytecodes, so it must
+    # take no lock the main thread may hold: it writes to a pipe the main
+    # thread waits on (a signal that lands before the wait is not lost).
+    wake_read, wake_write = os.pipe()
+
+    def _signal_handler(_signum, _frame):
+        os.write(wake_write, b"\0")
+
+    previous = {
+        signum: signal.signal(signum, _signal_handler)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
     metrics = None
     try:
         try:
@@ -366,7 +363,6 @@ def _serve_forever(
                 max_inflight=args.max_inflight,
                 max_queue_depth=args.max_queue_depth,
                 ladder=ladder,
-                enable_shm=not args.no_shm,
                 tenancy=tenancy,
             )
         except OSError as error:
@@ -398,7 +394,6 @@ def _serve_forever(
                 f"{args.max_inflight} in-flight "
                 f"per connection, queue bound {args.max_queue_depth}"
                 f"{', degradation ladder on' if ladder is not None else ''}"
-                f"{', shm attach refused' if args.no_shm else ''}"
                 + (
                     f", {len(tenancy.directory)} tenant(s)"
                     f"{', auth required' if tenancy.require_auth else ''}"
@@ -413,8 +408,7 @@ def _serve_forever(
                     f"haan-serve: metrics on http://{metrics.host}:{metrics.port}/metrics",
                     flush=True,
                 )
-            while not stop.wait(0.2):
-                pass
+            select.select([wake_read], [], [])
             # Graceful drain: stop accepting, let in-flight frames finish
             # (bounded), then the context manager's close() is a no-op.
             server.close(drain_timeout=args.drain_timeout)
@@ -425,6 +419,8 @@ def _serve_forever(
         service.close()
         for signum, handler in previous.items():
             signal.signal(signum, handler)
+        os.close(wake_read)
+        os.close(wake_write)
     print()
     print(service.telemetry.format_table())
     return 0

@@ -950,7 +950,6 @@ class TestApiExperiment:
             "in-process",
             "socket-binary",
             "socket-base64",
-            "shm",
             "socket-pipelined",
             "socket-bulk",
         ):
@@ -960,7 +959,6 @@ class TestApiExperiment:
             "in-process",
             "socket-binary",
             "socket-base64",
-            "shm",
             "socket-pipelined",
             "socket-bulk",
         }

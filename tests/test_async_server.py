@@ -17,7 +17,7 @@ Covered here:
 * the tenancy handshake (token auth, typed rejection) and the chaos
   ``FaultGate`` contract on the server core;
 * one thread per server: every op's ``begin`` and ``finish`` run on the
-  loop thread (serving ops over binary, JSON and shm frames too), and the
+  loop thread (serving ops over binary and JSON frames too), and the
   scheduler futures of neither an ``execute`` frame nor a bulk frame need
   a cross-thread wake;
 * the engine tick: kernels run on the loop thread, the server starts no
@@ -30,6 +30,7 @@ Covered here:
 from __future__ import annotations
 
 import asyncio
+import gc
 import socket
 import sys
 import threading
@@ -230,6 +231,49 @@ class TestErrorTaxonomy:
         assert reply["error"]["code"] == "bad_schema"
         assert pong["ok"] is True and pong["request_id"] == 42
 
+    def test_retired_shm_attach_is_refused_typed_and_the_connection_serves(
+        self, registry, rng
+    ):
+        """A v3 client of the retired shared-memory transport opens with
+        ``shm_attach``: it gets a typed ``bad_schema`` error echoing its
+        request_id (read as a refusal: it stays on TCP), and a normalize on
+        the same connection is bit-identical to the in-process result."""
+        from repro.api.envelopes import NormalizeRequest, TensorPayload, parse_response
+        from repro.api.framing import encode_frame, recv_frame
+
+        payload = _rows(rng)
+        attach = {
+            "schema_version": 3,
+            "op": "shm_attach",
+            "request_id": 0,
+            "tx": {"name": "psm_client_tx", "size": 1 << 20},
+            "rx": {"name": "psm_client_rx", "size": 1 << 20},
+        }
+        normalize = NormalizeRequest(
+            model="tiny",
+            tensor=TensorPayload.from_array(payload, encoding="binary"),
+            request_id=1,
+        )
+        service = _service(registry)
+        with AsyncNormServer(service) as server:
+            with socket.create_connection(
+                (server.host, server.port), timeout=5.0
+            ) as sock:
+                sock.sendall(encode_frame(attach))
+                refusal = recv_frame(sock)
+                sock.sendall(encode_frame(normalize.to_wire()))
+                reply = recv_frame(sock)
+        service.close()
+        assert refusal["ok"] is False
+        assert refusal["request_id"] == 0
+        assert refusal["error"]["code"] == "bad_schema"
+        assert reply["request_id"] == 1
+        with NormClient.in_process(registry=registry) as client:
+            expected = client.normalize(payload, "tiny").output
+        np.testing.assert_array_equal(
+            parse_response(reply, "normalize").tensor.to_array(), expected
+        )
+
 
 # ---------------------------------------------------------------------------
 # idle-connection scale + drain
@@ -325,6 +369,45 @@ class TestConnectionScale:
         assert snapshot["requests_served"] >= 1
         assert snapshot["connections_active"] == 0
         service.close()
+
+    def test_close_leaves_no_accepted_socket_open(self, registry):
+        """Connections accepted in the loop iteration that closes the server
+        still get a FIN, without waiting for the garbage collector."""
+        service = _service(registry)
+        server = AsyncNormServer(service).start()
+        entered, gate = threading.Event(), threading.Event()
+        clients = []
+        closer = threading.Thread(target=server.close)
+        gc_was_enabled = gc.isenabled()
+        gc.disable()  # a leaked socket sits in a reference cycle
+        try:
+            # Hold the loop, queue the shutdown, then let connections arrive:
+            # the loop accepts them in the same iteration that starts closing.
+            server._loop.call_soon_threadsafe(lambda: (entered.set(), gate.wait(5.0)))
+            assert entered.wait(5.0)
+            clients = [
+                socket.create_connection((server.host, server.port), timeout=5.0)
+                for _ in range(4)
+            ]
+            closer.start()
+            time.sleep(0.1)
+            gate.set()
+            closer.join(timeout=15.0)
+            assert not closer.is_alive()
+            for sock in clients:
+                sock.settimeout(2.0)
+                try:
+                    assert sock.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+        finally:
+            gate.set()
+            if gc_was_enabled:
+                gc.enable()
+            for sock in clients:
+                sock.close()
+            server.close()
+            service.close()
 
 
 # ---------------------------------------------------------------------------
@@ -490,19 +573,16 @@ class TestOneHopServingPath:
         assert {thread for _, thread in stages} == {"haan-async-server"}, stages
 
     @pytest.mark.parametrize(
-        "transport,encoding,frames",
-        [("socket", "binary", "binary"), ("socket", "base64", "json"), ("shm", "binary", "shm")],
+        "encoding,frames", [("binary", "binary"), ("base64", "json")]
     )
     def test_serving_ops_never_leave_the_loop(
-        self, registry, rng, monkeypatch, transport, encoding, frames
+        self, registry, rng, monkeypatch, encoding, frames
     ):
         service = _service(registry)
         with AsyncNormServer(service) as server:
-            with NormClient.connect(
-                server.host, server.port, transport=transport
-            ) as client:
-                # Warm-up: the hello handshake and the shm attach happen
-                # before recording starts.
+            with NormClient.connect(server.host, server.port) as client:
+                # Warm-up: the hello handshake happens before recording
+                # starts.
                 client.normalize(_rows(rng), "tiny", encoding=encoding)
                 records = self._record_threads(server, monkeypatch)
                 payload = _rows(rng)

@@ -10,6 +10,7 @@ LRU behaviour and the telemetry aggregates.
 
 from __future__ import annotations
 
+import signal
 import threading
 import time
 
@@ -564,3 +565,63 @@ class TestTelemetry:
             future.result()
         assert telemetry.errors_total.value == 1
         service.close()
+
+
+class TestServeSignalHandler:
+    def test_handler_runs_while_the_main_threads_locks_are_held(self, monkeypatch):
+        """``haan-serve --listen`` stops on SIGTERM even when the signal lands
+        while the main thread holds a lock in its wait loop.
+
+        The handler runs on the main thread between two bytecodes, so a lock
+        it takes that the main thread already holds (a ``threading.Event``'s
+        condition lock inside ``Event.wait``) never frees.  The handler is
+        recorded instead of installed, so ``main`` can run off the main
+        thread; it is then called while this thread holds every lock its
+        closure reaches.
+        """
+        from types import SimpleNamespace
+
+        from repro.serving import cli
+
+        handlers = {}
+
+        def record(signum, handler):
+            handlers[signum] = handler
+            return None
+
+        monkeypatch.setattr(
+            cli,
+            "signal",
+            SimpleNamespace(SIGINT=signal.SIGINT, SIGTERM=signal.SIGTERM, signal=record),
+        )
+        exit_codes = []
+        runner = threading.Thread(
+            target=lambda: exit_codes.append(
+                cli.main(["--model", "tiny", "--listen", "127.0.0.1:0", "--drain-timeout", "0"])
+            )
+        )
+        runner.start()
+        deadline = time.monotonic() + 30.0
+        while signal.SIGTERM not in handlers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        handler = handlers[signal.SIGTERM]
+        locks = []
+        for cell in handler.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, threading.Event):
+                value = value._cond
+            if hasattr(value, "acquire") and hasattr(value, "release"):
+                locks.append(value)
+        for lock in locks:
+            lock.acquire()
+        try:
+            call = threading.Thread(target=handler, args=(signal.SIGTERM, None))
+            call.start()
+            call.join(timeout=2.0)
+            assert not call.is_alive(), "the signal handler blocked on a lock"
+        finally:
+            for lock in locks:
+                lock.release()
+        runner.join(timeout=30.0)
+        assert not runner.is_alive()
+        assert exit_codes == [0]

@@ -146,9 +146,8 @@ class TestNoDeepWalkOnTheServingPath:
         [
             {},
             {"schema_versions": (1, 2)},  # a v2 peer: binary downgraded to base64
-            {"transport": "shm"},
         ],
-        ids=["binary", "downgraded", "shm"],
+        ids=["binary", "downgraded"],
     )
     def test_round_trips_visit_only_tensor_slots(self, tenant_server, rng, walk_calls, connect):
         rows = _rows(rng)
@@ -156,7 +155,7 @@ class TestNoDeepWalkOnTheServingPath:
             tenant_server.host, tenant_server.port, token="tok-acme", **connect
         ) as client:
             client.wait_until_ready()
-            del walk_calls[:]  # the hello / shm handshake is not the serving path
+            del walk_calls[:]  # the hello handshake is not the serving path
             single = client.normalize(rows, "tiny")
             bulk = client.normalize_bulk([rows, rows[:1]], "tiny")
         assert walk_calls == []
