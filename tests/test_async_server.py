@@ -573,7 +573,7 @@ class TestOneHopServingPath:
         assert {thread for _, thread in stages} == {"haan-async-server"}, stages
 
     @pytest.mark.parametrize(
-        "encoding,frames", [("binary", "binary"), ("base64", "json")]
+        "encoding,frames", [("binary", "binary"), ("base64", "json"), ("list", "json")]
     )
     def test_serving_ops_never_leave_the_loop(
         self, registry, rng, monkeypatch, encoding, frames

@@ -146,8 +146,9 @@ class TestNoDeepWalkOnTheServingPath:
         [
             {},
             {"schema_versions": (1, 2)},  # a v2 peer: binary downgraded to base64
+            {"pool_size": 2},  # requests spread over two pooled connections
         ],
-        ids=["binary", "downgraded"],
+        ids=["binary", "downgraded", "pooled"],
     )
     def test_round_trips_visit_only_tensor_slots(self, tenant_server, rng, walk_calls, connect):
         rows = _rows(rng)
@@ -158,7 +159,9 @@ class TestNoDeepWalkOnTheServingPath:
             del walk_calls[:]  # the hello handshake is not the serving path
             single = client.normalize(rows, "tiny")
             bulk = client.normalize_bulk([rows, rows[:1]], "tiny")
+            connections = client.transport.stats()["connections"]
         assert walk_calls == []
+        assert connections == connect.get("pool_size", 1)
         assert np.array_equal(bulk[0].output, single.output)
         if "schema_versions" in connect:
             assert client.negotiated_version() == 2
