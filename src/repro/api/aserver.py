@@ -1,42 +1,60 @@
 """`AsyncNormServer`: the normalization service behind a TCP socket.
 
 The one wire server core (``haan-serve --listen``).  Each connection is
-an ``asyncio.BufferedProtocol`` plus one reader coroutine on one event
-loop, so holding 10k mostly-idle connections costs kilobytes apiece
+one ``asyncio.BufferedProtocol`` on one event loop -- no coroutine, no
+task -- so holding 10k mostly-idle connections costs kilobytes apiece
 rather than a thread stack.  A connection may have many requests in
-flight (bounded by ``max_inflight``; at the bound reading pauses and the
-excess becomes TCP backpressure) and responses go out in completion
+flight (bounded by ``max_inflight``) and responses go out in completion
 order, demultiplexed by ``request_id`` on the client.
 
-Everything runs on the event loop's one thread, ``haan-async-server``:
+Everything runs in loop callbacks on one thread, ``haan-async-server``.
+One request takes this path:
 
-* **per read** -- ``recv_into`` a :class:`FrameDecoder` buffer: between
-  frames a scratch region all connections share (reads run one at a
-  time), and for a frame larger than one read, a buffer sized by its
-  announced length, so the frame's bytes are copied once.
-* **per frame** -- the pre-decode gate (tenant quota + overload
-  admission on the peeked JSON preamble, before any tensor bytes are
-  touched), chaos gate, hello authentication,
-  per-connection in-flight accounting, the zero-copy tensor decode
-  (:func:`attach_buffers`: memoryview slices, O(tensor count) not
-  O(bytes)), :meth:`ApiHandler.begin` (validate + submit), the engine tick, ``finish`` (response envelope), response
-  encoding and the write.  Every op that runs a kernel (``normalize``,
-  ``normalize_bulk``, ``stream``, ``execute``, ``execute_bulk``) submits
-  into the scheduler; the others (``spec``, ``hello``, ``ping``,
-  ``telemetry``) submit nothing and do their work in ``finish``.
-* **the engine tick** -- a loop callback that drains the service's
-  continuous batching scheduler one batch at a time
-  (:meth:`~repro.serving.batcher.ContinuousBatcher.drain_once`: EDF/aging
-  pop, expired heads shed, kernel, futures resolved).  Submitting a
-  serving op schedules it with ``call_soon``; at most one tick is pending,
-  and it re-schedules itself while requests remain queued.  Because
-  ``call_soon`` runs on the next loop iteration, frames that arrived
-  meanwhile on **any connection** are read and submitted first, so they
-  coalesce into one batch.  A kernel holds the loop for its duration.
+1. **read callback** -- the transport ``recv_into`` a
+   :class:`FrameDecoder` buffer (between frames a scratch region all
+   connections share, since reads run one at a time; for a frame larger
+   than one read, a buffer sized by its announced length, so the frame's
+   bytes are copied once) and calls
+   :meth:`_AsyncConnection.buffer_updated`, which runs every complete
+   frame through the control path at once:
+2. **gate** -- peek the JSON preamble, check the op, consult the chaos
+   fault gate, authenticate a hello, enforce ``require_auth``, run the
+   pre-decode gate (tenant quota + overload admission on the preamble,
+   before any tensor bytes are touched), count the request in flight,
+   refuse it while closing or draining, and attach the tensor buffers
+   (:func:`attach_buffers`: zero-copy memoryview slices, O(tensor count)
+   not O(bytes));
+3. **begin** -- :meth:`ApiHandler.begin` validates the envelope and
+   submits its kernel work into the service's scheduler.  The ops that
+   submit nothing (``spec``, ``hello``, ``ping``, ``telemetry``, and any
+   request that failed validation) finish and write their response here;
+4. **tick** -- submitting schedules the engine tick with ``call_soon``: one
+   loop callback that drains the continuous batching scheduler one batch
+   at a time (:meth:`~repro.serving.batcher.ContinuousBatcher.drain_once`:
+   EDF/aging pop, expired heads shed, kernel, futures resolved).  At most
+   one tick is pending, and it re-schedules itself while requests remain
+   queued.  Because ``call_soon`` runs on the next loop iteration, frames
+   that arrived meanwhile on **any connection** are read and submitted
+   first, so they coalesce into one batch.  A kernel holds the loop for
+   its duration;
+5. **count-down** -- a request registers one count-down on its scheduler
+   futures.  When the tick resolves the last of them, the count-down runs
+   ``finish`` (the response envelope), the degradation-ladder record,
+   ``admission.complete``, the tenancy charge and :func:`encode_frame`;
+6. **write** -- ``transport.write`` of the response frame.
 
 A thread that calls the service directly (``service.normalize``) drains
 on its own thread and may resolve wire requests in its batch; their
-waiters are then woken through ``call_soon_threadsafe``.
+count-downs are handed to the loop through ``call_soon_threadsafe``.
+
+Backpressure: at ``max_inflight`` requests in flight on a connection, or
+while its transport's write buffer is above the high-water mark
+(``pause_writing``), the connection stops reading and keeps the frames it
+has already read in a backlog.  A freed slot or ``resume_writing``
+resumes the backlog in a fresh loop callback, never from inside a tick
+that is still draining.  A chaos ``delay`` holds the connection the same
+way and resumes it with ``call_later``, so a connection's frames are
+always handled in order.
 
 Shutdown: :meth:`close` (callable from any thread, e.g. a SIGTERM
 handler) optionally drains admitted work for
@@ -51,9 +69,10 @@ import asyncio
 import socket
 import threading
 import time
-from asyncio.streams import FlowControlMixin
+from collections import deque
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Dict, List, Optional, Set
+from functools import partial
+from typing import Dict, Optional
 
 from repro.api.admission import WORK_OPS, AdmissionController, PreDecodeGate
 from repro.api.envelopes import (
@@ -80,61 +99,58 @@ from repro.api.handler import ApiHandler
 from repro.tenancy.quota import estimate_rows
 
 
-async def _await_pendings(loop: asyncio.AbstractEventLoop, pendings) -> None:
-    """Await scheduler futures resolved by the engine tick (or any thread).
+class _CountDown:
+    """Run ``on_done()`` on the loop thread once every future resolved.
 
-    The tick resolves futures on the loop's own thread, so their
+    The engine tick resolves futures on the loop's own thread, so their
     done-callbacks count down directly.  A future resolved by a thread
     that drained the service itself hands its count-down to the loop with
     ``call_soon_threadsafe``; every count-down runs on the loop, so the
-    counter needs no lock.  Results/errors are *not* extracted here --
+    counter needs no lock.  Results and errors are *not* extracted here --
     ``finish()`` does that through the shared taxonomy mapping.
     """
-    waiter = loop.create_future()
-    remaining = len(pendings)
-    loop_thread = threading.get_ident()
 
-    def count_down() -> None:
-        nonlocal remaining
-        remaining -= 1
-        if not remaining and not waiter.done():
-            waiter.set_result(None)
+    __slots__ = ("loop", "loop_thread", "remaining", "on_done")
 
-    def on_future_done(_future) -> None:
-        if threading.get_ident() == loop_thread:
-            count_down()
+    def __init__(self, loop, loop_thread: int, pendings, on_done) -> None:
+        self.loop = loop
+        self.loop_thread = loop_thread
+        self.remaining = len(pendings)
+        self.on_done = on_done
+        for pending in pendings:
+            pending.add_done_callback(self.resolved)
+
+    def resolved(self, _future) -> None:
+        if threading.get_ident() == self.loop_thread:
+            self.count_down()
             return
         try:
-            loop.call_soon_threadsafe(count_down)
+            self.loop.call_soon_threadsafe(self.count_down)
         except RuntimeError:
             pass  # loop already closed mid-shutdown; nothing to wake
 
-    for pending in pendings:
-        pending.add_done_callback(on_future_done)
-    await waiter
+    def count_down(self) -> None:
+        self.remaining -= 1
+        if not self.remaining:
+            self.on_done()
 
 
-class _AsyncConnection(FlowControlMixin, asyncio.BufferedProtocol):
+class _AsyncConnection(asyncio.BufferedProtocol):
     """One client connection: the protocol that reads its frames, plus its
-    pipelining state (send lock, in-flight bound, gauges).
-
-    Write flow control (``pause_writing`` / ``resume_writing`` and the
-    ``_drain_helper`` that :meth:`drain` awaits) is asyncio's own
-    ``FlowControlMixin``, the one behind ``StreamWriter.drain``.
+    pipelining state (backlog, in-flight count, gauges).
 
     The transport calls :meth:`get_buffer`, ``recv_into`` and
     :meth:`buffer_updated` back to back on the loop thread, so the
     decoder reads small frames into the server's one shared scratch and a
     larger frame straight into a buffer of its own size.  Complete frames
-    queue for the connection's reader coroutine (:meth:`received`).
+    join the backlog, which the server's control path works off at once
+    unless the connection must wait (see the module docstring).
     """
 
     __slots__ = (
         "server",
         "transport",
         "conn_id",
-        "send_lock",
-        "inflight",
         "inflight_count",
         "peak_inflight",
         "frames",
@@ -146,22 +162,18 @@ class _AsyncConnection(FlowControlMixin, asyncio.BufferedProtocol):
         "tenant",
         "decoder",
         "error",
-        "_received",
-        "_eof",
-        "_waiter",
+        "backlog",
+        "delayed",
+        "write_paused",
+        "stalled",
+        "resume_pending",
+        "eof",
     )
 
     def __init__(self, server: "AsyncNormServer"):
-        super().__init__(server._loop)
         self.server = server
         self.transport: Optional[asyncio.Transport] = None
         self.conn_id = 0
-        self.send_lock = asyncio.Lock()
-        #: The reader coroutine awaits this once ``max_inflight`` requests
-        #: are being handled, with reading paused: the kernel buffer fills
-        #: and the client feels TCP backpressure instead of the server
-        #: buffering without bound.
-        self.inflight = asyncio.Semaphore(server.max_inflight)
         self.inflight_count = 0
         self.peak_inflight = 0
         self.frames = 0
@@ -176,9 +188,16 @@ class _AsyncConnection(FlowControlMixin, asyncio.BufferedProtocol):
         )
         #: The decode error that poisoned the stream, if any.
         self.error: Optional[ApiError] = None
-        self._received: List[object] = []
-        self._eof = False
-        self._waiter: Optional[asyncio.Future] = None
+        #: Frames read but not yet through the control path, in order.
+        self.backlog = deque()
+        #: The frame a chaos ``delay`` holds: ``(body, payload, is_binary,
+        #: action)``, resumed past the fault gate when the delay ends.
+        self.delayed = None
+        self.write_paused = False
+        #: Whether the backlog waits for an in-flight slot.
+        self.stalled = False
+        self.resume_pending = False
+        self.eof = False
 
     # -- protocol callbacks (loop thread) ------------------------------------
 
@@ -194,57 +213,31 @@ class _AsyncConnection(FlowControlMixin, asyncio.BufferedProtocol):
         try:
             frames = self.decoder.buffer_updated(nbytes)
         except ApiError as error:
-            # The stream cannot be resynchronized: read nothing more.
+            # The stream cannot be resynchronized: read nothing more, and
+            # answer the error once the backlog is through.
             self.error = error
-            self.transport.pause_reading()
-            self._wake()
-            return
-        if frames:
-            if self._received:
-                # The reader has not taken the last read's frames (it waits
-                # on an in-flight slot or a slow send): stop reading until
-                # it catches up.
-                self.transport.pause_reading()
-            self._received.extend(frames)
-            self._wake()
+        else:
+            if not frames:
+                return
+            self.encoding = self.decoder.last_kind
+            self.backlog.extend(frames)
+        self.server._pump(self)
 
     def eof_received(self) -> bool:
-        self._eof = True
-        self._wake()
-        return True  # half-open: the reader closes once it saw the EOF
+        self.eof = True
+        self.server._pump(self)
+        return True  # half-open: closed once the backlog is through
 
     def connection_lost(self, exc) -> None:
-        super().connection_lost(exc)  # wakes the drain waiters
-        self._eof = True
-        self._wake()
+        self.server._retire(self)
 
-    def _wake(self) -> None:
-        waiter = self._waiter
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.transport.pause_reading()
 
-    # -- coroutine side ------------------------------------------------------
-
-    async def received(self) -> List[object]:
-        """The next frames read, in order; ``[]`` once the stream ended
-        (EOF, or :attr:`error` set)."""
-        while not self._received:
-            if self._eof or self.error is not None:
-                return []
-            # Caught up: lift any pause (backlog or in-flight bound).
-            self.transport.resume_reading()
-            self._waiter = self.server._loop.create_future()
-            try:
-                await self._waiter
-            finally:
-                self._waiter = None
-        frames, self._received = self._received, []
-        return frames
-
-    async def drain(self) -> None:
-        """Wait while the transport's write buffer is above its high mark;
-        raises ``ConnectionResetError`` if the connection is already lost."""
-        await self._drain_helper()
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self.server._resume(self)
 
 
 class AsyncNormServer:
@@ -299,10 +292,9 @@ class AsyncNormServer:
         #: (reads run one at a time on the loop thread).
         self._scratch = memoryview(bytearray(SCRATCH_BYTES))
         self._connections: Dict[int, _AsyncConnection] = {}
-        #: Strong refs to in-flight dispatch tasks (the loop only keeps
-        #: weak ones; an untracked task can be garbage-collected mid-run).
-        self._tasks: Set["asyncio.Task"] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: ``threading.get_ident()`` of the loop thread.
+        self._loop_thread = 0
         self._aserver: Optional[asyncio.AbstractServer] = None
         self._thread: Optional[threading.Thread] = None
         self._startup_error: Optional[BaseException] = None
@@ -361,6 +353,7 @@ class AsyncNormServer:
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         self._loop = loop
+        self._loop_thread = threading.get_ident()
         try:
             self._aserver = loop.run_until_complete(
                 loop.create_server(lambda: _AsyncConnection(self), sock=self._sock)
@@ -451,10 +444,8 @@ class AsyncNormServer:
         with self._lock:
             connections = list(self._connections.values())
         for connection in connections:
-            # Closing the transport ends the reader coroutine, whose finally
-            # block retires the connection's gauges.
             try:
-                connection.transport.close()
+                self._close(connection)
             except Exception:  # noqa: BLE001 -- transport may be half-dead
                 pass
 
@@ -518,201 +509,234 @@ class AsyncNormServer:
         if batcher.drain_once() and batcher.pending_count:
             self._schedule_tick()
 
-    # -- connection handling -------------------------------------------------
+    # -- connection lifetime -------------------------------------------------
 
     def _accept(self, connection: _AsyncConnection) -> None:
-        """Register a new connection and start its reader coroutine."""
+        """Register a new connection."""
         with self._lock:
             if self._closing and not self._draining:
+                connection.closed = True
                 connection.transport.close()
                 return
             self.connections_total += 1
             connection.conn_id = self.connections_total
             self._connections[connection.conn_id] = connection
-        task = self._loop.create_task(self._serve_connection(connection))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
 
-    async def _serve_connection(self, connection: _AsyncConnection) -> None:
+    def _retire(self, connection: _AsyncConnection) -> None:
+        """Stop serving a connection and fold its gauges into the totals.
+        Responses of its requests still in flight are dropped."""
+        if connection.closed:
+            return
+        connection.closed = True
+        connection.backlog.clear()
         decoder = connection.decoder
-        try:
-            await self._read_loop(connection)
-        finally:
-            with self._lock:
-                self._connections.pop(connection.conn_id, None)
-                self._retired_bytes_in += connection.bytes_in
-                self._retired_bytes_out += connection.bytes_out
-                self._retired_frames_json += decoder.frames_json
-                self._retired_frames_binary += decoder.frames_binary
-            # Mark closed under the send lock first: a dispatch task
-            # holding this connection re-checks ``closed`` under the same
-            # lock before writing, so no response lands on a closed
-            # transport.
-            async with connection.send_lock:
-                connection.closed = True
-                try:
-                    connection.transport.close()
-                except Exception:  # noqa: BLE001
-                    pass
+        with self._lock:
+            self._connections.pop(connection.conn_id, None)
+            self._retired_bytes_in += connection.bytes_in
+            self._retired_bytes_out += connection.bytes_out
+            self._retired_frames_json += decoder.frames_json
+            self._retired_frames_binary += decoder.frames_binary
 
-    async def _read_loop(self, connection: _AsyncConnection) -> None:
-        """The per-connection reader state machine."""
-        decoder = connection.decoder
-        loop = asyncio.get_running_loop()
-        while True:
-            frames = await connection.received()
-            if not frames:
-                if connection.error is not None:
-                    await self._try_send(
-                        connection,
-                        ErrorResponse.from_exception(connection.error).to_wire(),
-                    )
-                return  # EOF, the client went away, or the server is closing
-            if decoder.last_kind is not None:
-                connection.encoding = decoder.last_kind
-            for body in frames:
-                try:
-                    # JSON frames decode fully here; binary frames yield
-                    # only their preamble -- all the control plane needs.
-                    payload, is_binary = peek_payload(body)
-                except ApiError as error:
-                    await self._try_send(
-                        connection, ErrorResponse.from_exception(error).to_wire()
-                    )
-                    return
-                op = payload.get("op")
-                if not isinstance(op, str):
-                    # Checked before any set lookup: a list or dict ``op``
-                    # is unhashable and would otherwise kill this coroutine.
-                    await self._try_send(
-                        connection,
-                        self.handler.error_envelope(
-                            payload, BadSchemaError("envelope 'op' must be a string")
-                        ),
-                    )
-                    continue
-                if self.fault_gate is not None:
-                    action = self.fault_gate.on_server_frame(payload)
-                    if action is not None:
-                        if action.delay_s > 0:
-                            await asyncio.sleep(action.delay_s)
-                        if action.kind == "drop":
-                            continue
-                        if action.kind == "corrupt":
-                            await self._send_raw(connection, action.data)
-                            continue
-                        if action.kind == "kill":
-                            return
-                if self.tenancy is not None and op == "hello":
-                    token = payload.get("token")
-                    try:
-                        connection.tenant = self.tenancy.authenticate(
-                            token if isinstance(token, str) else None
-                        )
-                    except ApiError as error:
-                        await self._try_send(
-                            connection, self.handler.error_envelope(payload, error)
-                        )
-                        continue
-                is_work = op in WORK_OPS
-                if (
-                    is_work
-                    and self.tenancy is not None
-                    and self.tenancy.require_auth
-                    and (connection.tenant is None or not connection.tenant.authenticated)
-                ):
-                    await self._try_send(
-                        connection,
-                        self.handler.error_envelope(
-                            payload,
-                            AuthenticationError(
-                                "this server requires a tenant bearer token; "
-                                "reconnect with token=... / --token"
-                            ),
-                        ),
-                    )
-                    continue
-                # The shedding gate *before* any tensor decode -- O(1) on
-                # the peeked preamble, so a shed request never reaches the
-                # handler.
-                try:
-                    self.gate.check(
-                        payload, tenant=connection.tenant, nbytes=len(body)
-                    )
-                except (OverloadedError, ApiError) as error:
-                    await self._try_send(
-                        connection, self.handler.error_envelope(payload, error)
-                    )
-                    continue
-                # At max_inflight the socket stops being read until a slot
-                # frees: backpressure, not buffering.
-                if connection.inflight.locked():
+    def _close(self, connection: _AsyncConnection) -> None:
+        """Retire a connection and close its transport (what was written
+        is still flushed)."""
+        self._retire(connection)
+        connection.transport.close()
+
+    # -- the control path ----------------------------------------------------
+
+    def _resume(self, connection: _AsyncConnection) -> None:
+        """Work the connection's backlog off in a fresh loop callback."""
+        if not connection.resume_pending and not connection.closed:
+            connection.resume_pending = True
+            self._loop.call_soon(self._pump, connection)
+
+    def _pump(self, connection: _AsyncConnection) -> None:
+        """Run the backlog's frames through the control path in order until
+        it empties or the connection must wait; read on only once it is
+        empty."""
+        connection.resume_pending = False
+        backlog = connection.backlog
+        while backlog and not connection.closed:
+            if connection.write_paused or connection.delayed is not None:
+                break
+            if connection.inflight_count >= self.max_inflight:
+                # Backpressure, not buffering: the socket is not read until
+                # a slot frees.
+                if not connection.stalled:
+                    connection.stalled = True
                     with self._lock:
                         connection.backpressure_waits += 1
                         self.backpressure_waits += 1
-                    connection.transport.pause_reading()
-                await connection.inflight.acquire()
-                with self._lock:
-                    self.frames_received += 1
-                    connection.frames += 1
-                    connection.inflight_count += 1
-                    if connection.inflight_count > connection.peak_inflight:
-                        connection.peak_inflight = connection.inflight_count
-                    if connection.inflight_count > self.peak_inflight:
-                        self.peak_inflight = connection.inflight_count
-                    closing = self._closing
-                    draining = self._draining
-                if closing:
-                    connection.inflight.release()
-                    with self._lock:
-                        connection.inflight_count -= 1
-                    if is_work:
-                        self.admission.complete()
-                    if not draining:
-                        return
-                    await self._try_send(
-                        connection,
-                        self.handler.error_envelope(
-                            payload,
-                            OverloadedError(
-                                "server is draining and accepts no new work"
-                            ),
-                        ),
-                    )
-                    continue
-                if is_binary:
-                    # Admitted: only now attach the tensor buffers -- zero-copy
-                    # views, so this stays on the loop.
-                    try:
-                        payload = attach_buffers(body, payload)
-                    except ApiError as error:
-                        connection.inflight.release()
-                        with self._lock:
-                            connection.inflight_count -= 1
-                        if is_work:
-                            self.admission.complete()
-                        await self._try_send(
-                            connection, ErrorResponse.from_exception(error).to_wire()
-                        )
-                        return
-                task = loop.create_task(
-                    self._handle_one(connection, payload, is_work, len(body))
-                )
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
+                break
+            connection.stalled = False
+            self._frame(connection, backlog.popleft())
+        if connection.closed:
+            return
+        if backlog or connection.write_paused or connection.delayed is not None:
+            connection.transport.pause_reading()
+        elif connection.error is not None:
+            self._write(connection, ErrorResponse.from_exception(connection.error).to_wire())
+            self._close(connection)
+        elif connection.eof:
+            self._close(connection)
+        else:
+            connection.transport.resume_reading()
 
-    async def _handle_one(
-        self,
-        connection: _AsyncConnection,
-        payload: dict,
-        is_work: bool = False,
-        nbytes: int = 0,
-    ) -> None:
-        """Dispatch-task body: handle one envelope, send its response frame."""
+    def _frame(self, connection: _AsyncConnection, body) -> None:
+        """One frame, up to and including the fault gate."""
+        try:
+            # JSON frames decode fully here; binary frames yield only their
+            # preamble -- all the control plane needs.
+            payload, is_binary = peek_payload(body)
+        except ApiError as error:
+            self._write(connection, ErrorResponse.from_exception(error).to_wire())
+            self._close(connection)
+            return
+        if not isinstance(payload.get("op"), str):
+            # Checked before any set lookup: a list or dict ``op`` is
+            # unhashable.
+            self._write(
+                connection,
+                self.handler.error_envelope(
+                    payload, BadSchemaError("envelope 'op' must be a string")
+                ),
+            )
+            return
+        action = None
+        if self.fault_gate is not None:
+            action = self.fault_gate.on_server_frame(payload)
+            if action is not None and action.delay_s > 0:
+                # Hold this frame, and with it the whole connection, for
+                # the delay: a connection's frames keep their order.
+                connection.delayed = (body, payload, is_binary, action)
+                self._loop.call_later(action.delay_s, self._end_delay, connection)
+                return
+        self._gated(connection, body, payload, is_binary, action)
+
+    def _end_delay(self, connection: _AsyncConnection) -> None:
+        if connection.closed:
+            return
+        delayed, connection.delayed = connection.delayed, None
+        self._gated(connection, *delayed)
+        self._pump(connection)
+
+    def _gated(self, connection: _AsyncConnection, body, payload, is_binary, action) -> None:
+        """One frame past the fault gate: the checks, then ``begin``."""
+        if action is not None:
+            if action.kind == "drop":
+                return
+            if action.kind == "corrupt":
+                self._write_bytes(connection, action.data)
+                return
+            if action.kind == "kill":
+                self._close(connection)
+                return
+        op = payload["op"]
+        if self.tenancy is not None and op == "hello":
+            token = payload.get("token")
+            try:
+                connection.tenant = self.tenancy.authenticate(
+                    token if isinstance(token, str) else None
+                )
+            except ApiError as error:
+                self._write(connection, self.handler.error_envelope(payload, error))
+                return
+        is_work = op in WORK_OPS
+        if (
+            is_work
+            and self.tenancy is not None
+            and self.tenancy.require_auth
+            and (connection.tenant is None or not connection.tenant.authenticated)
+        ):
+            self._write(
+                connection,
+                self.handler.error_envelope(
+                    payload,
+                    AuthenticationError(
+                        "this server requires a tenant bearer token; "
+                        "reconnect with token=... / --token"
+                    ),
+                ),
+            )
+            return
+        # The shedding gate *before* any tensor decode -- O(1) on the peeked
+        # preamble, so a shed request never reaches the handler.
+        try:
+            self.gate.check(payload, tenant=connection.tenant, nbytes=len(body))
+        except ApiError as error:
+            self._write(connection, self.handler.error_envelope(payload, error))
+            return
+        with self._lock:
+            self.frames_received += 1
+            connection.frames += 1
+            connection.inflight_count += 1
+            if connection.inflight_count > connection.peak_inflight:
+                connection.peak_inflight = connection.inflight_count
+            if connection.inflight_count > self.peak_inflight:
+                self.peak_inflight = connection.inflight_count
+            closing = self._closing
+            draining = self._draining
+        if closing:
+            self._release(connection, is_work)
+            if not draining:
+                self._close(connection)
+                return
+            self._write(
+                connection,
+                self.handler.error_envelope(
+                    payload, OverloadedError("server is draining and accepts no new work")
+                ),
+            )
+            return
+        if is_binary:
+            # Admitted: only now attach the tensor buffers -- zero-copy views.
+            try:
+                payload = attach_buffers(body, payload)
+            except ApiError as error:
+                self._release(connection, is_work)
+                self._write(connection, ErrorResponse.from_exception(error).to_wire())
+                self._close(connection)
+                return
         started = time.perf_counter()
+        degrade_level = 0
+        if self.ladder is not None and is_work:
+            degrade_level = self.ladder.observe(self.admission.pressure())
+        tenant = connection.tenant
+        # Validate and submit; the engine tick runs the batch and the
+        # count-down writes the response.  Binary tensors are zero-copy
+        # views both ways.
+        pendings, finish = self.handler.begin(
+            payload, degrade_level, None if tenant is None else tenant.name
+        )
+        reply = partial(self._reply, connection, payload, finish, is_work, len(body), started)
+        if pendings:
+            _CountDown(self._loop, self._loop_thread, pendings, reply)
+            self._schedule_tick()
+        else:
+            reply()
+
+    def _release(self, connection: _AsyncConnection, is_work: bool) -> None:
+        """Give back the in-flight slot (and admission slot) of a frame that
+        was refused after it was counted."""
+        with self._lock:
+            connection.inflight_count -= 1
+        if is_work:
+            self.admission.complete()
+
+    def _reply(self, connection, payload, finish, is_work, nbytes, started) -> None:
+        """Finish one admitted request and write its response.
+
+        Runs as the request's count-down, often inside the engine tick's
+        batch, so a failure here is reported, never raised into the batch
+        (its sibling requests must still be answered).
+        """
+        sent = False
         try:
             try:
-                response = await self._respond(connection, payload, is_work)
+                response = finish()
+                if self.ladder is not None and is_work:
+                    self._record_applied(response)
             finally:
                 if is_work:
                     # Retire the work frame -- free its admission slot, meter
@@ -722,68 +746,49 @@ class AsyncNormServer:
                     elapsed = time.perf_counter() - started
                     self.admission.complete(elapsed)
                     if self.tenancy is not None:
-                        rows = estimate_rows(payload)
                         self.tenancy.charge_request(
-                            connection.tenant, rows=rows, nbytes=nbytes, wall_seconds=elapsed
+                            connection.tenant,
+                            rows=estimate_rows(payload),
+                            nbytes=nbytes,
+                            wall_seconds=elapsed,
                         )
-            sent = await self._try_send(connection, response)
-            if sent:
-                with self._lock:
-                    self.requests_served += 1
+            sent = self._write(connection, response)
+        except Exception as error:  # noqa: BLE001 -- keep serving the batch
+            self._loop.call_exception_handler(
+                {"message": "response of a wire request failed", "exception": error}
+            )
         finally:
             with self._lock:
                 connection.inflight_count -= 1
-            connection.inflight.release()
+                if sent:
+                    self.requests_served += 1
+            if connection.stalled:
+                self._resume(connection)
 
-    async def _respond(
-        self, connection: _AsyncConnection, payload: dict, is_work: bool
-    ) -> dict:
-        """The response envelope for one admitted frame."""
-        degrade_level = 0
-        if self.ladder is not None and is_work:
-            degrade_level = self.ladder.observe(self.admission.pressure())
-        tenant_name = connection.tenant.name if connection.tenant is not None else None
-        # Validate and submit, let the engine tick run the batch, then build
-        # the envelope: binary tensors are zero-copy views both ways.
-        pendings, finish = self.handler.begin(payload, degrade_level, tenant_name)
-        if pendings:
-            self._schedule_tick()
-            await _await_pendings(self._loop, pendings)
-        response = finish()
-        if self.ladder is not None and is_work:
-            # Record the level actually applied.  Single responses stamp it
-            # at the top level, stream responses inside ``result``, bulk
-            # responses per item in ``results`` (all items of one bulk ran
-            # at one level -- the first is representative).
-            candidates = [response]
-            result = response.get("result")
-            if isinstance(result, dict):
-                candidates.append(result)
-            results = response.get("results")
-            if isinstance(results, (list, tuple)) and results and isinstance(results[0], dict):
-                candidates.append(results[0])
-            for candidate in candidates:
-                applied = candidate.get("degradation")
-                if isinstance(applied, int) and not isinstance(applied, bool):
-                    self.ladder.record_applied(applied)
-                    break
-        return response
+    def _record_applied(self, response: dict) -> None:
+        """Record the degradation level a response was actually served at.
+
+        Single responses stamp it at the top level, stream responses inside
+        ``result``, bulk responses per item in ``results`` (all items of one
+        bulk ran at one level -- the first is representative).
+        """
+        candidates = [response]
+        result = response.get("result")
+        if isinstance(result, dict):
+            candidates.append(result)
+        results = response.get("results")
+        if isinstance(results, (list, tuple)) and results and isinstance(results[0], dict):
+            candidates.append(results[0])
+        for candidate in candidates:
+            applied = candidate.get("degradation")
+            if isinstance(applied, int) and not isinstance(applied, bool):
+                self.ladder.record_applied(applied)
+                return
 
     # -- sending -------------------------------------------------------------
 
-    async def _send_raw(self, connection: _AsyncConnection, data: bytes) -> None:
-        """Write raw bytes (a chaos-corrupted frame) under the send lock."""
-        try:
-            async with connection.send_lock:
-                if connection.closed:
-                    return
-                connection.transport.write(data)
-                connection.bytes_out += len(data)
-                await connection.drain()
-        except (OSError, ConnectionError):
-            pass
-
-    async def _try_send(self, connection: _AsyncConnection, payload: dict) -> bool:
+    def _write(self, connection: _AsyncConnection, payload: dict) -> bool:
+        """Encode one envelope and write it; whether it went out."""
         try:
             data = encode_frame(payload, self.max_frame_bytes)
         except ApiError as error:
@@ -795,13 +800,13 @@ class AsyncNormServer:
                 data = encode_frame(fallback, self.max_frame_bytes)
             except ApiError:
                 return False
-        try:
-            async with connection.send_lock:
-                if connection.closed:
-                    return False
-                connection.transport.write(data)
-                connection.bytes_out += len(data)
-                await connection.drain()
-            return True
-        except (OSError, ConnectionError):
+        return self._write_bytes(connection, data)
+
+    def _write_bytes(self, connection: _AsyncConnection, data: bytes) -> bool:
+        """Queue bytes on the transport unless the connection is retired;
+        the transport buffers what the socket does not take at once."""
+        if connection.closed:
             return False
+        connection.transport.write(data)
+        connection.bytes_out += len(data)
+        return True

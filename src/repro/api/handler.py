@@ -50,6 +50,11 @@ from repro.api.envelopes import (
     negotiate_version,
     parse_request,
 )
+from repro.engine.registry import (
+    available_backends,
+    requires_connection,
+    validate_backend_name,
+)
 
 
 def _array(tensor: Optional[TensorPayload]) -> Optional[np.ndarray]:
@@ -197,18 +202,29 @@ class ApiHandler:
 
     # -- shared validation --------------------------------------------------
 
-    def _check_backend(self, name: str) -> None:
-        from repro.engine.registry import requires_connection, validate_backend_name
-
-        try:
-            validate_backend_name(name)
-        except ValueError as error:
-            raise UnknownBackendError(str(error)) from error
-        if requires_connection(name):
+    @staticmethod
+    def _check_servable(backend: str) -> None:
+        """Refuse a backend that only forwards to a server."""
+        if requires_connection(backend):
             raise UnknownBackendError(
-                f"backend {name!r} needs its own connection configuration and "
+                f"backend {backend!r} needs its own connection configuration and "
                 f"cannot be served here (a server forwarding to itself would loop)"
             )
+
+    def _submit(self, request, fn, *args, **kwargs):
+        """Submit into the service, which validates the backend and model
+        names once; a refusal that is one of those names fails typed."""
+        try:
+            return self._call_service(fn, *args, **kwargs)
+        except BadSchemaError:
+            try:
+                validate_backend_name(request.backend)
+            except ValueError as error:
+                raise UnknownBackendError(str(error)) from error
+            model = getattr(request, "model", None)
+            if model is not None:
+                self._check_model(model)
+            raise
 
     def _check_model(self, name: str) -> None:
         try:
@@ -271,7 +287,8 @@ class ApiHandler:
     def _service_submit(
         self, array: np.ndarray, request, context=None, degrade: int = 0, tenant=None
     ):
-        return self._call_service(
+        return self._submit(
+            request,
             self.service.submit,
             array,
             request.model,
@@ -303,8 +320,7 @@ class ApiHandler:
         degrade_level: int,
         tenant: Optional[str],
     ):
-        self._check_backend(request.backend)
-        self._check_model(request.model)
+        self._check_servable(request.backend)
         self._check_size(request.tensor)
         array = self._decode_rows(request.tensor, "normalize")
         future = self._service_submit(
@@ -347,14 +363,14 @@ class ApiHandler:
         degrade_level: int,
         tenant: Optional[str],
     ):
-        self._check_backend(request.backend)
-        self._check_model(request.model)
+        self._check_servable(request.backend)
         self._check_bulk_size(request.tensors, "tensors[{}]")
         arrays = [
             self._decode_rows(tensor, f"normalize_bulk tensors[{index}]")
             for index, tensor in enumerate(request.tensors)
         ]
-        futures = self._call_service(
+        futures = self._submit(
+            request,
             self.service.submit_many,
             arrays,
             request.model,
@@ -406,8 +422,7 @@ class ApiHandler:
     ):
         from repro.llm.hooks import ActivationContext
 
-        self._check_backend(request.backend)
-        self._check_model(request.model)
+        self._check_servable(request.backend)
         self._check_size(request.tensor)
         array = self._decode_rows(request.tensor, "stream")
         future = self._service_submit(
@@ -443,7 +458,7 @@ class ApiHandler:
         which validates them all before queuing any."""
         from repro.engine.spec import EngineSpec
 
-        self._check_backend(request.backend)
+        self._check_servable(request.backend)
         bulk = request.op == "execute_bulk"
         groups = request.groups if bulk else (request,)
         self._check_bulk_size(
@@ -453,7 +468,8 @@ class ApiHandler:
             spec = EngineSpec.from_dict(request.spec)
         except (TypeError, ValueError) as error:
             raise BadSchemaError(f"invalid engine spec: {error}") from error
-        futures = self._call_service(
+        futures = self._submit(
+            request,
             self.service.submit_execute,
             spec,
             [
@@ -493,8 +509,6 @@ class ApiHandler:
         return futures, build
 
     def _hello(self, request: HelloRequest) -> HelloResponse:
-        from repro.engine.registry import available_backends
-
         chosen = negotiate_version(
             request.min_schema_version,
             request.max_schema_version,
@@ -510,8 +524,6 @@ class ApiHandler:
         )
 
     def _ping(self, request: PingRequest) -> PingResponse:
-        from repro.engine.registry import available_backends
-
         return PingResponse(
             request_id=request.request_id,
             backends=available_backends(),

@@ -85,6 +85,16 @@ def _segment_lengths(segment_starts: Optional[np.ndarray], total_rows: int) -> n
     return np.diff(np.append(np.asarray(segment_starts, dtype=np.int64), total_rows))
 
 
+def _one_segment(segment_starts, total_rows: int) -> bool:
+    """Whether the layout is one segment at row 0 over at least one row:
+    the one layout that tiles the rows without being checked."""
+    if total_rows < 1:
+        return False
+    return segment_starts is None or (
+        np.shape(segment_starts) == (1,) and segment_starts[0] == 0
+    )
+
+
 def _norm_kind(plan: ExecutionPlan) -> NormKind:
     """The ``NormKind`` enum member a plan's spec describes."""
     return NormKind.RMSNORM if plan.spec.is_rms else NormKind.LAYERNORM
@@ -169,7 +179,9 @@ class VectorizedBackend(NormBackend):
             predicted = plan.predicted_isd(anchor_isd, arr.shape[0])
         else:
             refine = plan.refine_isd
-            if spec.subsample_length is not None:
+            if spec.subsample_length is not None and not _one_segment(
+                segment_starts, arr.shape[0]
+            ):
                 validate_segment_lengths(
                     _segment_lengths(segment_starts, arr.shape[0]), arr.shape[0]
                 )

@@ -13,7 +13,8 @@ that the serving runtime and the benchmarks actually execute:
   ``dtype=object`` reductions.
 * :func:`round_codes` -- the vectorized rounding modes with optional
   in-place output.
-* :func:`rowwise_variance` / :func:`rowwise_mean_square` /
+* :func:`rowwise_mean` / :func:`rowwise_variance` /
+  :func:`rowwise_mean_square` /
   :func:`inv_sqrt_stat` / :func:`normalize_affine` -- per-row statistic and
   affine kernels that mirror the exact NumPy operation sequence of the
   reference layers (so results are bit-identical) while writing into
@@ -50,6 +51,7 @@ __all__ = [
     "int8_segment_scales",
     "int8_round_trip_rows",
     "float_round_trip_rows",
+    "rowwise_mean",
     "rowwise_variance",
     "rowwise_mean_square",
     "inv_sqrt_stat",
@@ -374,7 +376,7 @@ def int8_segment_scales(
         raise ValueError("segment_starts reaches past the stacked rows")
     magnitude = _scratch_matrix(workspace, "kernels.abs", rows.shape[0], rows.shape[1])
     np.abs(rows, out=magnitude)
-    row_max = np.max(magnitude, axis=1)
+    row_max = np.maximum.reduce(magnitude, axis=1)
     segment_max = np.maximum.reduceat(row_max, starts)
     scales = np.where(segment_max == 0.0, 1.0, segment_max / INT8_MAX)
     lengths = np.diff(np.append(starts, rows.shape[0]))
@@ -429,24 +431,40 @@ def float_round_trip_rows(
 # ---------------------------------------------------------------------------
 
 
+def rowwise_mean(rows: np.ndarray) -> np.ndarray:
+    """Per-row mean of float64 rows, bit-identical to ``rows.mean(axis=1)``.
+
+    Calls what NumPy's ``_methods._mean`` calls for float64 (a sum
+    reduction, then a true divide by the count in place) without its
+    Python wrappers.
+    """
+    mean = np.add.reduce(rows, axis=1)
+    np.true_divide(mean, rows.shape[1], out=mean)
+    return mean
+
+
 def rowwise_variance(
     rows: np.ndarray,
     workspace: Optional[KernelWorkspace] = None,
     name: str = "kernels.variance",
+    mean: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Per-row population variance, bit-identical to ``rows.var(axis=1)``.
 
-    Replicates NumPy's ``_methods._var`` operation sequence (keepdims mean,
-    broadcast subtract, in-place square, sum, true divide) with the
-    intermediate deviation matrix drawn from the workspace.
+    Replicates NumPy's ``_methods._var`` operation sequence (mean, broadcast
+    subtract, in-place square, sum, true divide) with the intermediate
+    deviation matrix drawn from the workspace.  ``mean`` is
+    :func:`rowwise_mean` of these same ``rows`` when the caller already
+    has it.
     """
     n, width = rows.shape
-    mean = np.mean(rows, axis=1, keepdims=True)
+    if mean is None:
+        mean = rowwise_mean(rows)
     deviation = _scratch_matrix(workspace, name, n, width)
-    np.subtract(rows, mean, out=deviation)
+    np.subtract(rows, mean[:, None], out=deviation)
     np.multiply(deviation, deviation, out=deviation)
-    variance = np.sum(deviation, axis=1)
-    np.divide(variance, width, out=variance)
+    variance = np.add.reduce(deviation, axis=1)
+    np.true_divide(variance, width, out=variance)
     return variance
 
 
@@ -459,7 +477,7 @@ def rowwise_mean_square(
     n, width = rows.shape
     squared = _scratch_matrix(workspace, name, n, width)
     np.square(rows, out=squared)
-    return np.mean(squared, axis=1)
+    return rowwise_mean(squared)
 
 
 def inv_sqrt_stat(spread: np.ndarray, eps: float) -> np.ndarray:
@@ -566,23 +584,26 @@ def haan_normalize_rows(
         else:
             raise ValueError(f"unknown storage format: {storage!r}")
 
-    # 2. per-row statistics.
+    # 2. per-row statistics.  A variance centred on the rows the mean was
+    #    taken over reuses that mean: it is the same reduction.
     if predicted_isd is not None:
         isd = np.asarray(predicted_isd, dtype=np.float64)
         if rms:
             mean = np.zeros(n)
         elif subsample_length is not None and subsample_mean:
-            mean = quantized[:, : min(subsample_length, hidden)].mean(axis=1)
+            mean = rowwise_mean(quantized[:, : min(subsample_length, hidden)])
         else:
-            mean = quantized.mean(axis=1)
+            mean = rowwise_mean(quantized)
     elif subsample_length is not None:
         sub = _subsample_view(quantized, subsample_length, subsample_policy)
         if rms:
             mean = np.zeros(n)
             isd = inv_sqrt_stat(rowwise_mean_square(sub, workspace), eps)
+        elif subsample_mean:
+            mean = rowwise_mean(sub)
+            isd = inv_sqrt_stat(rowwise_variance(sub, workspace, mean=mean), eps)
         else:
-            mean_source = sub if subsample_mean else quantized
-            mean = mean_source.mean(axis=1)
+            mean = rowwise_mean(quantized)
             isd = inv_sqrt_stat(rowwise_variance(sub, workspace), eps)
         if refine_isd is not None:
             isd = refine_isd(isd)
@@ -591,8 +612,8 @@ def haan_normalize_rows(
             mean = np.zeros(n)
             isd = inv_sqrt_stat(rowwise_mean_square(quantized, workspace), eps)
         else:
-            mean = quantized.mean(axis=1)
-            isd = inv_sqrt_stat(rowwise_variance(quantized, workspace), eps)
+            mean = rowwise_mean(quantized)
+            isd = inv_sqrt_stat(rowwise_variance(quantized, workspace, mean=mean), eps)
         if refine_isd is not None:
             isd = refine_isd(isd)
 

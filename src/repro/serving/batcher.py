@@ -375,6 +375,10 @@ class ContinuousBatcher:
                 self._fail_expired(shed)
 
     def _run_batch(self, key: RequestKey, batch: List[PendingRequest], rows: int) -> None:
+        # Counted first: a future's done-callback may answer its client
+        # before the executor returns.
+        self.batches_executed += 1
+        self.requests_executed += len(batch)
         try:
             self._execute(key, batch, rows)
         except BaseException as error:  # noqa: BLE001 -- never strand a future
@@ -383,8 +387,6 @@ class ContinuousBatcher:
                     pending.set_exception(error)
             if not isinstance(error, Exception):
                 raise  # KeyboardInterrupt / SystemExit still propagate
-        self.batches_executed += 1
-        self.requests_executed += len(batch)
 
     # -- draining ----------------------------------------------------------
 

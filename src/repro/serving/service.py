@@ -45,6 +45,10 @@ from repro.serving.telemetry import ServingTelemetry
 #: Most engines the service compiles itself and keeps between batches.
 ENGINE_CACHE_SIZE = 32
 
+#: The segment starts of a batch of one request: a single segment at row 0.
+_FIRST_ROW = np.zeros(1, dtype=np.int64)
+_FIRST_ROW.flags.writeable = False
+
 
 class NormalizationService:
     """Batched normalization serving runtime."""
@@ -416,23 +420,35 @@ class NormalizationService:
         if not good:
             return
 
-        counts = [rows.shape[0] for rows in rows_list]
         contexts = [pending.request.context for pending in good]
-        starts = np.cumsum([0] + counts[:-1])
-        if shipped:
-            # An execute group brings its own segments (one if it has
-            # none), offset to where its rows sit in the stack.
-            starts = np.concatenate([
-                [offset] if pending.request.segment_starts is None
-                else pending.request.segment_starts + offset
-                for pending, offset in zip(good, starts)
-            ])
-        # Stack the request segments into pooled staging instead of
-        # `np.concatenate`: the size-bucketed queues make batch shapes
-        # recur, so steady-state serving re-fills the same buffer.  Only
-        # the output matrix (owned by the responses) is allocated per batch.
-        stacked = self._workspace.matrix("service.staging", total_rows, spec.hidden_size)
-        np.concatenate(rows_list, axis=0, out=stacked)
+        if len(good) == 1:
+            # A batch of one runs in place: the kernel never writes its
+            # input, so the rows need no staging copy (a C-contiguous
+            # float64 payload passes through as is) and its one segment
+            # starts at 0, or where its execute group says.
+            counts = [total_rows]
+            stacked = np.ascontiguousarray(rows_list[0], dtype=np.float64)
+            starts = _FIRST_ROW
+            if shipped and good[0].request.segment_starts is not None:
+                starts = good[0].request.segment_starts
+        else:
+            counts = [rows.shape[0] for rows in rows_list]
+            starts = np.cumsum([0] + counts[:-1])
+            if shipped:
+                # An execute group brings its own segments (one if it has
+                # none), offset to where its rows sit in the stack.
+                starts = np.concatenate([
+                    [offset] if pending.request.segment_starts is None
+                    else pending.request.segment_starts + offset
+                    for pending, offset in zip(good, starts)
+                ])
+            # Stack the request segments into pooled staging instead of
+            # `np.concatenate`: the size-bucketed queues make batch shapes
+            # recur, so steady-state serving re-fills the same buffer.  Only
+            # the output matrix (owned by the responses) is allocated per
+            # batch.
+            stacked = self._workspace.matrix("service.staging", total_rows, spec.hidden_size)
+            np.concatenate(rows_list, axis=0, out=stacked)
         output = np.empty((total_rows, spec.hidden_size))
         anchor = None
         if spec.skipped:
@@ -456,7 +472,7 @@ class NormalizationService:
         # modelled cycles/energy alongside wall clock.  Reading right after
         # the run under the execute lock ties the record to this batch.
         cost_record = getattr(engine.backend, "last_record", None)
-        if not shipped:
+        if not shipped and any(context is not None for context in contexts):
             scatter_isd(contexts, layer.layer_index, isd, counts)
 
         # Path flags come from the compiled plan -- configuration, not
@@ -496,11 +512,11 @@ class NormalizationService:
             )
         self.telemetry.observe_batch(
             num_requests=len(good),
-            num_rows=int(stacked.shape[0]),
+            num_rows=total_rows,
             queue_waits=queue_waits,
             batch_seconds=batch_seconds,
-            rows_predicted=int(stacked.shape[0]) if was_predicted else 0,
-            rows_subsampled=int(stacked.shape[0]) if was_subsampled else 0,
+            rows_predicted=total_rows if was_predicted else 0,
+            rows_subsampled=total_rows if was_subsampled else 0,
             backend=key.backend,
             cost=cost_record,
         )

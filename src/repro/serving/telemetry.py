@@ -5,6 +5,11 @@ Everything is in-process and lock-protected; the CLI renders
 :meth:`ServingTelemetry.snapshot`.  Histograms use log-spaced buckets (the
 Prometheus idiom for latency) so tail percentiles stay resolvable across
 six decades without per-observation storage.
+
+Per batch, :meth:`ServingTelemetry.observe_batch` only writes one row into
+a fixed-capacity ring (and the batch's queue waits into a flat one); the
+rings are folded into the aggregates in bulk when one fills and before
+every read, with results equal to folding each batch as it came.
 """
 
 from __future__ import annotations
@@ -53,13 +58,27 @@ class LatencyHistogram:
         values = np.asarray(seconds, dtype=np.float64)
         if values.size == 0:
             return
-        indices = np.searchsorted(self.edges, values, side="left")
-        self.counts += np.bincount(indices, minlength=self.counts.size)
-        self.total += float(values.sum())
-        self.count += int(values.size)
-        peak = float(values.max())
-        if peak > self.max_value:
-            self.max_value = peak
+        self.fold(values, np.array([values.sum()]))
+
+    def fold(self, values: np.ndarray, totals: np.ndarray) -> None:
+        """Record many durations at once.
+
+        ``totals`` are the amounts the running total grows by, added one
+        after another in order, so the total equals that of the
+        ``observe`` / ``observe_many`` calls they stand for, bit for bit.
+        """
+        if values.size:
+            indices = np.searchsorted(self.edges, values, side="left")
+            self.counts += np.bincount(indices, minlength=self.counts.size)
+            self.count += int(values.size)
+            # fmax skips NaN, as the one-at-a-time comparison does.
+            peak = float(np.fmax.reduce(values))
+            if peak > self.max_value:
+                self.max_value = peak
+        if totals.size:
+            self.total = float(
+                np.add.accumulate(np.concatenate(([self.total], totals)))[-1]
+            )
 
     @property
     def mean(self) -> float:
@@ -204,6 +223,15 @@ class Counter:
         self.value += amount
 
 
+#: Batches :meth:`ServingTelemetry.observe_batch` buffers between folds,
+#: and the queue waits (one per request) it buffers with them.
+BATCH_RING = 1024
+WAIT_RING = 8192
+
+# Columns of the batch ring.
+_REQUESTS, _ROWS, _SECONDS, _PREDICTED, _SUBSAMPLED, _BACKEND, _WAIT_SUM = range(7)
+
+
 class ServingTelemetry:
     """Aggregated metrics of one :class:`NormalizationService` instance.
 
@@ -211,6 +239,11 @@ class ServingTelemetry:
     predicted-ISD (skip) and subsampled paths, queue-wait and kernel-latency
     histograms, the micro-batch size distribution, and wall-clock
     throughput over the observed window.
+
+    Batches observed since the last read sit in the rings until the next
+    read folds them: read the aggregates through :meth:`snapshot`,
+    :meth:`histogram_export`, :meth:`format_table` or the derived gauges,
+    not through the attributes.
     """
 
     def __init__(
@@ -218,7 +251,8 @@ class ServingTelemetry:
         clock: Callable[[], float] = time.perf_counter,
         sample_capacity: int = 4096,
     ):
-        self._lock = threading.Lock()
+        # Re-entrant: the derived gauges fold under it, also from snapshot().
+        self._lock = threading.RLock()
         self._clock = clock
         self.requests_total = Counter()
         self.rows_total = Counter()
@@ -248,6 +282,15 @@ class ServingTelemetry:
         self.max_batch_size = 0
         self._first_at: Optional[float] = None
         self._last_at: Optional[float] = None
+        #: Batches observed but not folded yet, one row each (columns
+        #: ``_REQUESTS`` ..), and their queue waits back to back.
+        self._batch_ring = np.zeros((BATCH_RING, 7))
+        self._wait_ring = np.zeros(WAIT_RING)
+        self._batch_fill = 0
+        self._wait_fill = 0
+        #: Backend names by their code in the ``_BACKEND`` column.
+        self._backend_names: list = []
+        self._backend_codes: Dict[str, int] = {}
         #: External snapshot sections (name -> provider), e.g. the wire
         #: server's pipelining gauges.  Providers run outside the lock.
         self._sections: Dict[str, Callable[[], Dict[str, object]]] = {}
@@ -295,10 +338,11 @@ class ServingTelemetry:
         backend: str = "vectorized",
         cost=None,
     ) -> None:
-        """Fold one executed batch into the aggregates (bar the totals).
+        """Record one executed batch (bar the totals).
 
         ``requests_total`` / ``rows_total`` are counted by
         :meth:`count_served` before the batch's responses are released.
+        The rest waits in the rings until the next fold.
 
         ``cost`` is the batch's
         :class:`~repro.engine.backends.NormCostRecord` when a cost-modelling
@@ -306,17 +350,15 @@ class ServingTelemetry:
         aggregate next to the wall-clock metrics.
         """
         now = self._clock()
+        waits = len(queue_waits)
+        if waits == 1:
+            wait_sum = queue_waits[0]  # the sum of one value is that value
+        else:
+            wait_sum = np.add.reduce(np.asarray(queue_waits, dtype=np.float64))
         with self._lock:
             if self._first_at is None:
                 self._first_at = now - batch_seconds
             self._last_at = now
-            self.batches_total.increment()
-            per_backend = self.backend_counts.setdefault(
-                backend, {"requests": 0, "rows": 0, "batches": 0}
-            )
-            per_backend["requests"] += num_requests
-            per_backend["rows"] += num_rows
-            per_backend["batches"] += 1
             if cost is not None:
                 self.cost_batches += 1
                 self.cost_rows += cost.num_rows
@@ -330,14 +372,55 @@ class ServingTelemetry:
                 per_config["rows"] += cost.num_rows
                 per_config["cycles"] += cost.total_cycles
                 per_config["energy_nj"] += cost.energy_nj
-            self.rows_predicted.increment(rows_predicted)
-            self.rows_subsampled.increment(rows_subsampled)
-            if num_requests > self.max_batch_size:
-                self.max_batch_size = num_requests
-            self.batch_latency.observe(batch_seconds)
-            self.queue_wait.observe_many(queue_waits)
-            self.recent_batch_latency.observe(batch_seconds)
-            self.recent_queue_wait.observe_many(queue_waits)
+            code = self._backend_codes.get(backend)
+            if code is None:
+                code = self._backend_codes[backend] = len(self._backend_names)
+                self._backend_names.append(backend)
+            if self._batch_fill == BATCH_RING or self._wait_fill + waits > WAIT_RING:
+                self._fold_locked()
+            self._batch_ring[self._batch_fill] = (
+                num_requests, num_rows, batch_seconds, rows_predicted,
+                rows_subsampled, code, wait_sum,
+            )
+            self._batch_fill += 1
+            if waits > WAIT_RING:  # more waits than the ring holds: fold them now
+                values = np.asarray(queue_waits, dtype=np.float64)
+                self.queue_wait.fold(values, values[:0])
+                self.recent_queue_wait.observe_many(values)
+            elif waits == 1:
+                self._wait_ring[self._wait_fill] = wait_sum
+                self._wait_fill += 1
+            else:
+                self._wait_ring[self._wait_fill : self._wait_fill + waits] = queue_waits
+                self._wait_fill += waits
+
+    def _fold_locked(self) -> None:
+        """Fold the rings into the aggregates (called under the lock)."""
+        if not self._batch_fill:
+            return
+        batches = self._batch_ring[: self._batch_fill]
+        waits = self._wait_ring[: self._wait_fill]
+        self._batch_fill = self._wait_fill = 0
+        self.batches_total.increment(len(batches))
+        requests = batches[:, _REQUESTS]
+        rows = batches[:, _ROWS]
+        codes = batches[:, _BACKEND].astype(np.intp)
+        for code in np.unique(codes).tolist():
+            mine = codes == code
+            per_backend = self.backend_counts.setdefault(
+                self._backend_names[code], {"requests": 0, "rows": 0, "batches": 0}
+            )
+            per_backend["requests"] += int(requests[mine].sum())
+            per_backend["rows"] += int(rows[mine].sum())
+            per_backend["batches"] += int(np.count_nonzero(mine))
+        self.rows_predicted.increment(int(batches[:, _PREDICTED].sum()))
+        self.rows_subsampled.increment(int(batches[:, _SUBSAMPLED].sum()))
+        self.max_batch_size = max(self.max_batch_size, int(requests.max()))
+        seconds = batches[:, _SECONDS]
+        self.batch_latency.fold(seconds, seconds)
+        self.queue_wait.fold(waits, batches[:, _WAIT_SUM])
+        self.recent_batch_latency.observe_many(seconds)
+        self.recent_queue_wait.observe_many(waits)
 
     def observe_error(self) -> None:
         """Record one failed batch."""
@@ -347,6 +430,7 @@ class ServingTelemetry:
     def histogram_export(self) -> Dict[str, Dict[str, object]]:
         """Bucketed latency families for the Prometheus ``/metrics`` endpoint."""
         with self._lock:
+            self._fold_locked()
             return {
                 "queue_wait": self.queue_wait.prometheus_export(),
                 "batch_latency": self.batch_latency.prometheus_export(),
@@ -357,20 +441,26 @@ class ServingTelemetry:
     @property
     def skip_rate(self) -> float:
         """Fraction of rows whose ISD was predicted rather than computed."""
-        total = self.rows_total.value
-        return self.rows_predicted.value / total if total else 0.0
+        with self._lock:
+            self._fold_locked()
+            total = self.rows_total.value
+            return self.rows_predicted.value / total if total else 0.0
 
     @property
     def subsample_rate(self) -> float:
         """Fraction of rows whose statistics used the subsampled estimator."""
-        total = self.rows_total.value
-        return self.rows_subsampled.value / total if total else 0.0
+        with self._lock:
+            self._fold_locked()
+            total = self.rows_total.value
+            return self.rows_subsampled.value / total if total else 0.0
 
     @property
     def mean_batch_size(self) -> float:
         """Average number of requests coalesced per micro-batch."""
-        batches = self.batches_total.value
-        return self.requests_total.value / batches if batches else 0.0
+        with self._lock:
+            self._fold_locked()
+            batches = self.batches_total.value
+            return self.requests_total.value / batches if batches else 0.0
 
     def observed_window(self) -> float:
         """Wall-clock span (seconds) between the first and last batch."""
@@ -396,6 +486,7 @@ class ServingTelemetry:
         # take locks, e.g. the wire server's connection registry).
         sections = {name: provider() for name, provider in self._sections.items()}
         with self._lock:
+            self._fold_locked()
             sections.update({
                 "requests_total": self.requests_total.value,
                 "rows_total": self.rows_total.value,

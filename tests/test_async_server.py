@@ -39,7 +39,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api.aserver import AsyncNormServer, _await_pendings
+from repro.api.aserver import AsyncNormServer, _CountDown
 from repro.api.client import NormClient
 from repro.api.envelopes import (
     OPS,
@@ -638,8 +638,8 @@ class TestOneHopServingPath:
         # Half the futures resolve on the loop (as the engine tick does),
         # half on threads switching every microsecond (as a thread draining
         # the service does).  Every count-down runs on the loop, so none is
-        # lost: the await completes, and only the foreign resolutions cost
-        # a cross-thread wake.
+        # lost: the request completes once, on the loop, and only the
+        # foreign resolutions cost a cross-thread wake.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         loop = asyncio.new_event_loop()
@@ -658,12 +658,21 @@ class TestOneHopServingPath:
                 future.set_result(None)
 
         try:
+            loop_thread = loop.run_until_complete(
+                asyncio.sleep(0, result=threading.get_ident())
+            )
             for _ in range(3):
                 wakes.clear()
                 futures = [ResponseFuture() for _ in range(2 * 4 * 500)]
                 on_loop, foreign = futures[::2], futures[1::2]
-                waiting = loop.create_task(_await_pendings(loop, futures))
-                loop.run_until_complete(asyncio.sleep(0))  # callbacks registered
+                done = loop.create_future()
+                finished_on = []
+
+                def on_done():
+                    finished_on.append(threading.get_ident())
+                    done.set_result(None)
+
+                count_down = _CountDown(loop, loop_thread, futures, on_done)
                 start = threading.Barrier(4)
                 threads = [
                     threading.Thread(target=resolve, args=(foreign[i::4], start))
@@ -676,7 +685,9 @@ class TestOneHopServingPath:
                 for thread in threads:
                     thread.join(timeout=10.0)
                     assert not thread.is_alive()
-                loop.run_until_complete(asyncio.wait_for(waiting, timeout=10.0))
+                loop.run_until_complete(asyncio.wait_for(done, timeout=10.0))
+                assert finished_on == [loop_thread]
+                assert count_down.remaining == 0
                 assert len(wakes) == len(foreign)
         finally:
             sys.setswitchinterval(interval)
