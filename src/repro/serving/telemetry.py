@@ -405,14 +405,16 @@ class ServingTelemetry:
         requests = batches[:, _REQUESTS]
         rows = batches[:, _ROWS]
         codes = batches[:, _BACKEND].astype(np.intp)
-        for code in np.unique(codes).tolist():
-            mine = codes == code
+        by_code = np.bincount(codes)
+        requests_by_code = np.bincount(codes, weights=requests)
+        rows_by_code = np.bincount(codes, weights=rows)
+        for code in np.flatnonzero(by_code).tolist():
             per_backend = self.backend_counts.setdefault(
                 self._backend_names[code], {"requests": 0, "rows": 0, "batches": 0}
             )
-            per_backend["requests"] += int(requests[mine].sum())
-            per_backend["rows"] += int(rows[mine].sum())
-            per_backend["batches"] += int(np.count_nonzero(mine))
+            per_backend["requests"] += int(requests_by_code[code])
+            per_backend["rows"] += int(rows_by_code[code])
+            per_backend["batches"] += int(by_code[code])
         self.rows_predicted.increment(int(batches[:, _PREDICTED].sum()))
         self.rows_subsampled.increment(int(batches[:, _SUBSAMPLED].sum()))
         self.max_batch_size = max(self.max_batch_size, int(requests.max()))

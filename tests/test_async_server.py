@@ -496,6 +496,86 @@ class TestAsyncChaos:
             service.close()
 
 
+class TestCallbackCore:
+    """Frames are handled in protocol callbacks: backpressure and chaos
+    delays hold a connection's backlog, never reorder it."""
+
+    def test_pipelining_past_max_inflight_stops_reading(self, registry, rng):
+        from repro.api.envelopes import NormalizeRequest, TensorPayload, parse_response
+        from repro.api.framing import encode_frame, recv_frame
+
+        max_inflight, excess = 4, 8
+        payloads = [_rows(rng, 1) for _ in range(max_inflight + excess)]
+        frames = [
+            encode_frame(
+                NormalizeRequest(
+                    model="tiny",
+                    tensor=TensorPayload.from_array(payload, encoding="binary"),
+                    request_id=index,
+                ).to_wire()
+            )
+            for index, payload in enumerate(payloads)
+        ]
+        service = _service(registry)
+        server = AsyncNormServer(service, max_inflight=max_inflight).start()
+        schedule_tick = server._schedule_tick
+        server._schedule_tick = lambda: None  # admitted requests stay in flight
+        try:
+            with socket.create_connection((server.host, server.port), timeout=10.0) as sock:
+                sock.sendall(b"".join(frames))
+                deadline = time.monotonic() + 10.0
+                while server.wire_snapshot()["backpressure_waits"] < 1:
+                    assert time.monotonic() < deadline, "the server never stalled"
+                    time.sleep(0.005)
+                time.sleep(0.05)  # a server still reading would read on now
+                snapshot = server.wire_snapshot()
+                with server._lock:
+                    (connection,) = server._connections.values()
+                assert snapshot["inflight_current"] == max_inflight
+                assert snapshot["frames_received"] == max_inflight
+                assert not connection.transport.is_reading()
+                buffered = sum(len(body) for body in connection.backlog)
+                assert buffered + connection.decoder.pending_bytes <= sum(
+                    len(frame) for frame in frames[max_inflight:]
+                )
+                del server._schedule_tick
+                server._loop.call_soon_threadsafe(schedule_tick)
+                replies = [recv_frame(sock) for _ in frames]
+        finally:
+            server.close()
+            service.close()
+        by_id = {reply["request_id"]: reply for reply in replies}
+        assert sorted(by_id) == list(range(len(payloads)))
+        for index, payload in enumerate(payloads):
+            result = parse_response(by_id[index], "normalize")
+            np.testing.assert_array_equal(result.tensor.to_array(), _golden(registry, payload))
+
+    def test_chaos_delay_keeps_the_frame_order(self, registry):
+        from repro.api.envelopes import SCHEMA_VERSION
+        from repro.api.framing import encode_frame, recv_frame
+
+        gate = FaultGate(
+            FaultPlan(seed=3, rules=(FaultRule(kind="delay", probability=0.5, delay_ms=2.0),))
+        )
+        service = _service(registry)
+        count = 40
+        with AsyncNormServer(service, fault_gate=gate) as server:
+            with socket.create_connection((server.host, server.port), timeout=10.0) as sock:
+                sock.sendall(
+                    b"".join(
+                        encode_frame(
+                            {"schema_version": SCHEMA_VERSION, "op": "ping", "request_id": index}
+                        )
+                        for index in range(count)
+                    )
+                )
+                replies = [recv_frame(sock) for _ in range(count)]
+        service.close()
+        assert gate.snapshot()["by_kind"]["delay"] > 0
+        assert [reply["request_id"] for reply in replies] == list(range(count))
+        assert all(reply["ok"] for reply in replies)
+
+
 def _plan(registry):
     """The served plan of tiny layer 0 (spec, gamma, beta)."""
     return registry.get("tiny", "default").layer(0).plan

@@ -11,6 +11,7 @@ LRU behaviour and the telemetry aggregates.
 from __future__ import annotations
 
 import signal
+import sys
 import threading
 import time
 
@@ -247,6 +248,134 @@ class TestServiceGolden:
         assert futures[0].result().output.shape == (HIDDEN,)
         with pytest.raises(ValueError, match="does not match hidden size"):
             futures[1].result()
+
+
+class TestBatchOfOne:
+    """A lone request runs in place (no staging copy, no stacking); it must
+    equal the same request inside a multi-request batch and the
+    ``reference`` backend, bit for bit."""
+
+    @staticmethod
+    def _alone_and_batched(service, submit, count=3):
+        """``submit(first)`` alone, then in one batch of ``count``."""
+        alone = submit(True)
+        service.wait([alone])
+        batch = [submit(index == 0) for index in range(count)]
+        service.wait(batch)
+        alone, batched = alone.result(), batch[0].result()
+        assert (alone.batch_size, batched.batch_size) == (1, count)
+        return alone, batched
+
+    @staticmethod
+    def _assert_same(response, output, mean, isd):
+        assert np.array_equal(response.output, output)
+        assert np.array_equal(response.mean, mean)
+        assert np.array_equal(response.isd, isd)
+
+    def test_calibrated_layer(self, registry, inline_service, rng):
+        payload = rng.normal(size=(2, HIDDEN))
+        others = [rng.normal(size=(2, HIDDEN)) for _ in range(2)]
+        alone, batched = self._alone_and_batched(
+            inline_service,
+            lambda first: inline_service.submit(payload if first else others.pop(), "tiny"),
+        )
+        golden = registry.get("tiny").layer(0).engine_for("reference").run(payload)
+        self._assert_same(alone, *golden)
+        self._assert_same(batched, *golden)
+
+    def test_skipped_layer_fed_by_a_shared_stream_context(self, registry, rng):
+        """The anchor layer's ISD goes into the context (``scatter_isd``),
+        and the skipped layer reads it back (``stack_anchor_isds``)."""
+        artifact = registry.get("tiny")
+        anchor, last = artifact.config.skip_range
+        skipped = min(anchor + 1, last)
+        chunk = rng.normal(size=(3, HIDDEN))
+        service = NormalizationService(registry=registry)
+        contexts = {}
+        for alone in (True, False):
+            context = contexts[alone] = ActivationContext()
+            responses = []
+            for layer_index in (anchor, skipped):
+                futures = [service.submit(chunk, "tiny", layer_index, context=context)]
+                if not alone:
+                    futures += [
+                        service.submit(
+                            rng.normal(size=(3, HIDDEN)), "tiny", layer_index,
+                            context=ActivationContext(),
+                        )
+                        for _ in range(2)
+                    ]
+                service.wait(futures)
+                responses.append(futures[0].result())
+                assert responses[-1].batch_size == len(futures)
+            assert responses[1].was_predicted
+            contexts[alone] = (context, responses[1])
+        service.close()
+        ref_context = ActivationContext()
+        artifact.layer(anchor)(chunk, ref_context)
+        reference = artifact.layer(skipped)(chunk, ref_context)
+        for context, response in contexts.values():
+            assert np.array_equal(response.output, reference)
+            assert np.array_equal(context.isd_of(anchor), ref_context.isd_of(anchor))
+
+    def test_degraded_to_level_two(self, registry, inline_service, rng):
+        payload = rng.normal(size=(2, HIDDEN))
+        others = [rng.normal(size=(2, HIDDEN)) for _ in range(2)]
+        alone, batched = self._alone_and_batched(
+            inline_service,
+            lambda first: inline_service.submit(
+                payload if first else others.pop(), "tiny", degrade=2
+            ),
+        )
+        golden = inline_service.normalize(payload, "tiny", degrade=2, backend="reference")
+        assert alone.degradation == batched.degradation == golden.degradation == 2
+        for response in (alone, batched):
+            self._assert_same(response, golden.output, golden.mean, golden.isd)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{}, {"storage": "int8"}, {"storage": "int8", "subsample_length": 24}],
+        ids=["calibrated", "int8", "int8-subsampled"],
+    )
+    def test_execute_with_segment_starts(self, registry, inline_service, rng, change):
+        from dataclasses import replace
+
+        from repro.engine.registry import build
+
+        plan = registry.get("tiny").layer(0).plan
+        spec = replace(plan.spec, **change)
+        rows = rng.normal(0.0, 3.0, size=(6, HIDDEN)) * np.repeat([[0.1], [5.0], [1.0]], 2, axis=0)
+        starts = np.array([0, 2, 5])
+        groups = [(rows, starts, None)] + [(rng.normal(size=(6, HIDDEN)), None, None)] * 2
+
+        def submit(first):
+            (future,) = inline_service.submit_execute(
+                spec, [groups[0] if first else groups[1]], gamma=plan.gamma, beta=plan.beta
+            )
+            return future
+
+        alone, batched = self._alone_and_batched(inline_service, submit)
+        golden = build(spec, backend="reference", gamma=plan.gamma, beta=plan.beta).run(
+            rows, starts
+        )
+        self._assert_same(alone, *golden)
+        self._assert_same(batched, *golden)
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_read_only_payload_served_and_left_unchanged(
+        self, registry, inline_service, rng, reference
+    ):
+        """``reference=True`` is the exact layer: no storage round trip, so
+        the kernel reads the caller's rows directly."""
+        payload = rng.normal(size=(3, HIDDEN))
+        payload.flags.writeable = False
+        before = payload.copy()
+        response = inline_service.normalize(payload, "tiny", reference=reference)
+        layer = registry.get("tiny").layer(0, reference=reference)
+        assert response.batch_size == 1
+        assert np.array_equal(response.output, layer.engine_for("reference").run(payload)[0])
+        assert np.array_equal(payload, before)
+        assert not np.shares_memory(response.output, payload)
 
 
 class TestSubmitManyEdgeCases:
@@ -564,6 +693,122 @@ class TestTelemetry:
         with pytest.raises(RuntimeError):
             future.result()
         assert telemetry.errors_total.value == 1
+        service.close()
+
+
+def _observe_one_by_one(hist, values, grows_total_by):
+    """Histogram update of one observed batch, written out element by element."""
+    for value in values:
+        hist.counts[int(np.searchsorted(hist.edges, value, side="left"))] += 1
+        hist.count += 1
+        if value > hist.max_value:
+            hist.max_value = value
+    hist.total += grows_total_by
+
+
+def _per_batch_oracle(batches, sample_capacity):
+    """A telemetry holding ``batches`` folded one batch at a time, with
+    nothing left in its rings."""
+    oracle = ServingTelemetry(sample_capacity=sample_capacity)
+    for requests, rows, waits, seconds, predicted, subsampled, backend, now in batches:
+        if oracle._first_at is None:
+            oracle._first_at = now - seconds
+        oracle._last_at = now
+        oracle.requests_total.increment(requests)
+        oracle.rows_total.increment(rows)
+        oracle.batches_total.increment()
+        per_backend = oracle.backend_counts.setdefault(
+            backend, {"requests": 0, "rows": 0, "batches": 0}
+        )
+        per_backend["requests"] += requests
+        per_backend["rows"] += rows
+        per_backend["batches"] += 1
+        oracle.rows_predicted.increment(predicted)
+        oracle.rows_subsampled.increment(subsampled)
+        oracle.max_batch_size = max(oracle.max_batch_size, requests)
+        _observe_one_by_one(oracle.batch_latency, [seconds], seconds)
+        _observe_one_by_one(oracle.queue_wait, waits, float(np.asarray(waits).sum()))
+        oracle.recent_batch_latency.observe(seconds)
+        for wait in waits:
+            oracle.recent_queue_wait.observe(wait)
+    return oracle
+
+
+class TestTelemetryFold:
+    """``observe_batch`` only buffers; the bulk fold must equal folding
+    each batch as it came."""
+
+    def test_more_batches_than_the_rings_hold_match_the_oracle(self, rng):
+        from repro.serving.telemetry import BATCH_RING, WAIT_RING
+
+        batches = []
+        now = 100.0
+        for index in range(2 * BATCH_RING + 300):
+            # Mostly small batches (their waits overflow the wait ring
+            # first), one batch larger than the wait ring, and queue waits
+            # over six decades.
+            requests = WAIT_RING + 5 if index == 1500 else int(rng.integers(1, 13))
+            waits = (10.0 ** rng.uniform(-7, -1, size=requests)).tolist()
+            seconds = float(10.0 ** rng.uniform(-6, -2))
+            rows = requests * int(rng.integers(1, 4))
+            now += seconds + float(rng.uniform(0, 1e-3))
+            batches.append((
+                requests, rows, waits, seconds,
+                rows if index % 3 == 0 else 0, rows if index % 2 else 0,
+                "reference" if index % 5 == 0 else "vectorized", now,
+            ))
+        clock = iter([batch[-1] for batch in batches])
+        telemetry = ServingTelemetry(clock=lambda: next(clock), sample_capacity=100)
+        for index, batch in enumerate(batches, 1):
+            requests, rows, waits, seconds, predicted, subsampled, backend, _ = batch
+            telemetry.count_served(requests, rows)
+            telemetry.observe_batch(
+                requests, rows, waits, seconds, predicted, subsampled, backend=backend
+            )
+            if index in (7, BATCH_RING, 1501, len(batches)):
+                # Reads fold mid-stream too; later batches keep matching.
+                oracle = _per_batch_oracle(batches[:index], sample_capacity=100)
+                assert telemetry.snapshot() == oracle.snapshot()
+                assert telemetry.histogram_export() == oracle.histogram_export()
+                assert telemetry.format_table() == oracle.format_table()
+                assert telemetry.mean_batch_size == oracle.mean_batch_size
+                assert telemetry.skip_rate == oracle.skip_rate
+
+    def test_scrape_never_misses_a_released_response(self, registry, rng):
+        """A scrape from another thread, mid-stream, counts every response
+        that was already released, and the totals never go back."""
+        service = NormalizationService(registry=registry)
+        released = [0]
+        failures = []
+        stop = threading.Event()
+
+        def scrape():
+            last = (0, 0)
+            while not stop.is_set():
+                seen = released[0]
+                snapshot = service.telemetry.snapshot()
+                service.telemetry.histogram_export()
+                now = (snapshot["requests_total"], snapshot["batches_total"])
+                if now[0] < seen or now < last:
+                    failures.append((seen, last, now))
+                last = now
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        scraper = threading.Thread(target=scrape)
+        scraper.start()
+        try:
+            for _ in range(1500):
+                service.normalize(rng.normal(size=(1, HIDDEN)), "tiny")
+                released[0] += 1
+        finally:
+            stop.set()
+            scraper.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not scraper.is_alive()
+        assert not failures, failures[:3]
+        snapshot = service.telemetry.snapshot()
+        assert snapshot["requests_total"] == snapshot["batches_total"] == 1500
         service.close()
 
 
