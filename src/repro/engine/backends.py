@@ -86,12 +86,9 @@ def _segment_lengths(segment_starts: Optional[np.ndarray], total_rows: int) -> n
 
 
 def _one_segment(segment_starts, total_rows: int) -> bool:
-    """Whether the layout is one segment at row 0 over at least one row:
-    the one layout that tiles the rows without being checked."""
-    if total_rows < 1:
-        return False
-    return segment_starts is None or (
-        np.shape(segment_starts) == (1,) and segment_starts[0] == 0
+    """One segment at row 0 over at least one row: a layout that tiles."""
+    return total_rows > 0 and (
+        segment_starts is None or (np.shape(segment_starts) == (1,) and segment_starts[0] == 0)
     )
 
 

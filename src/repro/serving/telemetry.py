@@ -4,12 +4,10 @@ Everything is in-process and lock-protected; the CLI renders
 :meth:`ServingTelemetry.format_table` after a run and tests assert on
 :meth:`ServingTelemetry.snapshot`.  Histograms use log-spaced buckets (the
 Prometheus idiom for latency) so tail percentiles stay resolvable across
-six decades without per-observation storage.
-
-Per batch, :meth:`ServingTelemetry.observe_batch` only writes one row into
-a fixed-capacity ring (and the batch's queue waits into a flat one); the
-rings are folded into the aggregates in bulk when one fills and before
-every read, with results equal to folding each batch as it came.
+six decades without per-observation storage.  Per batch,
+:meth:`ServingTelemetry.observe_batch` only buffers the latencies; they are
+folded into the histograms in bulk when a buffer fills and before every
+read, with results equal to folding each batch as it came.
 """
 
 from __future__ import annotations
@@ -56,29 +54,21 @@ class LatencyHistogram:
     def observe_many(self, seconds: np.ndarray) -> None:
         """Record a batch of durations in one vectorized pass."""
         values = np.asarray(seconds, dtype=np.float64)
-        if values.size == 0:
-            return
-        self.fold(values, np.array([values.sum()]))
+        if values.size:
+            self.fold(values, np.array([values.sum()]))
 
     def fold(self, values: np.ndarray, totals: np.ndarray) -> None:
-        """Record many durations at once.
-
-        ``totals`` are the amounts the running total grows by, added one
-        after another in order, so the total equals that of the
-        ``observe`` / ``observe_many`` calls they stand for, bit for bit.
-        """
+        """Record many durations at once.  ``totals`` are the amounts the
+        running total grows by, added one after another in order, so it
+        matches the ``observe`` / ``observe_many`` calls they stand for."""
         if values.size:
             indices = np.searchsorted(self.edges, values, side="left")
             self.counts += np.bincount(indices, minlength=self.counts.size)
             self.count += int(values.size)
             # fmax skips NaN, as the one-at-a-time comparison does.
-            peak = float(np.fmax.reduce(values))
-            if peak > self.max_value:
-                self.max_value = peak
+            self.max_value = max(self.max_value, float(np.fmax.reduce(values)))
         if totals.size:
-            self.total = float(
-                np.add.accumulate(np.concatenate(([self.total], totals)))[-1]
-            )
+            self.total = float(np.add.accumulate(np.concatenate(([self.total], totals)))[-1])
 
     @property
     def mean(self) -> float:
@@ -223,13 +213,10 @@ class Counter:
         self.value += amount
 
 
-#: Batches :meth:`ServingTelemetry.observe_batch` buffers between folds,
-#: and the queue waits (one per request) it buffers with them.
+#: Batches, and queue waits (one per request), that
+#: :meth:`ServingTelemetry.observe_batch` buffers between folds.
 BATCH_RING = 1024
 WAIT_RING = 8192
-
-# Columns of the batch ring.
-_REQUESTS, _ROWS, _SECONDS, _PREDICTED, _SUBSAMPLED, _BACKEND, _WAIT_SUM = range(7)
 
 
 class ServingTelemetry:
@@ -239,11 +226,6 @@ class ServingTelemetry:
     predicted-ISD (skip) and subsampled paths, queue-wait and kernel-latency
     histograms, the micro-batch size distribution, and wall-clock
     throughput over the observed window.
-
-    Batches observed since the last read sit in the rings until the next
-    read folds them: read the aggregates through :meth:`snapshot`,
-    :meth:`histogram_export`, :meth:`format_table` or the derived gauges,
-    not through the attributes.
     """
 
     def __init__(
@@ -251,8 +233,7 @@ class ServingTelemetry:
         clock: Callable[[], float] = time.perf_counter,
         sample_capacity: int = 4096,
     ):
-        # Re-entrant: the derived gauges fold under it, also from snapshot().
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._clock = clock
         self.requests_total = Counter()
         self.rows_total = Counter()
@@ -282,15 +263,13 @@ class ServingTelemetry:
         self.max_batch_size = 0
         self._first_at: Optional[float] = None
         self._last_at: Optional[float] = None
-        #: Batches observed but not folded yet, one row each (columns
-        #: ``_REQUESTS`` ..), and their queue waits back to back.
-        self._batch_ring = np.zeros((BATCH_RING, 7))
-        self._wait_ring = np.zeros(WAIT_RING)
+        #: Latencies observed since the last fold: each batch's kernel time
+        #: and the sum of its queue waits, and the waits back to back.
+        self._batch_seconds = np.zeros(BATCH_RING)
+        self._wait_sums = np.zeros(BATCH_RING)
+        self._waits = np.zeros(WAIT_RING)
         self._batch_fill = 0
         self._wait_fill = 0
-        #: Backend names by their code in the ``_BACKEND`` column.
-        self._backend_names: list = []
-        self._backend_codes: Dict[str, int] = {}
         #: External snapshot sections (name -> provider), e.g. the wire
         #: server's pipelining gauges.  Providers run outside the lock.
         self._sections: Dict[str, Callable[[], Dict[str, object]]] = {}
@@ -338,27 +317,35 @@ class ServingTelemetry:
         backend: str = "vectorized",
         cost=None,
     ) -> None:
-        """Record one executed batch (bar the totals).
+        """Fold one executed batch into the aggregates (bar the totals).
 
         ``requests_total`` / ``rows_total`` are counted by
         :meth:`count_served` before the batch's responses are released.
-        The rest waits in the rings until the next fold.
 
         ``cost`` is the batch's
         :class:`~repro.engine.backends.NormCostRecord` when a cost-modelling
         backend executed it (None otherwise); modelled cycles and energy
         aggregate next to the wall-clock metrics.
+
+        The latencies wait in the buffers until the next fold.
         """
         now = self._clock()
         waits = len(queue_waits)
         if waits == 1:
-            wait_sum = queue_waits[0]  # the sum of one value is that value
+            wait_sum = queue_waits[0]  # exactly what the sum of one value is
         else:
             wait_sum = np.add.reduce(np.asarray(queue_waits, dtype=np.float64))
         with self._lock:
             if self._first_at is None:
                 self._first_at = now - batch_seconds
             self._last_at = now
+            self.batches_total.increment()
+            per_backend = self.backend_counts.setdefault(
+                backend, {"requests": 0, "rows": 0, "batches": 0}
+            )
+            per_backend["requests"] += num_requests
+            per_backend["rows"] += num_rows
+            per_backend["batches"] += 1
             if cost is not None:
                 self.cost_batches += 1
                 self.cost_rows += cost.num_rows
@@ -372,57 +359,32 @@ class ServingTelemetry:
                 per_config["rows"] += cost.num_rows
                 per_config["cycles"] += cost.total_cycles
                 per_config["energy_nj"] += cost.energy_nj
-            code = self._backend_codes.get(backend)
-            if code is None:
-                code = self._backend_codes[backend] = len(self._backend_names)
-                self._backend_names.append(backend)
+            self.rows_predicted.increment(rows_predicted)
+            self.rows_subsampled.increment(rows_subsampled)
+            if num_requests > self.max_batch_size:
+                self.max_batch_size = num_requests
             if self._batch_fill == BATCH_RING or self._wait_fill + waits > WAIT_RING:
                 self._fold_locked()
-            self._batch_ring[self._batch_fill] = (
-                num_requests, num_rows, batch_seconds, rows_predicted,
-                rows_subsampled, code, wait_sum,
-            )
+            self._batch_seconds[self._batch_fill] = batch_seconds
+            self._wait_sums[self._batch_fill] = wait_sum
             self._batch_fill += 1
-            if waits > WAIT_RING:  # more waits than the ring holds: fold them now
+            if waits > WAIT_RING:  # more waits than the buffer holds
                 values = np.asarray(queue_waits, dtype=np.float64)
                 self.queue_wait.fold(values, values[:0])
                 self.recent_queue_wait.observe_many(values)
-            elif waits == 1:
-                self._wait_ring[self._wait_fill] = wait_sum
-                self._wait_fill += 1
             else:
-                self._wait_ring[self._wait_fill : self._wait_fill + waits] = queue_waits
+                self._waits[self._wait_fill : self._wait_fill + waits] = queue_waits
                 self._wait_fill += waits
 
     def _fold_locked(self) -> None:
-        """Fold the rings into the aggregates (called under the lock)."""
-        if not self._batch_fill:
-            return
-        batches = self._batch_ring[: self._batch_fill]
-        waits = self._wait_ring[: self._wait_fill]
-        self._batch_fill = self._wait_fill = 0
-        self.batches_total.increment(len(batches))
-        requests = batches[:, _REQUESTS]
-        rows = batches[:, _ROWS]
-        codes = batches[:, _BACKEND].astype(np.intp)
-        by_code = np.bincount(codes)
-        requests_by_code = np.bincount(codes, weights=requests)
-        rows_by_code = np.bincount(codes, weights=rows)
-        for code in np.flatnonzero(by_code).tolist():
-            per_backend = self.backend_counts.setdefault(
-                self._backend_names[code], {"requests": 0, "rows": 0, "batches": 0}
-            )
-            per_backend["requests"] += int(requests_by_code[code])
-            per_backend["rows"] += int(rows_by_code[code])
-            per_backend["batches"] += int(by_code[code])
-        self.rows_predicted.increment(int(batches[:, _PREDICTED].sum()))
-        self.rows_subsampled.increment(int(batches[:, _SUBSAMPLED].sum()))
-        self.max_batch_size = max(self.max_batch_size, int(requests.max()))
-        seconds = batches[:, _SECONDS]
+        """Fold the buffered latencies into the histograms and reservoirs."""
+        seconds = self._batch_seconds[: self._batch_fill]
+        waits = self._waits[: self._wait_fill]
         self.batch_latency.fold(seconds, seconds)
-        self.queue_wait.fold(waits, batches[:, _WAIT_SUM])
+        self.queue_wait.fold(waits, self._wait_sums[: self._batch_fill])
         self.recent_batch_latency.observe_many(seconds)
         self.recent_queue_wait.observe_many(waits)
+        self._batch_fill = self._wait_fill = 0
 
     def observe_error(self) -> None:
         """Record one failed batch."""
@@ -443,26 +405,20 @@ class ServingTelemetry:
     @property
     def skip_rate(self) -> float:
         """Fraction of rows whose ISD was predicted rather than computed."""
-        with self._lock:
-            self._fold_locked()
-            total = self.rows_total.value
-            return self.rows_predicted.value / total if total else 0.0
+        total = self.rows_total.value
+        return self.rows_predicted.value / total if total else 0.0
 
     @property
     def subsample_rate(self) -> float:
         """Fraction of rows whose statistics used the subsampled estimator."""
-        with self._lock:
-            self._fold_locked()
-            total = self.rows_total.value
-            return self.rows_subsampled.value / total if total else 0.0
+        total = self.rows_total.value
+        return self.rows_subsampled.value / total if total else 0.0
 
     @property
     def mean_batch_size(self) -> float:
         """Average number of requests coalesced per micro-batch."""
-        with self._lock:
-            self._fold_locked()
-            batches = self.batches_total.value
-            return self.requests_total.value / batches if batches else 0.0
+        batches = self.batches_total.value
+        return self.requests_total.value / batches if batches else 0.0
 
     def observed_window(self) -> float:
         """Wall-clock span (seconds) between the first and last batch."""
