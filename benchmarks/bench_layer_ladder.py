@@ -16,6 +16,8 @@ difference between two rungs is what the layer between them costs:
 
 Each rung reports the median over ``--runs`` runs of the thread CPU per
 call (``time.thread_time``), each run ``--calls`` calls after a warm-up.
+``engine.run`` and ``service.normalize`` run alternately, and their
+difference is the median of the per-run differences.
 The script also times the HAAN stages inside
 :func:`~repro.numerics.kernels.haan_normalize_rows` at 1 and 1024 rows --
 storage round trip, statistics, inverse square root (with the plan's
@@ -55,25 +57,30 @@ LAYER = 1
 SERVICE_OVERHEAD_FLOOR_US = 50.0
 
 
-def _median_us(
-    call: Callable[[], object], calls: int, runs: int, cpu=time.thread_time
-) -> Dict[str, float]:
-    """Median (and spread) over ``runs`` of the CPU per call, in µs."""
-    for _ in range(min(calls, 200)):
-        call()  # warm-up: caches, lazy compiles
-    per_call: List[float] = []
-    for _ in range(runs):
-        start = cpu()
-        for _ in range(calls):
-            call()
-        per_call.append(1e6 * (cpu() - start) / calls)
+def _per_call_us(call: Callable[[], object], calls: int, cpu=time.thread_time) -> float:
+    """CPU per call over ``calls`` calls, in µs."""
+    start = cpu()
+    for _ in range(calls):
+        call()
+    return 1e6 * (cpu() - start) / calls
+
+
+def _summary(per_call: List[float], calls: int) -> Dict[str, float]:
     quartiles = np.percentile(per_call, [25, 75])
     return {
         "median_us": statistics.median(per_call),
         "iqr_us": float(quartiles[1] - quartiles[0]),
-        "runs": runs,
+        "runs": len(per_call),
         "calls_per_run": calls,
     }
+
+
+def _median_us(
+    call: Callable[[], object], calls: int, runs: int, cpu=time.thread_time
+) -> Dict[str, float]:
+    """Median (and spread) over ``runs`` of the CPU per call, in µs."""
+    _per_call_us(call, min(calls, 200), cpu)  # warm-up: caches, lazy compiles
+    return _summary([_per_call_us(call, calls, cpu) for _ in range(runs)], calls)
 
 
 def _process_cpu_s(pid: int) -> float:
@@ -105,21 +112,29 @@ def ladder(calls: int, runs: int, seed: int) -> Dict[str, object]:
     engine = layer.engine_for("vectorized")
     workspace = kernels.KernelWorkspace()
     starts = np.zeros(1, dtype=np.int64)
-    _check(engine.run(rows, starts, None, workspace=workspace)[0], expected)
-    rungs["engine.run"] = _median_us(
-        lambda: engine.run(
-            rows, starts, None, workspace=workspace, out=np.empty(rows.shape)
-        ),
-        calls,
-        runs,
-    )
-
     service = NormalizationService(registry=registry)
     try:
-        _check(service.normalize(rows, MODEL, layer_index=LAYER).output, expected)
-        rungs["service.normalize"] = _median_us(
-            lambda: service.normalize(rows, MODEL, layer_index=LAYER), calls, runs
+        run_engine = lambda: engine.run(  # noqa: E731
+            rows, starts, None, workspace=workspace, out=np.empty(rows.shape)
         )
+        normalize = lambda: service.normalize(rows, MODEL, layer_index=LAYER)  # noqa: E731
+        _check(run_engine()[0], expected)
+        _check(normalize().output, expected)
+        # The two rungs alternate run by run, so a drift of the host's
+        # speed moves both sides of each run's difference alike.
+        paired = {"engine.run": [], "service.normalize": []}
+        for call in (run_engine, normalize):
+            _per_call_us(call, min(calls, 200))
+        for _ in range(runs):
+            paired["engine.run"].append(_per_call_us(run_engine, calls))
+            paired["service.normalize"].append(_per_call_us(normalize, calls))
+        for name, per_call in paired.items():
+            rungs[name] = _summary(per_call, calls)
+        overhead = [
+            served - kernel
+            for served, kernel in zip(paired["service.normalize"], paired["engine.run"])
+        ]
+        rungs["service.normalize"]["minus_engine_run_us"] = statistics.median(overhead)
         client = NormClient.in_process(service=service)
         _check(client.normalize(rows, MODEL, layer_index=LAYER).output, expected)
         rungs["client.in_process"] = _median_us(
@@ -220,7 +235,7 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=None, help="write the result JSON here")
     args = parser.parse_args(argv)
     rungs = ladder(args.calls, args.runs, args.seed)
-    overhead = rungs["service.normalize"]["median_us"] - rungs["engine.run"]["median_us"]
+    overhead = rungs["service.normalize"]["minus_engine_run_us"]
     result = {
         "model": MODEL,
         "layer": LAYER,

@@ -22,7 +22,6 @@ import numpy as np
 from repro.api.envelopes import (
     MIN_SCHEMA_VERSION,
     SCHEMA_VERSION,
-    ApiError,
     BadSchemaError,
     ErrorResponse,
     ExecuteBulkResponse,
