@@ -288,10 +288,6 @@ class ServingTelemetry:
             raise ValueError(f"section name {name!r} collides with a core metric")
         self._sections[name] = provider
 
-    def detach_section(self, name: str) -> None:
-        """Remove an attached section (missing names are ignored)."""
-        self._sections.pop(name, None)
-
     # -- recording ---------------------------------------------------------
 
     def count_served(self, num_requests: int, num_rows: int) -> None:

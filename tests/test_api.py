@@ -589,7 +589,8 @@ class TestRemoteBackend:
             local = build(spec, backend="reference", gamma=gamma, beta=beta)
             # frames_received is exact here: every already-answered frame
             # was counted before its response was sent (requests_served
-            # lags -- each dispatch task increments it after its send).
+            # lags -- each request's count-down increments it after its
+            # write).
             before = live_server.wire_snapshot()["frames_received"]
             try:
                 got = remote.run_many(spec_groups)
