@@ -291,9 +291,9 @@ class TestBatchOfOne:
         skipped = min(anchor + 1, last)
         chunk = rng.normal(size=(3, HIDDEN))
         service = NormalizationService(registry=registry)
-        contexts = {}
+        served = []  # (context, skipped-layer response), alone then batched
         for alone in (True, False):
-            context = contexts[alone] = ActivationContext()
+            context = ActivationContext()
             responses = []
             for layer_index in (anchor, skipped):
                 futures = [service.submit(chunk, "tiny", layer_index, context=context)]
@@ -309,12 +309,12 @@ class TestBatchOfOne:
                 responses.append(futures[0].result())
                 assert responses[-1].batch_size == len(futures)
             assert responses[1].was_predicted
-            contexts[alone] = (context, responses[1])
+            served.append((context, responses[1]))
         service.close()
         ref_context = ActivationContext()
         artifact.layer(anchor)(chunk, ref_context)
         reference = artifact.layer(skipped)(chunk, ref_context)
-        for context, response in contexts.values():
+        for context, response in served:
             assert np.array_equal(response.output, reference)
             assert np.array_equal(context.isd_of(anchor), ref_context.isd_of(anchor))
 
