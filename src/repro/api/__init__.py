@@ -36,7 +36,6 @@ from typing import List
 #: Public name -> defining submodule, resolved on first attribute access.
 _EXPORTS = {
     "SCHEMA_VERSION": "envelopes",
-    "MIN_SCHEMA_VERSION": "envelopes",
     "TensorPayload": "envelopes",
     "NormalizeRequest": "envelopes",
     "NormalizeResponse": "envelopes",

@@ -95,11 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--encoding",
-        choices=("binary", "base64", "list"),
+        choices=("binary", "base64"),
         default="binary",
-        help="tensor wire encoding (all are exact for float64; 'binary' "
-        "rides zero-copy v3 frames and auto-downgrades to base64 "
-        "against pre-v3 servers)",
+        help="tensor wire encoding (both are bit-exact; 'binary' rides "
+        "zero-copy binary frames, 'base64' JSON frames)",
     )
     parser.add_argument(
         "--token",

@@ -46,10 +46,7 @@ def _resolve_encoding(encoding: Optional[str]) -> str:
     """Default tensor encoding: zero-copy ``binary`` unless the caller pins one.
 
     ``None`` (the default everywhere) means "the fastest exact encoding":
-    v3 binary frames.  Transports negotiate this down automatically -- a
-    v2-only peer receives base64 via the copy-on-write downgrade in
-    :meth:`SocketTransport._stamp_version` -- so callers never need to
-    know the peer's version to pick an encoding.
+    binary frames.  ``base64`` is the other choice, for JSON-only tools.
     """
     return "binary" if encoding is None else encoding
 
@@ -309,9 +306,9 @@ class NormClient:
         """Normalize a sequence of independent tensors (one request each).
 
         ``depth`` is the pipelining window: up to that many requests stay
-        in flight at once (1 reproduces the v1 lock-step behavior).  The
-        result order always matches the payload order regardless of the
-        order the server answered in.
+        in flight at once (1 is lock-step).  The result order always
+        matches the payload order regardless of the order the server
+        answered in.
         """
         if depth < 1:
             raise ValueError("pipeline depth must be at least 1")
@@ -344,7 +341,7 @@ class NormClient:
         encoding: Optional[str] = None,
         deadline_ms: Optional[float] = None,
     ) -> List[ClientNormResult]:
-        """Normalize many tensors with **one** frame (the v2 bulk op).
+        """Normalize many tensors with **one** frame (the bulk op).
 
         The whole list lands in the server's scheduler at once, so a
         single client fills batches by itself instead of relying on

@@ -10,18 +10,18 @@ This module owns that schema:
   or not).  One generic codec (:class:`_Record`) maps every record to its
   wire dict and back in declaration order, which *is* the JSON key order
   and the binary buffer order.
-* The **op table** :data:`OPS`: per op, the version that introduced it
-  and its request and response records.  It drives :func:`parse_request`,
-  :func:`parse_response` and the handler's dispatch.  Each record's
-  **tensor slots** follow from its tensor fields (``tensor``,
-  ``tensors[*]``, ``results[*].{tensor,mean,isd}``,
-  ``groups[*].{rows,segment_starts,anchor_isd}``, ...); framing, the v2
-  downgrade and the quota's row count visit only those
-  (:func:`rewrite_slot_tensors`), never a whole envelope.
-* Versions: peers speak ``MIN_SCHEMA_VERSION..SCHEMA_VERSION``,
-  :func:`negotiate_version` picks the highest common one, and an op is
-  rejected on envelopes older than it.  No field is version-gated: every
-  field added after its op shipped is optional with a default.
+* The **op table** :data:`OPS`: per op, its request and response
+  records.  It drives :func:`parse_request`, :func:`parse_response` and
+  the handler's dispatch.  Each record's **tensor slots** follow from its
+  tensor fields (``tensor``, ``tensors[*]``,
+  ``results[*].{tensor,mean,isd}``,
+  ``groups[*].{rows,segment_starts,anchor_isd}``, ...); framing and the
+  quota's row count visit only those (:func:`rewrite_slot_tensors`),
+  never a whole envelope.
+* One version: both ends speak exactly :data:`SCHEMA_VERSION`, and any
+  other stamp is a typed ``schema_version`` error.  Only ``hello`` parses
+  at any version, so :func:`negotiate_version` can still name both
+  ranges when they are disjoint.
 * :class:`ErrorResponse`, the wire form of the :class:`ApiError` taxonomy.
 
 :mod:`repro.api.tensors` (:class:`TensorPayload`) and
@@ -43,23 +43,13 @@ from repro.api.errors import (  # noqa: F401 -- re-exported
 )
 from repro.api.tensors import (  # noqa: F401 -- re-exported
     TENSOR_DTYPES, TENSOR_ENCODINGS, TensorPayload, _binary_data_view, _new, _walk,
-    binary_to_base64, downgrade_binary_tensors, has_binary_tensors, is_binary_tensor_dict,
-    rewrite_binary_tensors,
+    is_binary_tensor_dict, rewrite_binary_tensors,
 )
 
-#: Newest schema version.  v2 added ``hello`` negotiation and the
-#: ``normalize_bulk``, ``stream`` and ``execute_bulk`` ops; v3 added the
-#: ``binary`` tensor encoding (binary frames).  v3 clients that still send
+#: The one schema version both ends speak.  v3 clients that still send
 #: the retired ``shm_attach`` op get a typed ``bad_schema`` error, which
 #: they read as a refusal and stay on plain TCP.
 SCHEMA_VERSION = 3
-
-#: First version whose frames may carry ``binary`` tensors; transports
-#: downgrade them to base64 for older peers.
-BINARY_WIRE_VERSION = 3
-
-#: Oldest schema version this build accepts.
-MIN_SCHEMA_VERSION = 1
 
 _client_request_ids = itertools.count(1)
 _client_stream_ids = itertools.count(1)
@@ -133,9 +123,9 @@ def _type_error(where: str, key: str, value: Any, types: tuple) -> BadSchemaErro
 class _Field:
     """One declared field; :func:`_record` fills in the name and defaults."""
 
-    def __init__(self, kind, required, omit_none, nonempty, record, since):
+    def __init__(self, kind, required, omit_none, nonempty, record):
         self.kind, self.required, self.omit_none = kind, required, omit_none
-        self.nonempty, self.record, self.since = nonempty, record, since
+        self.nonempty, self.record = nonempty, record
         self.types, self.decode, self.encode = _KINDS[kind]
         self.many = kind in ("tensors", "records")
         self.is_slot = kind in ("tensor", "tensors") or record is not None
@@ -150,7 +140,6 @@ def wire(
     nonempty: Optional[str] = None,
     record: Any = None,
     factory: Optional[Callable[[], Any]] = None,
-    since: int = 1,
 ):
     """Declare one envelope field.
 
@@ -161,10 +150,8 @@ def wire(
     ``required``: the peer must send it (default: when the constructor
     has no default).  ``omit_none``: leave ``None`` out instead of sending
     null.  ``nonempty``: the item a list kind must carry at least one of.
-    ``since``: the schema version that added the field; one newer than its
-    op must not be required, as older peers never send it (:class:`Op`).
     """
-    meta = {"wire": _Field(kind, required, omit_none, nonempty, record, since)}
+    meta = {"wire": _Field(kind, required, omit_none, nonempty, record)}
     if factory is not None:
         return field(default_factory=factory, metadata=meta)
     return field(default=default, metadata=meta)
@@ -320,7 +307,7 @@ class NormalizeRequest(_LayerRequest):
 
     op = "normalize"
     tensor: TensorPayload = wire("tensor")
-    deadline_ms: Optional[float] = wire("deadline", None, omit_none=True, since=2)
+    deadline_ms: Optional[float] = wire("deadline", None, omit_none=True)
 
 
 @_record
@@ -336,7 +323,7 @@ class NormalizeResult(_Record):
     batch_size: int = wire("int")
     queue_wait: float = wire("float")
     batch_latency: float = wire("float")
-    degradation: int = wire("uint", 0, since=2)
+    degradation: int = wire("uint", 0)
 
 
 @_record
@@ -354,7 +341,7 @@ class NormalizeResponse(_Response):
     batch_latency: float = wire("float")
     backend: str = wire("str")
     accelerator: Optional[str] = wire("str", None)
-    degradation: int = wire("uint", 0, since=2)
+    degradation: int = wire("uint", 0)
 
 
 @_record
@@ -364,7 +351,7 @@ class NormalizeBulkRequest(_LayerRequest):
 
     op = "normalize_bulk"
     tensors: Tuple[TensorPayload, ...] = wire("tensors", nonempty="tensor")
-    deadline_ms: Optional[float] = wire("deadline", None, omit_none=True, since=2)
+    deadline_ms: Optional[float] = wire("deadline", None, omit_none=True)
 
 
 @_record
@@ -394,7 +381,7 @@ class StreamChunkRequest(_Request):
     reference: bool = wire("bool", False)
     backend: str = wire("str", "vectorized")
     accelerator: Optional[str] = wire("str", None)
-    deadline_ms: Optional[float] = wire("deadline", None, omit_none=True, since=2)
+    deadline_ms: Optional[float] = wire("deadline", None, omit_none=True)
 
 
 @_record
@@ -447,7 +434,7 @@ class ExecuteSpecRequest(_Request):
     segment_starts: Optional[TensorPayload] = wire("tensor", None)
     anchor_isd: Optional[TensorPayload] = wire("tensor", None)
     backend: str = wire("str", "vectorized")
-    deadline_ms: Optional[float] = wire("deadline", None, omit_none=True, since=2)
+    deadline_ms: Optional[float] = wire("deadline", None, omit_none=True)
 
 
 @_record
@@ -491,7 +478,7 @@ class ExecuteBulkRequest(_Request):
     gamma: Optional[TensorPayload] = wire("tensor", None)
     beta: Optional[TensorPayload] = wire("tensor", None)
     backend: str = wire("str", "vectorized")
-    deadline_ms: Optional[float] = wire("deadline", None, omit_none=True, since=2)
+    deadline_ms: Optional[float] = wire("deadline", None, omit_none=True)
 
 
 @_record
@@ -509,10 +496,10 @@ class HelloRequest(_Request):
     ``token`` is an optional tenant bearer token (:mod:`repro.tenancy`)."""
 
     op = "hello"
-    min_schema_version: int = wire("int", MIN_SCHEMA_VERSION, required=True)
+    min_schema_version: int = wire("int", SCHEMA_VERSION, required=True)
     max_schema_version: int = wire("int", SCHEMA_VERSION, required=True)
     client: str = wire("str", "repro.api")
-    token: Optional[str] = wire("str", None, omit_none=True, since=3)
+    token: Optional[str] = wire("str", None, omit_none=True)
 
 
 @_record
@@ -540,8 +527,8 @@ class PingResponse(_Response):
     op = "ping"
     backends: List[str] = wire("list")
     models: Optional[List[str]] = wire("list", None)
-    min_schema_version: int = wire("int", MIN_SCHEMA_VERSION, since=2)
-    max_schema_version: int = wire("int", SCHEMA_VERSION, since=2)
+    min_schema_version: int = wire("int", SCHEMA_VERSION)
+    max_schema_version: int = wire("int", SCHEMA_VERSION)
 
 
 @_record
@@ -626,11 +613,10 @@ class ErrorResponse:
 
 @dataclass(frozen=True)
 class Op:
-    """One op: the schema version that introduced it, its records, and its
-    tensor slots: the union of both records' slots, so a slot walk never
-    trusts an envelope to say whether it is a request or a response."""
+    """One op: its records and its tensor slots, the union of both
+    records' slots, so a slot walk never trusts an envelope to say whether
+    it is a request or a response."""
 
-    since: int
     request: Type[_Record]
     response: Type[_Record]
     slots: tuple = field(init=False)
@@ -640,10 +626,6 @@ class Op:
         return self.request.op
 
     def __post_init__(self) -> None:
-        for record in (self.request, self.response):
-            for f, *_ in record._decoders:
-                if f.since > self.since and f.required:  # older peers never send it
-                    raise TypeError(f"{self.name}: field {f.name!r} is newer than the op")
         declared = {slot[0]: slot for slot in self.request.slots}
         for slot in self.response.slots:
             if declared.setdefault(slot[0], slot) != slot:
@@ -651,26 +633,20 @@ class Op:
         object.__setattr__(self, "slots", tuple(declared.values()))
 
 
-#: op name -> :class:`Op`.  ``hello`` came with v2 but is parsed at any
-#: version, so its ``since`` is 1.
+#: op name -> :class:`Op`.
 OPS: Dict[str, Op] = {
     op.name: op
     for op in (
-        Op(1, NormalizeRequest, NormalizeResponse),
-        Op(2, NormalizeBulkRequest, NormalizeBulkResponse),
-        Op(2, StreamChunkRequest, StreamChunkResponse),
-        Op(1, SpecRequest, SpecResponse),
-        Op(1, ExecuteSpecRequest, ExecuteSpecResponse),
-        Op(2, ExecuteBulkRequest, ExecuteBulkResponse),
-        Op(1, HelloRequest, HelloResponse),
-        Op(1, PingRequest, PingResponse),
-        Op(1, TelemetryRequest, TelemetryResponse),
+        Op(NormalizeRequest, NormalizeResponse),
+        Op(NormalizeBulkRequest, NormalizeBulkResponse),
+        Op(StreamChunkRequest, StreamChunkResponse),
+        Op(SpecRequest, SpecResponse),
+        Op(ExecuteSpecRequest, ExecuteSpecResponse),
+        Op(ExecuteBulkRequest, ExecuteBulkResponse),
+        Op(HelloRequest, HelloResponse),
+        Op(PingRequest, PingResponse),
+        Op(TelemetryRequest, TelemetryResponse),
     )
-}
-
-#: Ops newer than ``MIN_SCHEMA_VERSION`` -> the version that introduced them.
-OP_MIN_VERSIONS: Dict[str, int] = {
-    name: op.since for name, op in OPS.items() if op.since > MIN_SCHEMA_VERSION
 }
 
 #: Slots per op; errors carry no tensors.
@@ -733,14 +709,10 @@ def _check_version(payload: Any, where: str) -> None:
     if not isinstance(payload, dict):
         raise BadSchemaError(f"{where} must be a JSON object, not {type(payload).__name__}")
     version = payload.get("schema_version")
-    if (
-        isinstance(version, bool)
-        or not isinstance(version, int)
-        or not MIN_SCHEMA_VERSION <= version <= SCHEMA_VERSION
-    ):
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaVersionError(
             f"{where} carries schema_version {version!r}; this peer speaks "
-            f"versions {MIN_SCHEMA_VERSION}..{SCHEMA_VERSION}"
+            f"only version {SCHEMA_VERSION}"
         )
 
 
@@ -759,20 +731,13 @@ def _op_of(payload: Dict[str, Any], where: str) -> Op:
 def parse_request(payload: Any):
     """Decode a request envelope, raising :class:`ApiError` members on misuse.
 
-    ``hello`` skips the version-range check (the handshake must parse from
-    peers this build does not otherwise speak with); every other op is
-    also gated on the version that introduced it.
+    ``hello`` skips the version check, so a peer of another version still
+    learns both ranges from a typed negotiation error.
     """
     if isinstance(payload, dict) and payload.get("op") == "hello":
         return HelloRequest.from_wire(payload)
     _check_version(payload, "request")
-    op = _op_of(payload, "request")
-    if payload["schema_version"] < op.since:
-        raise BadSchemaError(
-            f"op {op.name!r} needs schema_version >= {op.since}; the request "
-            f"carries {payload['schema_version']}"
-        )
-    return op.request.from_wire(payload)
+    return _op_of(payload, "request").request.from_wire(payload)
 
 
 def parse_response(payload: Any, expected_op: str):

@@ -8,10 +8,10 @@ side buffer before any schema validation runs.
 Two payload kinds share the stream, discriminated by the first payload
 byte:
 
-* **JSON frames** (v1/v2): the payload is one UTF-8 JSON envelope
-  dictionary.  A JSON object always starts with ``{`` (0x7B) or
+* **JSON frames**: the payload is one UTF-8 JSON envelope dictionary
+  (its tensors ``base64``).  A JSON object always starts with ``{`` (0x7B) or
   whitespace -- never 0xAB.
-* **Binary frames** (v3): the payload starts with the 4-byte magic
+* **Binary frames**: the payload starts with the 4-byte magic
   ``BINARY_MAGIC`` (first byte 0xAB, which is not valid leading UTF-8),
   followed by a compact JSON *preamble* (the envelope with each
   ``binary``-encoded tensor's data replaced by a buffer index), a buffer

@@ -15,12 +15,11 @@ mapped onto their wire codes and anything unexpected collapsed to
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.api.envelopes import (
-    MIN_SCHEMA_VERSION,
     SCHEMA_VERSION,
     BadSchemaError,
     ErrorResponse,
@@ -83,25 +82,15 @@ class ApiHandler:
     max_payload_elements:
         Upper bound on scalar elements per request tensor; larger payloads
         fail with ``payload_too_large`` before any decoding work happens.
-    schema_versions:
-        The ``(min, max)`` schema-version range this handler advertises in
-        hello/ping negotiation (defaults to the package range; tests inject
-        narrowed or shifted ranges for the negotiation matrix).
     """
 
     DEFAULT_MAX_ELEMENTS = 4_000_000
 
-    def __init__(
-        self,
-        service,
-        max_payload_elements: int = DEFAULT_MAX_ELEMENTS,
-        schema_versions: Tuple[int, int] = (MIN_SCHEMA_VERSION, SCHEMA_VERSION),
-    ):
+    def __init__(self, service, max_payload_elements: int = DEFAULT_MAX_ELEMENTS):
         if max_payload_elements < 1:
             raise ValueError("max_payload_elements must be positive")
         self.service = service
         self.max_payload_elements = max_payload_elements
-        self.min_schema_version, self.max_schema_version = schema_versions
 
     # -- entry points -------------------------------------------------------
 
@@ -136,12 +125,10 @@ class ApiHandler:
           every pending future is done, after which it never waits.
 
         Never raises: failures become error envelopes (see
-        :meth:`error_envelope`).  The response echoes the *request's*
-        ``schema_version`` whenever it is one this handler speaks, so a
-        client that negotiated down keeps receiving envelopes at its
-        version.  Nothing drains the service's queue between ``begin`` and
-        ``finish``; the caller does: :meth:`handle` calls the service's
-        ``wait``, the async server schedules an engine tick.
+        :meth:`error_envelope`).  Nothing drains the service's queue
+        between ``begin`` and ``finish``; the caller does: :meth:`handle`
+        calls the service's ``wait``, the async server schedules an engine
+        tick.
 
         ``degrade_level`` is the server's current
         :class:`~repro.serving.degrade.DegradationLadder` level; serving
@@ -166,7 +153,7 @@ class ApiHandler:
 
         def finish() -> Dict[str, Any]:
             try:
-                return self._stamp(payload, build().to_wire())
+                return build().to_wire()
             except BaseException as error:  # noqa: BLE001
                 if not isinstance(error, Exception):
                     raise
@@ -177,27 +164,14 @@ class ApiHandler:
     def error_envelope(self, payload: Any, error: BaseException) -> Dict[str, Any]:
         """The error envelope answering ``payload`` with ``error``.
 
-        Echoes the request's ``request_id`` and, when this handler speaks
-        it, its ``schema_version``, so an error -- raised by an op or by a
-        server gate before the handler -- demultiplexes and parses exactly
-        like a handled response.
+        Echoes the request's ``request_id``, so an error -- raised by an op
+        or by a server gate before the handler -- demultiplexes exactly like
+        a handled response.
         """
         request_id = payload.get("request_id") if isinstance(payload, dict) else None
         if isinstance(request_id, bool) or not isinstance(request_id, int):
             request_id = None
-        return self._stamp(payload, ErrorResponse.from_exception(error, request_id).to_wire())
-
-    def _stamp(self, payload: Any, envelope: Dict[str, Any]) -> Dict[str, Any]:
-        """``envelope``, echoing ``payload``'s schema version if this handler
-        speaks it."""
-        version = payload.get("schema_version") if isinstance(payload, dict) else None
-        if (
-            not isinstance(version, bool)
-            and isinstance(version, int)
-            and self.min_schema_version <= version <= self.max_schema_version
-        ):
-            envelope["schema_version"] = version
-        return envelope
+        return ErrorResponse.from_exception(error, request_id).to_wire()
 
     # -- shared validation --------------------------------------------------
 
@@ -509,16 +483,13 @@ class ApiHandler:
 
     def _hello(self, request: HelloRequest) -> HelloResponse:
         chosen = negotiate_version(
-            request.min_schema_version,
-            request.max_schema_version,
-            self.min_schema_version,
-            self.max_schema_version,
+            request.min_schema_version, request.max_schema_version, SCHEMA_VERSION, SCHEMA_VERSION
         )
         return HelloResponse(
             request_id=request.request_id,
             schema_version_chosen=chosen,
-            min_schema_version=self.min_schema_version,
-            max_schema_version=self.max_schema_version,
+            min_schema_version=SCHEMA_VERSION,
+            max_schema_version=SCHEMA_VERSION,
             backends=available_backends(),
         )
 
@@ -527,8 +498,6 @@ class ApiHandler:
             request_id=request.request_id,
             backends=available_backends(),
             models=self.service.registry.known_model_names(),
-            min_schema_version=self.min_schema_version,
-            max_schema_version=self.max_schema_version,
         )
 
     def _telemetry(self, request: TelemetryRequest) -> TelemetryResponse:

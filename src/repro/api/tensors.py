@@ -1,14 +1,13 @@
 """Tensor payloads of the wire protocol and walks over arbitrary dicts.
 
-:class:`TensorPayload` is one ndarray encoded for the wire: ``base64``
-(raw little-endian bytes), ``list`` (nested JSON numbers) or, from schema
-v3, ``binary`` (the raw buffer itself, zero copy both ways).  All three
-round-trip float64 bit-exactly.
+:class:`TensorPayload` is one ndarray encoded for the wire: ``binary``
+(the raw buffer itself, zero copy both ways) or ``base64`` (raw
+little-endian bytes in a JSON string).  Both round-trip every dtype
+bit-exactly; any other encoding is a typed ``bad_schema`` error.
 
-The deep walks at the bottom (:func:`has_binary_tensors`,
-:func:`rewrite_binary_tensors`, :func:`downgrade_binary_tensors`) find
-binary tensors at any depth of any dict.  The serving path never calls
-them: it visits only the tensor slots its op declares
+The deep walk at the bottom (:func:`rewrite_binary_tensors`) finds binary
+tensors at any depth of any dict.  The serving path never calls it: it
+visits only the tensor slots its op declares
 (:func:`repro.api.envelopes.rewrite_slot_tensors`).
 """
 
@@ -45,7 +44,7 @@ _DTYPE_NAMES = {native: (name, wire) for name, (wire, native, _) in _WIRE_DTYPES
 
 #: Tensor data encodings.  ``binary`` travels only in binary frames or
 #: in-process.
-TENSOR_ENCODINGS = ("base64", "list", "binary")
+TENSOR_ENCODINGS = ("base64", "binary")
 
 #: Types a ``binary`` tensor's data may be.  JSON yields only str/list
 #: data, so a forged ``encoding: "binary"`` in a JSON frame fails closed.
@@ -111,8 +110,6 @@ class TensorPayload:
         elif encoding == "base64":
             contig = np.ascontiguousarray(arr, dtype=wire_dtype)
             data = base64.b64encode(contig.data).decode("ascii")
-        elif encoding == "list":
-            data = arr.tolist()
         else:
             raise ValueError(
                 f"unknown tensor encoding {encoding!r}; expected one of {TENSOR_ENCODINGS}"
@@ -122,9 +119,9 @@ class TensorPayload:
     def to_array(self) -> np.ndarray:
         """Decode back into an ndarray.
 
-        ``base64`` and ``list`` give a fresh writable array; ``binary``
-        gives a zero-copy view over the received buffer (read-only over a
-        frame body).  A shape numpy cannot represent raises
+        ``base64`` gives a fresh writable array; ``binary`` gives a
+        zero-copy view over the received buffer (read-only over a frame
+        body).  A shape numpy cannot represent raises
         :class:`BadSchemaError`.
         """
         wire_dtype, native, swap = _WIRE_DTYPES[self.dtype]
@@ -142,34 +139,18 @@ class TensorPayload:
                 if len(shape) != 1:
                     arr = arr.reshape(shape)
                 return arr.astype(native) if swap else arr  # big-endian host: copy
-            if self.encoding == "base64":
-                try:
-                    raw = base64.b64decode(self.data, validate=True)
-                except (ValueError, TypeError) as error:
-                    raise BadSchemaError(
-                        f"tensor payload data is not valid base64: {error}"
-                    ) from error
-                if len(raw) != needed:
-                    raise BadSchemaError(
-                        f"tensor payload carries {len(raw)} bytes but shape {shape} "
-                        f"with dtype {self.dtype} needs {needed}"
-                    )
-                arr = np.frombuffer(raw, dtype=wire_dtype).reshape(shape)
-            else:
-                try:
-                    arr = np.asarray(self.data, dtype=wire_dtype)
-                except (ValueError, TypeError, OverflowError) as error:
-                    raise BadSchemaError(
-                        f"tensor payload list does not decode as {self.dtype}: {error}"
-                    ) from error
-                if arr.size == 0 and needed == 0:
-                    # JSON lists cannot express trailing empty dims (shape
-                    # (0, 2) lists as []); the shape field is authoritative.
-                    arr = arr.reshape(shape)
-                if arr.shape != tuple(shape):
-                    raise BadSchemaError(
-                        f"tensor payload list has shape {arr.shape}; envelope says {shape}"
-                    )
+            try:
+                raw = base64.b64decode(self.data, validate=True)
+            except (ValueError, TypeError) as error:
+                raise BadSchemaError(
+                    f"tensor payload data is not valid base64: {error}"
+                ) from error
+            if len(raw) != needed:
+                raise BadSchemaError(
+                    f"tensor payload carries {len(raw)} bytes but shape {shape} "
+                    f"with dtype {self.dtype} needs {needed}"
+                )
+            arr = np.frombuffer(raw, dtype=wire_dtype).reshape(shape)
         except ValueError as error:  # e.g. zero-size, but other dims overflow
             raise BadSchemaError(
                 f"tensor shape {tuple(shape)} is not representable: {error}"
@@ -217,9 +198,6 @@ class TensorPayload:
         elif encoding == "base64":
             if not isinstance(data, str):
                 raise BadSchemaError(f"{where} base64 data must be a string")
-        elif encoding == "list":
-            if not isinstance(data, list):
-                raise BadSchemaError(f"{where} list data must be a list")
         else:
             raise BadSchemaError(
                 f"{where} encoding {encoding!r} is not supported; expected one of "
@@ -266,30 +244,7 @@ def _walk(payload: Any, match, rewrite) -> Any:
     return payload
 
 
-def has_binary_tensors(payload: Any) -> bool:
-    """Does any dict carry a binary tensor at any depth (a deep walk)?"""
-    if isinstance(payload, dict):
-        if is_binary_tensor_dict(payload):
-            return True
-        return any(has_binary_tensors(value) for value in payload.values())
-    if isinstance(payload, list):
-        return any(has_binary_tensors(item) for item in payload)
-    return False
-
-
 def rewrite_binary_tensors(payload: Any, rewrite) -> Any:
     """Copy-on-write deep rewrite of every binary tensor dict, at any depth."""
     return _walk(payload, is_binary_tensor_dict, rewrite)
 
-
-def binary_to_base64(tensor: Dict[str, Any]) -> Dict[str, Any]:
-    """One binary tensor dict rewritten as base64 (the pre-v3 fallback)."""
-    downgraded = dict(tensor)
-    downgraded["encoding"] = "base64"
-    downgraded["data"] = base64.b64encode(_binary_data_view(tensor["data"])).decode("ascii")
-    return downgraded
-
-
-def downgrade_binary_tensors(payload: Any) -> Any:
-    """Every binary tensor of any dict rewritten as base64 (copy-on-write)."""
-    return _walk(payload, is_binary_tensor_dict, binary_to_base64)

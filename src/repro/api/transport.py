@@ -18,9 +18,9 @@ a :class:`NormalizationService` in this process or to a
   server answers in completion order, not arrival order) to the other
   waiters, then hands the read role on (leader/followers, Schmidt et al.,
   PLoP 2000); a lock-step caller reads its own reply.  On connect it
-  performs the ``hello`` schema-version handshake -- the server advertises
-  its ``min..max`` range and the client downgrades within its own -- and
-  stamps every outgoing envelope with the negotiated version.
+  performs the ``hello`` handshake: both ends must speak
+  :data:`~repro.api.envelopes.SCHEMA_VERSION`, and a server that does not
+  fails the connect with a typed error naming both ranges.
 
 Reconnect semantics: a connection that dies fails its in-flight requests
 with :class:`TransportError` (pending requests never hang), and the pool
@@ -41,18 +41,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api import framing
 from repro.api.envelopes import (
-    BINARY_WIRE_VERSION,
-    MIN_SCHEMA_VERSION,
     SCHEMA_VERSION,
     ApiError,
-    BadSchemaError,
     HelloRequest,
-    SchemaVersionError,
     TransportError,
-    binary_to_base64,
     negotiate_version,
     parse_hello_response,
-    rewrite_slot_tensors,
 )
 from repro.api.framing import (
     MAX_FRAME_BYTES,
@@ -552,13 +546,10 @@ class SocketTransport(Transport):
         1 the transport pipelines (many requests in flight per connection);
         more connections mainly help once a single socket's byte stream
         saturates.
-    schema_versions:
-        The ``(min, max)`` schema-version range this client speaks
-        (defaults to the package range; tests inject shifted ranges).
     negotiate:
         Perform the hello handshake on the first connection.  Disabling it
-        skips version negotiation and stamps envelopes with this build's
-        newest version (used by raw-protocol tests).
+        skips the handshake (used by tests that put a scripted server
+        behind the transport).
     retry_policy:
         The :class:`~repro.api.retry.RetryPolicy` governing the blocking
         ``request`` path: backoff with full jitter, a retry budget, honor
@@ -582,7 +573,6 @@ class SocketTransport(Transport):
         connect_timeout: float = 5.0,
         max_frame_bytes: int = MAX_FRAME_BYTES,
         pool_size: int = 1,
-        schema_versions: Tuple[int, int] = (MIN_SCHEMA_VERSION, SCHEMA_VERSION),
         negotiate: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
         token: Optional[str] = None,
@@ -597,12 +587,10 @@ class SocketTransport(Transport):
         self.connect_timeout = connect_timeout
         self.max_frame_bytes = max_frame_bytes
         self.pool_size = pool_size
-        self.min_schema_version, self.max_schema_version = schema_versions
         self._negotiate = negotiate
         #: Version agreed in the hello handshake (None until connected, or
         #: when negotiation is disabled).
         self.negotiated_version: Optional[int] = None
-        self.server_schema_range: Optional[Tuple[int, int]] = None
         self._pool_lock = threading.Lock()
         self._pool_cond = threading.Condition(self._pool_lock)
         self._connections: List[_PoolConnection] = []
@@ -682,48 +670,23 @@ class SocketTransport(Transport):
     def _handshake(self, conn: _PoolConnection) -> None:
         """Synchronous hello exchange on a fresh socket (before any request).
 
-        The hello envelope itself is stamped with the *minimum* version
-        this client speaks: a legacy strict-equality peer at that version
-        can then at least parse the envelope, and its "unknown op" rejection
-        becomes the downgrade signal (it speaks exactly that version).  A
-        ``schema_version`` rejection, by contrast, is a genuine range
-        mismatch and propagates.
+        Any error reply -- a typed ``schema_version`` refusal naming both
+        ranges, an invalid token, a malformed hello reply -- fails the
+        connect with its typed :class:`ApiError`.
         """
-        hello = HelloRequest(
-            min_schema_version=self.min_schema_version,
-            max_schema_version=self.max_schema_version,
-            token=self.token,
-        )
-        wire = hello.to_wire()
-        wire["schema_version"] = self.min_schema_version
         conn.sock.settimeout(self.connect_timeout)
         try:
-            send_frame(conn.sock, wire, self.max_frame_bytes)
+            send_frame(conn.sock, HelloRequest(token=self.token).to_wire(), self.max_frame_bytes)
             response = parse_hello_response(recv_frame(conn.sock, self.max_frame_bytes))
-        except SchemaVersionError:
-            raise  # disjoint ranges: the server named both in the message
-        except BadSchemaError:
-            # Pre-hello peer: it parsed our min-version envelope but does
-            # not know the op, so it speaks exactly that version.
-            self.negotiated_version = self.min_schema_version
-            self.server_schema_range = (
-                self.min_schema_version,
-                self.min_schema_version,
-            )
-            return
         except OSError as error:
             raise TransportError(f"hello handshake failed: {error}") from error
         finally:
             conn.sock.settimeout(None)
-        self.server_schema_range = (
-            response.min_schema_version,
-            response.max_schema_version,
-        )
-        # Re-derive locally: the client downgrades within its own range and
-        # rejects a server whose advertisement does not overlap it.
+        # Re-derive locally: a server whose advertised range leaves out
+        # this build's version is refused with both ranges named.
         self.negotiated_version = negotiate_version(
-            self.min_schema_version,
-            self.max_schema_version,
+            SCHEMA_VERSION,
+            SCHEMA_VERSION,
             response.min_schema_version,
             response.max_schema_version,
         )
@@ -760,7 +723,6 @@ class SocketTransport(Transport):
                     # on the next dial -- the restarted server may speak a
                     # different version range than the one we negotiated.
                     self.negotiated_version = None
-                    self.server_schema_range = None
                 if len(self._connections) + self._dialing < self.pool_size:
                     self._dialing += 1
                     break
@@ -797,24 +759,6 @@ class SocketTransport(Transport):
 
     # -- request/response ---------------------------------------------------
 
-    def _stamp_version(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        if (
-            self.negotiated_version is not None
-            and payload.get("schema_version") != self.negotiated_version
-            and payload.get("op") != "hello"
-        ):
-            payload = dict(payload)
-            payload["schema_version"] = self.negotiated_version
-        if (
-            self.negotiated_version is not None
-            and self.negotiated_version < BINARY_WIRE_VERSION
-        ):
-            # v2-or-older peer: silently fall back to base64 JSON frames.
-            # Copy-on-write, so a fleet sending the same envelope to
-            # replicas at different versions never cross-contaminates.
-            payload = rewrite_slot_tensors(payload, binary_to_base64)
-        return payload
-
     def submit(self, payload: Dict[str, Any]) -> PendingReply:
         """Pipeline one request; the reply resolves when its frame arrives.
 
@@ -827,10 +771,7 @@ class SocketTransport(Transport):
         last_error: Optional[BaseException] = None
         for _attempt in (1, 2):
             try:
-                conn = self._get_connection()
-                # Stamp after dialing: the first dial performs the hello
-                # handshake that decides the version to stamp.
-                return conn.submit(self._stamp_version(payload))
+                return self._get_connection().submit(payload)
             except TransportError as error:
                 last_error = error
             except ApiError:
@@ -861,8 +802,7 @@ class SocketTransport(Transport):
             retry_after_ms: Optional[float] = None
             response: Optional[Dict[str, Any]] = None
             try:
-                conn = self._get_connection()
-                reply = conn.submit(self._stamp_version(payload))
+                reply = self._get_connection().submit(payload)
             except TransportError as error:
                 # Dead connection at send time: the frame never left this
                 # process, so resending cannot double-apply for any op.

@@ -20,7 +20,7 @@ fields (missing fields take the policy defaults, ``null`` means
 unlimited); ``tenants`` declares name, bearer token, tier (``default`` if
 omitted) and an optional prepaid ``balance`` in modelled cycles.
 
-Authentication happens once per connection, in the v2/v3 ``hello``
+Authentication happens once per connection, in the ``hello``
 handshake: the client's ``token`` is compared against every declared
 token with :func:`hmac.compare_digest` (constant-time per comparison, and
 the scan always visits the full directory, so timing reveals neither the

@@ -418,58 +418,92 @@ class TestTransportFailureModes:
             listener.close()
             thread.join(timeout=5.0)
 
-    def test_legacy_peer_without_hello_op_downgrades_to_client_min(self):
-        """A pre-hello server's 'unknown op' reply is the downgrade signal."""
+    def _hello_stub(self, reply, received):
+        """A stub that answers the hello with ``reply(hello)``, then records
+        every later frame in ``received`` until the client hangs up."""
 
         def script(conn):
             decoder = FrameDecoder()
+            frames = []
+            while not frames:
+                frames = decoder.feed(conn.recv(65536))
+            hello, *later = frames
+            received.append(hello)
+            send_frame(conn, reply(hello))
+            received.extend(later)
+            while True:
+                data = conn.recv(65536)
+                if not data:
+                    return
+                received.extend(decoder.feed(data))
 
-            def read_one():
-                while True:
-                    frames = decoder.feed(conn.recv(65536))
-                    if frames:
-                        return frames[0]
+        return self._stub(script)
 
-            # frame 0 is the hello: answer like a v1 build (no hello op)
-            hello = read_one()
-            assert hello["op"] == "hello"
-            assert hello["schema_version"] == 1  # parseable by a v1 peer
-            send_frame(
-                conn,
-                {
-                    "schema_version": 1,
-                    "op": "error",
-                    "ok": False,
-                    "request_id": hello["request_id"],
-                    "error": {"code": "bad_schema", "message": "unknown op 'hello'"},
-                },
-            )
-            # the first real request must arrive stamped v1
-            request = read_one()
-            assert request["schema_version"] == 1
-            send_frame(
-                conn,
-                {
-                    "schema_version": 1,
-                    "op": "ping",
-                    "ok": True,
-                    "request_id": request["request_id"],
-                    "backends": [],
-                    "models": None,
-                },
-            )
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            lambda hello: {
+                "schema_version": SCHEMA_VERSION, "op": "hello", "ok": True,
+                "request_id": hello["request_id"], "schema_version_chosen": "3",
+            },
+            lambda hello: {  # what a build without the hello op answers
+                "schema_version": 1, "op": "error", "ok": False,
+                "request_id": hello["request_id"],
+                "error": {"code": "bad_schema", "message": "unknown op 'hello'"},
+            },
+        ],
+        ids=["malformed-hello-reply", "unknown-op-hello"],
+    )
+    def test_bad_hello_reply_fails_the_connect_typed(self, reply):
+        """No silent fallback session: the connect raises BadSchemaError
+        and nothing but the hello ever reaches the server."""
+        from repro.api.envelopes import BadSchemaError, SchemaVersionError
 
-        listener, thread = self._stub(script)
-        transport = SocketTransport("127.0.0.1", listener.getsockname()[1])
+        received = []
+        listener, thread = self._hello_stub(reply, received)
+        transport = SocketTransport("127.0.0.1", listener.getsockname()[1], timeout=2.0)
         try:
-            response = transport.request(PingRequest().to_wire())
-            assert response["request_id"] is not None
-            assert transport.negotiated_version == 1
-            assert transport.server_schema_range == (1, 1)
+            with pytest.raises(BadSchemaError) as excinfo:
+                transport.request(PingRequest().to_wire())
+            assert not isinstance(excinfo.value, SchemaVersionError)
+            assert transport.negotiated_version is None
         finally:
             transport.close()
             listener.close()
             thread.join(timeout=5.0)
+        (hello,) = received
+        assert hello["op"] == "hello"
+        assert hello["schema_version"] == SCHEMA_VERSION
+        assert hello["min_schema_version"] == hello["max_schema_version"] == SCHEMA_VERSION
+
+    def test_server_range_without_this_version_fails_the_connect_typed(self):
+        """Client end of a disjoint range: both ranges named, no request sent."""
+        from repro.api.envelopes import SchemaVersionError
+
+        received = []
+        listener, thread = self._hello_stub(
+            lambda hello: {
+                "schema_version": SCHEMA_VERSION + 1, "op": "hello", "ok": True,
+                "request_id": hello["request_id"],
+                "schema_version_chosen": SCHEMA_VERSION + 1,
+                "min_schema_version": SCHEMA_VERSION + 1,
+                "max_schema_version": SCHEMA_VERSION + 2,
+                "backends": [],
+            },
+            received,
+        )
+        transport = SocketTransport("127.0.0.1", listener.getsockname()[1], timeout=2.0)
+        try:
+            with pytest.raises(SchemaVersionError) as excinfo:
+                transport.request(PingRequest().to_wire())
+        finally:
+            transport.close()
+            listener.close()
+            thread.join(timeout=5.0)
+        message = str(excinfo.value)
+        assert f"client speaks {SCHEMA_VERSION}..{SCHEMA_VERSION}" in message
+        assert f"server speaks {SCHEMA_VERSION + 1}..{SCHEMA_VERSION + 2}" in message
+        assert [frame["op"] for frame in received] == ["hello"]
 
     def test_timed_out_requests_leave_no_pending_registration(self):
         """Abandoned requests are withdrawn from the in-flight map."""
@@ -499,35 +533,22 @@ class TestTransportFailureModes:
     def test_socket_level_version_negotiation_rejects_disjoint_ranges(
         self, live_server
     ):
-        """A client from the future fails the hello with both ranges named."""
-        from repro.api.envelopes import SchemaVersionError
+        """Server end: a hello from the future fails typed, naming both ranges."""
+        from repro.api.envelopes import HelloRequest
 
-        transport = SocketTransport(
-            live_server.host,
-            live_server.port,
-            schema_versions=(SCHEMA_VERSION + 1, SCHEMA_VERSION + 2),
-        )
-        try:
-            with pytest.raises(SchemaVersionError) as excinfo:
-                transport.request(PingRequest().to_wire())
-            message = str(excinfo.value)
-            assert f"client speaks {SCHEMA_VERSION + 1}..{SCHEMA_VERSION + 2}" in message
-            assert f"server speaks 1..{SCHEMA_VERSION}" in message
-        finally:
-            transport.close()
-
-    def test_socket_level_negotiation_downgrades_within_range(self, live_server):
-        """A v1-only client downgrades: envelopes go out stamped version 1."""
-        transport = SocketTransport(
-            live_server.host, live_server.port, schema_versions=(1, 1)
-        )
-        try:
-            response = transport.request(PingRequest().to_wire())
-            assert transport.negotiated_version == 1
-            assert response["schema_version"] == 1  # server echoed the version
-            assert transport.server_schema_range == (1, SCHEMA_VERSION)
-        finally:
-            transport.close()
+        hello = HelloRequest(
+            min_schema_version=SCHEMA_VERSION + 1, max_schema_version=SCHEMA_VERSION + 2
+        ).to_wire()
+        hello["schema_version"] = SCHEMA_VERSION + 1
+        with socket.create_connection((live_server.host, live_server.port), timeout=5.0) as sock:
+            send_frame(sock, hello)
+            refusal = recv_frame(sock)
+        assert refusal["ok"] is False
+        assert refusal["request_id"] == hello["request_id"]
+        assert refusal["error"]["code"] == "schema_version"
+        message = refusal["error"]["message"]
+        assert f"client speaks {SCHEMA_VERSION + 1}..{SCHEMA_VERSION + 2}" in message
+        assert f"server speaks {SCHEMA_VERSION}..{SCHEMA_VERSION}" in message
 
 
 # ---------------------------------------------------------------------------

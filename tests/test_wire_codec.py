@@ -5,7 +5,7 @@
   typed ``payload_too_large`` / ``bad_schema`` error, never ``internal``.
 * A socket round trip of ``normalize`` and ``normalize_bulk`` visits only
   the ops' tensor slots: none of the deep envelope walks runs, on either
-  side, for binary, downgraded (v2) and shared-memory traffic.
+  side, over one connection or a pool of two.
 * Every op's tensor slots cover both of its sides, and a buffer a
   hand-built envelope keeps outside them still round-trips.
 * ``perfbench/tracing.py`` still finds every hot-path entry point it
@@ -125,7 +125,7 @@ class TestShapeOverflow:
 
 
 class TestNoDeepWalkOnTheServingPath:
-    WALKS = ("has_binary_tensors", "rewrite_binary_tensors", "downgrade_binary_tensors", "_walk")
+    WALKS = ("rewrite_binary_tensors", "_walk")
 
     @pytest.fixture()
     def walk_calls(self, monkeypatch):
@@ -145,10 +145,9 @@ class TestNoDeepWalkOnTheServingPath:
         "connect",
         [
             {},
-            {"schema_versions": (1, 2)},  # a v2 peer: binary downgraded to base64
             {"pool_size": 2},  # requests spread over two pooled connections
         ],
-        ids=["binary", "downgraded", "pooled"],
+        ids=["binary", "pooled"],
     )
     def test_round_trips_visit_only_tensor_slots(self, tenant_server, rng, walk_calls, connect):
         rows = _rows(rng)
@@ -163,8 +162,6 @@ class TestNoDeepWalkOnTheServingPath:
         assert walk_calls == []
         assert connections == connect.get("pool_size", 1)
         assert np.array_equal(bulk[0].output, single.output)
-        if "schema_versions" in connect:
-            assert client.negotiated_version() == 2
 
 
 class TestPerfbenchTracing:
@@ -194,17 +191,6 @@ def test_handler_dispatch_covers_the_op_table():
     assert set(ApiHandler._OPS) == set(envelopes.OPS)
 
 
-def test_a_field_newer_than_its_op_must_be_optional():
-    @envelopes._record
-    class LateRequest(envelopes._Request):
-        op = "late"
-        flag: bool = envelopes.wire("bool", since=2)
-
-    with pytest.raises(TypeError, match="newer than the op"):
-        envelopes.Op(1, LateRequest, envelopes.PingResponse)
-    assert envelopes.Op(2, LateRequest, envelopes.PingResponse).name == "late"
-
-
 def test_op_slots_are_the_union_of_both_sides():
     # A slot walk never trusts an envelope's `ok` to pick a side.
     for op in envelopes.OPS.values():
@@ -217,7 +203,7 @@ def test_op_slots_are_the_union_of_both_sides():
         tensor: list = envelopes.wire("tensors")
 
     with pytest.raises(TypeError, match="differs by side"):
-        envelopes.Op(1, envelopes.NormalizeRequest, Clash)
+        envelopes.Op(envelopes.NormalizeRequest, Clash)
 
 
 class TestBuffersOutsideTheSlots:

@@ -2,9 +2,10 @@
 
 ``tests/golden/wire_corpus.jsonl`` holds one encoded frame per line for
 every op's request and response x each tensor encoding (``binary``,
-``base64``, ``list``) x each schema version the op and the encoding allow,
-plus one error envelope per :data:`~repro.api.envelopes.ERROR_CLASSES`
-code.  Each frame must
+``base64``), all at :data:`~repro.api.envelopes.SCHEMA_VERSION`, plus one
+error envelope per :data:`~repro.api.envelopes.ERROR_CLASSES` code.  The
+``hello`` and ``ping`` responses advertise the range ``1..3`` the
+previous build sent, which this build still parses.  Each frame must
 
 * decode, parse, and re-encode byte-identically (JSON key order and the
   binary buffer layout included);
@@ -28,10 +29,7 @@ import numpy as np
 import pytest
 
 from repro.api.envelopes import (
-    BINARY_WIRE_VERSION,
     ERROR_CLASSES,
-    MIN_SCHEMA_VERSION,
-    OP_MIN_VERSIONS,
     SCHEMA_VERSION,
     ErrorResponse,
     ExecuteBulkRequest,
@@ -64,7 +62,7 @@ from repro.api.framing import FrameDecoder, encode_frame
 
 CORPUS_PATH = os.path.join(os.path.dirname(__file__), "golden", "wire_corpus.jsonl")
 
-ENCODINGS = ("binary", "base64", "list")
+ENCODINGS = ("binary", "base64")
 SPEC = {"kind": "layernorm", "hidden_size": 4, "eps": 1e-05}
 
 
@@ -176,6 +174,7 @@ def _plain_envelopes() -> Iterator[Tuple[str, str, Any]]:
     yield "ping", "request", PingRequest(request_id=23)
     yield "ping", "response", PingResponse(
         request_id=23, backends=["reference"], models=["tiny", "tiny-rms"],
+        min_schema_version=1, max_schema_version=3,
     )
     yield "telemetry", "request", TelemetryRequest(request_id=24)
     yield "telemetry", "response", TelemetryResponse(
@@ -185,27 +184,12 @@ def _plain_envelopes() -> Iterator[Tuple[str, str, Any]]:
     )
 
 
-def _versions(op: str) -> range:
-    return range(OP_MIN_VERSIONS.get(op, MIN_SCHEMA_VERSION), SCHEMA_VERSION + 1)
-
-
-def _stamped(obj: Any, version: int) -> Dict[str, Any]:
-    """The envelope as a peer at ``version`` sends it."""
-    wire = obj.to_wire()
-    wire["schema_version"] = version
-    return wire
-
-
 def _entries() -> Iterator[Tuple[Dict[str, Any], Any]]:
     for encoding in ENCODINGS:
         for op, kind, obj in _tensor_envelopes(encoding):
-            for version in _versions(op):
-                if encoding == "binary" and version < BINARY_WIRE_VERSION:
-                    continue  # transports downgrade binary below v3
-                yield {"op": op, "kind": kind, "encoding": encoding, "version": version}, obj
+            yield {"op": op, "kind": kind, "encoding": encoding, "version": SCHEMA_VERSION}, obj
     for op, kind, obj in _plain_envelopes():
-        for version in _versions(op):
-            yield {"op": op, "kind": kind, "encoding": None, "version": version}, obj
+        yield {"op": op, "kind": kind, "encoding": None, "version": SCHEMA_VERSION}, obj
     for code in sorted(ERROR_CLASSES):
         retry_after = 12.5 if code in ("overloaded", "quota_exceeded") else None
         obj = ErrorResponse(
@@ -221,7 +205,7 @@ def build_corpus() -> List[Dict[str, Any]]:
     """Every corpus entry, its frame encoded by the codec under test."""
     corpus = []
     for meta, obj in _entries():
-        frame = encode_frame(_stamped(obj, meta["version"]))
+        frame = encode_frame(obj.to_wire())
         corpus.append(dict(meta, frame=base64.b64encode(frame).decode("ascii")))
     return corpus
 
@@ -262,11 +246,8 @@ def test_corpus_covers_every_op_encoding_and_version():
     keys = {(e["op"], e["kind"], e["encoding"], e["version"]) for e in CORPUS}
     for op in ("normalize", "normalize_bulk", "stream", "execute", "execute_bulk"):
         for kind in ("request", "response"):
-            for version in _versions(op):
-                for encoding in ENCODINGS:
-                    if encoding == "binary" and version < BINARY_WIRE_VERSION:
-                        continue
-                    assert (op, kind, encoding, version) in keys
+            for encoding in ENCODINGS:
+                assert (op, kind, encoding, SCHEMA_VERSION) in keys
     assert {e["code"] for e in CORPUS if e["kind"] == "error"} == set(ERROR_CLASSES)
 
 
@@ -280,7 +261,7 @@ def test_frame_round_trips_byte_identically(entry):
     envelope = _decode(frame)
     assert envelope["schema_version"] == entry["version"]
     obj = _parse(entry, envelope)
-    again = encode_frame(_stamped(obj, entry["version"]))
+    again = encode_frame(obj.to_wire())
     assert again == frame
     assert _parse(entry, _decode(again)) == obj
 

@@ -3,17 +3,19 @@
 The contracts under test:
 
 * **tensor payloads** survive ``to_wire -> json -> from_wire -> to_array``
-  for every supported dtype, both encodings, empty shapes and NaN/inf
-  payloads (base64 bit-exactly, list value-exactly);
+  bit-exactly for every supported dtype, empty shapes and NaN/inf
+  payloads, and the retired ``list`` encoding is refused typed;
 * **envelopes** survive the same loop regardless of JSON field order;
 * **framing** is chunking-invariant (any split of the byte stream decodes
   to the same envelopes, in order) and fails *closed*: truncated or
   corrupted frames raise an :class:`ApiError` member -- they never hang,
   never crash with a non-taxonomy exception, and never resynchronize onto
   garbage;
-* **version negotiation** picks ``min(client_max, server_max)`` across the
-  whole (client range x server range) matrix, and disjoint ranges fail
-  with a ``schema_version`` error naming both ranges.
+* **one schema version**: any other ``schema_version`` stamp is a typed
+  ``schema_version`` error; ``negotiate_version`` picks
+  ``min(client_max, server_max)`` across the whole (client range x server
+  range) matrix, and a hello whose range leaves out this build's version
+  fails with a ``schema_version`` error naming both ranges.
 
 Everything is seeded and deterministic: hypothesis runs derandomized and
 the direct fuzz loops use fixed-seed generators.
@@ -30,7 +32,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.envelopes import (
-    MIN_SCHEMA_VERSION,
     SCHEMA_VERSION,
     ApiError,
     BadSchemaError,
@@ -44,8 +45,6 @@ from repro.api.envelopes import (
     StreamChunkRequest,
     TensorPayload,
     TransportError,
-    downgrade_binary_tensors,
-    has_binary_tensors,
     negotiate_version,
     parse_hello_response,
     parse_request,
@@ -137,20 +136,6 @@ class TestTensorPayloadProperties:
         # byte-level equality: NaN payloads and zero signs survive base64
         assert decoded.tobytes() == array.tobytes()
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(array=tensor_arrays())
-    def test_list_round_trip_is_value_exact(self, array):
-        wire = TensorPayload.from_array(array, "list").to_wire()
-        decoded = TensorPayload.from_wire(_json_loop(wire)).to_array()
-        assert decoded.dtype == array.dtype
-        assert decoded.shape == array.shape
-        if array.dtype.kind == "f":
-            assert np.array_equal(decoded, array, equal_nan=True)
-            finite = np.isfinite(array)
-            assert np.array_equal(np.signbit(decoded[finite]), np.signbit(array[finite]))
-        else:
-            assert np.array_equal(decoded, array)
-
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(array=tensor_arrays(), seed=st.integers(0, 2**16))
     def test_field_order_is_irrelevant(self, array, seed):
@@ -165,11 +150,12 @@ class TestTensorPayloadProperties:
         with pytest.raises(BadSchemaError, match="base64"):
             TensorPayload.from_wire(wire).to_array()
 
-    def test_corrupt_list_data_raises_bad_schema(self):
-        wire = TensorPayload.from_array(np.arange(4.0), "list").to_wire()
-        wire["data"] = [["ragged"], 1.0, None, 2.0]
-        with pytest.raises(BadSchemaError):
-            TensorPayload.from_wire(wire).to_array()
+    def test_list_encoding_is_refused(self):
+        with pytest.raises(ValueError, match="unknown tensor encoding 'list'"):
+            TensorPayload.from_array(np.arange(4.0), "list")
+        wire = {"dtype": "float64", "shape": [4], "encoding": "list", "data": [0.0, 1.0, 2.0, 3.0]}
+        with pytest.raises(BadSchemaError, match="encoding 'list' is not supported"):
+            TensorPayload.from_wire(wire)
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +237,24 @@ class TestEnvelopeProperties:
         except ApiError:
             pass
 
-    def test_v2_ops_rejected_at_schema_version_1(self, rng):
+    @pytest.mark.parametrize(
+        "version",
+        [1, 2, SCHEMA_VERSION + 1, 3.0, "3", True, None],
+        ids=["v1", "v2", "v4", "float", "string", "bool", "null"],
+    )
+    def test_other_schema_versions_are_rejected_typed(self, rng, version):
         tensor = TensorPayload.from_array(rng.normal(size=(1, 4)))
-        wire = NormalizeBulkRequest(model="m", tensors=(tensor,)).to_wire()
-        wire["schema_version"] = 1
-        with pytest.raises(BadSchemaError, match="schema_version >= 2"):
-            parse_request(wire)
-        wire = NormalizeRequest(model="m", tensor=tensor).to_wire()
-        wire["schema_version"] = 1  # v1 ops still parse at version 1
-        parse_request(wire)
+        for request in (
+            NormalizeRequest(model="m", tensor=tensor),
+            NormalizeBulkRequest(model="m", tensors=(tensor,)),
+        ):
+            wire = request.to_wire()
+            wire["schema_version"] = version
+            with pytest.raises(SchemaVersionError, match=f"only version {SCHEMA_VERSION}"):
+                parse_request(wire)
+        hello = HelloRequest().to_wire()
+        hello["schema_version"] = version  # hello parses at any version
+        assert parse_request(hello) == HelloRequest(request_id=hello["request_id"])
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +367,12 @@ class TestFramingProperties:
 
 
 # ---------------------------------------------------------------------------
-# binary (v3) frames: round trips, downgrade, corruption, truncation
+# binary frames: round trips, corruption, truncation
 # ---------------------------------------------------------------------------
 
 
 class TestBinaryFrameProperties:
-    """The v3 zero-copy frame shares the JSON frame's fail-closed contract."""
+    """The zero-copy binary frame shares the JSON frame's fail-closed contract."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(array=tensor_arrays(), seed=st.integers(0, 2**16))
@@ -418,26 +413,6 @@ class TestBinaryFrameProperties:
         (decoded,) = FrameDecoder().feed(encode_frame(envelope))
         for wire, original in zip(decoded["tensors"], arrays):
             assert TensorPayload.from_wire(wire).to_array().tobytes() == original.tobytes()
-
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(array=tensor_arrays())
-    def test_downgrade_to_base64_decodes_identically(self, array):
-        # The negotiated-fallback path: a v3 envelope rewritten for a v2
-        # peer must decode to the very same bytes, and the rewrite must be
-        # copy-on-write (the original envelope still holds binary tensors).
-        envelope = {
-            "schema_version": SCHEMA_VERSION,
-            "op": "normalize",
-            "request_id": 1,
-            "tensor": TensorPayload.from_array(array, "binary").to_wire(),
-        }
-        assert has_binary_tensors(envelope)
-        downgraded = downgrade_binary_tensors(envelope)
-        assert not has_binary_tensors(downgraded)
-        assert has_binary_tensors(envelope)  # untouched original
-        assert frame_kind(encode_frame(downgraded)[4:]) == "json"
-        via_json = TensorPayload.from_wire(_json_loop(downgraded["tensor"])).to_array()
-        assert via_json.tobytes() == array.tobytes()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**16), flips=st.integers(1, 8))
@@ -534,7 +509,6 @@ class TestBinaryFrameProperties:
         ).to_wire()
         chaos.request(request)
         assert inner.sent["op"].startswith("corrupted[")
-        assert has_binary_tensors(inner.sent)  # still a binary frame on the wire
         assert frame_kind(encode_frame(inner.sent)[4:]) == "binary"
 
 
@@ -690,35 +664,28 @@ class TestVersionNegotiation:
             assert f"server speaks {smin}..{smax}" in message
 
     @pytest.mark.parametrize("client_range", RANGES)
-    @pytest.mark.parametrize("server_range", [(1, 2), (2, 3)])
-    def test_hello_handshake_matrix_through_the_handler(
-        self, handler, client_range, server_range
-    ):
-        handler.min_schema_version, handler.max_schema_version = server_range
-        hello = HelloRequest(
-            min_schema_version=client_range[0], max_schema_version=client_range[1]
-        )
+    def test_hello_handshake_matrix_through_the_handler(self, handler, client_range):
+        # The handler speaks exactly SCHEMA_VERSION: a client range holding
+        # it gets it; any other range fails typed, naming both ranges.
+        cmin, cmax = client_range
+        hello = HelloRequest(min_schema_version=cmin, max_schema_version=cmax)
         response = handler.handle(hello.to_wire())
-        overlaps = max(client_range[0], server_range[0]) <= min(
-            client_range[1], server_range[1]
-        )
-        if overlaps:
+        if cmin <= SCHEMA_VERSION <= cmax:
             decoded = parse_hello_response(response)
-            assert decoded.schema_version_chosen == min(client_range[1], server_range[1])
-            assert (decoded.min_schema_version, decoded.max_schema_version) == server_range
+            assert decoded.schema_version_chosen == SCHEMA_VERSION
+            assert decoded.min_schema_version == decoded.max_schema_version == SCHEMA_VERSION
         else:
             assert response["ok"] is False
             assert response["error"]["code"] == "schema_version"
-            assert f"server speaks {server_range[0]}..{server_range[1]}" in (
-                response["error"]["message"]
-            )
+            message = response["error"]["message"]
+            assert f"client speaks {cmin}..{cmax}" in message
+            assert f"server speaks {SCHEMA_VERSION}..{SCHEMA_VERSION}" in message
 
     def test_empty_range_is_rejected(self):
         with pytest.raises(SchemaVersionError, match="empty"):
             negotiate_version(3, 2, 1, 2)
 
     def test_module_range_is_coherent(self):
-        assert MIN_SCHEMA_VERSION <= SCHEMA_VERSION
         assert negotiate_version(
-            MIN_SCHEMA_VERSION, SCHEMA_VERSION, MIN_SCHEMA_VERSION, SCHEMA_VERSION
+            SCHEMA_VERSION, SCHEMA_VERSION, SCHEMA_VERSION, SCHEMA_VERSION
         ) == SCHEMA_VERSION
