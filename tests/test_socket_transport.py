@@ -8,7 +8,10 @@ Contracts pinned here:
   previous build sends it (stamped 1, range 1..3) negotiates 3, a
   v2-stamped request and a ``list``-encoded tensor are typed errors that
   echo their ``request_id``, and the connection then serves a v3 request
-  bit-identically;
+  bit-identically; and every request frame of the retired wire corpus
+  (v1, v2 and ``list`` frames, sent as the previous build encoded them)
+  is answered typed with its ``request_id`` -- a hello negotiates 3 --
+  and the connection keeps serving;
 * both tensor encodings (``binary``, ``base64``) are bit-identical to
   in-process across shapes and over the single, bulk and stream ops, and
   a payload far larger than the socket buffers rides inline in one
@@ -24,6 +27,7 @@ Contracts pinned here:
 
 from __future__ import annotations
 
+import base64
 import socket
 import time
 
@@ -37,16 +41,20 @@ from repro.api.envelopes import (
     HelloRequest,
     NormalizeBulkRequest,
     NormalizeRequest,
+    PingRequest,
     TensorPayload,
     parse_hello_response,
     parse_response,
 )
-from repro.api.framing import encode_frame, recv_frame
+from repro.api.framing import FrameDecoder, encode_frame, recv_frame
 from repro.api.transport import SocketTransport, available_transports, create_transport
 from repro.serving.registry import CalibrationRegistry
 from repro.serving.service import NormalizationService
 
 from test_api import _instant_loader
+from test_wire_corpus import RETIRED, _entry_id, retired_error_code
+
+RETIRED_REQUESTS = [e for e in RETIRED if e["kind"] == "request"]
 
 HIDDEN = 48
 
@@ -156,6 +164,27 @@ class TestOneSchemaVersion:
         np.testing.assert_array_equal(
             parse_response(reply, "normalize").tensor.to_array(), golden
         )
+
+    @pytest.mark.parametrize(
+        "entry", RETIRED_REQUESTS, ids=[_entry_id(e) for e in RETIRED_REQUESTS]
+    )
+    def test_retired_request_frame_is_answered_typed_and_the_connection_serves_on(
+        self, server, entry
+    ):
+        frame = base64.b64decode(entry["frame"])
+        (sent,) = FrameDecoder().feed(frame)
+        with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+            sock.sendall(frame)
+            answer = recv_frame(sock)
+            sock.sendall(encode_frame(PingRequest(request_id=99).to_wire()))
+            pong = recv_frame(sock)
+        if entry["op"] == "hello":
+            assert parse_hello_response(answer).schema_version_chosen == SCHEMA_VERSION
+        else:
+            assert answer["ok"] is False
+            assert answer["error"]["code"] == retired_error_code(entry)
+        assert answer["request_id"] == sent["request_id"]
+        assert parse_response(pong, "ping").request_id == 99
 
 
 # ---------------------------------------------------------------------------

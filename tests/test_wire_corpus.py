@@ -13,6 +13,13 @@ previous build sent, which this build still parses.  Each frame must
 * be what :func:`build_corpus` produces today from the same constructor
   arguments.
 
+``tests/golden/wire_corpus_retired.jsonl`` keeps, verbatim, the frames the
+previous build also emitted: every one stamped schema version 1 or 2, and
+every ``list``-encoded tensor.  This build speaks only version 3, so each
+must fail typed -- ``schema_version`` for the old stamp, ``bad_schema`` for
+a ``list`` tensor -- except the ``hello`` frames, which parse at any
+version and still negotiate 3 from the previous build's range ``1..3``.
+
 Regenerate the file only for a deliberate wire change::
 
     PYTHONPATH=src python tests/test_wire_corpus.py
@@ -54,13 +61,16 @@ from repro.api.envelopes import (
     TelemetryRequest,
     TelemetryResponse,
     TensorPayload,
+    negotiate_version,
     parse_hello_response,
     parse_request,
     parse_response,
 )
+from repro.api.errors import BadSchemaError, SchemaVersionError
 from repro.api.framing import FrameDecoder, encode_frame
 
 CORPUS_PATH = os.path.join(os.path.dirname(__file__), "golden", "wire_corpus.jsonl")
+RETIRED_PATH = os.path.join(os.path.dirname(__file__), "golden", "wire_corpus_retired.jsonl")
 
 ENCODINGS = ("binary", "base64")
 SPEC = {"kind": "layernorm", "hidden_size": 4, "eps": 1e-05}
@@ -210,8 +220,8 @@ def build_corpus() -> List[Dict[str, Any]]:
     return corpus
 
 
-def _load_corpus() -> List[Dict[str, Any]]:
-    with open(CORPUS_PATH) as handle:
+def _load_corpus(path: str = CORPUS_PATH) -> List[Dict[str, Any]]:
+    with open(path) as handle:
         return [json.loads(line) for line in handle if line.strip()]
 
 
@@ -221,6 +231,14 @@ def _entry_id(entry: Dict[str, Any]) -> str:
 
 
 CORPUS = _load_corpus() if os.path.exists(CORPUS_PATH) else []
+RETIRED = _load_corpus(RETIRED_PATH)
+RETIRED_HELLOS = [e for e in RETIRED if e["op"] == "hello"]
+RETIRED_REFUSED = [e for e in RETIRED if e["op"] != "hello"]
+
+
+def retired_error_code(entry: Dict[str, Any]) -> str:
+    """The error code this build answers a retired frame with."""
+    return "schema_version" if entry["version"] != SCHEMA_VERSION else "bad_schema"
 
 
 def _decode(frame: bytes) -> Dict[str, Any]:
@@ -277,6 +295,41 @@ def test_error_frames_raise_their_taxonomy_member(entry):
         parse_response(envelope, "normalize")
     assert type(excinfo.value) is ERROR_CLASSES[entry["code"]]
     assert str(excinfo.value) == f"{entry['code']} happened"
+
+
+def test_retired_corpus_holds_only_v1_v2_and_list_frames():
+    assert len(RETIRED) == 57
+    assert len({_entry_id(e) for e in RETIRED}) == len(RETIRED)
+    assert not {_entry_id(e) for e in RETIRED} & {_entry_id(e) for e in CORPUS}
+    for entry in RETIRED:
+        assert entry["version"] in (1, 2) or entry["encoding"] == "list"
+    assert {e["version"] for e in RETIRED} == {1, 2, SCHEMA_VERSION}
+
+
+@pytest.mark.parametrize("entry", RETIRED_REFUSED, ids=[_entry_id(e) for e in RETIRED_REFUSED])
+def test_retired_frame_fails_typed(entry):
+    envelope = _decode(base64.b64decode(entry["frame"]))
+    assert envelope["schema_version"] == entry["version"]
+    expected = SchemaVersionError if entry["version"] != SCHEMA_VERSION else BadSchemaError
+    with pytest.raises(BadSchemaError) as excinfo:
+        _parse(entry, envelope)
+    assert type(excinfo.value) is expected
+    assert excinfo.value.code == retired_error_code(entry)
+
+
+@pytest.mark.parametrize("entry", RETIRED_HELLOS, ids=[_entry_id(e) for e in RETIRED_HELLOS])
+def test_previous_build_hello_still_negotiates_this_version(entry):
+    envelope = _decode(base64.b64decode(entry["frame"]))
+    assert envelope["schema_version"] == entry["version"] != SCHEMA_VERSION
+    hello = _parse(entry, envelope)
+    assert (hello.min_schema_version, hello.max_schema_version) == (1, SCHEMA_VERSION)
+    # Each side re-derives the version from the other's advertised range.
+    chosen = negotiate_version(
+        hello.min_schema_version, hello.max_schema_version, SCHEMA_VERSION, SCHEMA_VERSION
+    )
+    assert chosen == SCHEMA_VERSION
+    if entry["kind"] == "response":
+        assert hello.schema_version_chosen == SCHEMA_VERSION
 
 
 if __name__ == "__main__":
