@@ -9,26 +9,32 @@ accuracy impact"):
 2. search for the skip range with Algorithm 1
    (:func:`repro.core.skipping.find_skip_range_from_profile`),
 3. build the log-linear :class:`~repro.core.predictor.IsdPredictor`, and
-4. install :class:`~repro.core.haan_norm.HaanNormalization` layers into the
+4. build :class:`~repro.core.haan_norm.HaanNormalization` layers over the
+   reference ones (:func:`build_haan_layers`) and install them into the
    model (:func:`apply_haan`), mapping the paper's ``N_sub`` (specified
    against the real hidden size) onto the simulated hidden width.
+
+:func:`calibrate_streamed` runs steps 1-3 without building the model
+(:func:`repro.llm.model.stream_statistics`): the online phase needs only
+the normalization layers, the config and the calibration result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import HaanConfig
 from repro.core.haan_norm import HaanNormalization
-from repro.core.isd import IsdProfile, profile_model_isd
+from repro.core.isd import IsdProfile, calibration_batches, profile_model_isd
 from repro.core.predictor import IsdPredictor
 from repro.core.skipping import SkipSearchResult, find_skip_range_from_profile, prediction_error
 from repro.core.subsampling import SubsamplePolicy, SubsampleSettings
+from repro.llm.config import ModelConfig
 from repro.llm.datasets import calibration_texts
-from repro.llm.model import TransformerModel
+from repro.llm.model import TransformerModel, stream_statistics
 from repro.llm.normalization import BaseNorm
 
 
@@ -100,14 +106,49 @@ def calibrate_model(
         Calibration hyper-parameters.
     """
     settings = settings or CalibrationSettings()
-    if texts is None:
-        texts = calibration_texts(settings.num_samples, seed=settings.seed)
     profile = profile_model_isd(
         model,
-        texts,
+        _calibration_texts(texts, settings),
         max_seq_len=settings.max_seq_len,
         batch_size=settings.batch_size,
     )
+    return calibrate_profile(model.config.name, profile, settings)
+
+
+def calibrate_streamed(
+    model_config: ModelConfig,
+    texts: Optional[Sequence[str]] = None,
+    settings: Optional[CalibrationSettings] = None,
+) -> Tuple[CalibrationResult, List[BaseNorm]]:
+    """:func:`calibrate_model` of a model that is never built whole.
+
+    Holds one block's weights at a time and returns the calibration result,
+    bit-identical to :func:`calibrate_model` on the built model, together
+    with the model's reference normalization layers in execution order.
+    """
+    settings = settings or CalibrationSettings()
+    batches = calibration_batches(
+        model_config,
+        _calibration_texts(texts, settings),
+        settings.max_seq_len,
+        settings.batch_size,
+    )
+    trace, norm_layers = stream_statistics(model_config, batches)
+    return calibrate_profile(model_config.name, IsdProfile.from_trace(trace), settings), norm_layers
+
+
+def _calibration_texts(
+    texts: Optional[Sequence[str]], settings: CalibrationSettings
+) -> Sequence[str]:
+    if texts is None:
+        return calibration_texts(settings.num_samples, seed=settings.seed)
+    return texts
+
+
+def calibrate_profile(
+    model_name: str, profile: IsdProfile, settings: CalibrationSettings
+) -> CalibrationResult:
+    """Algorithm 1 and the predictor fit over a recorded ISD profile."""
     search = find_skip_range_from_profile(
         profile,
         window=settings.window,
@@ -117,7 +158,7 @@ def calibrate_model(
     predictor = IsdPredictor.from_search_result(search)
     errors = prediction_error(profile.mean_log_isd(), search)
     return CalibrationResult(
-        model_name=model.config.name,
+        model_name=model_name,
         profile=profile,
         search=search,
         predictor=predictor,
@@ -152,17 +193,14 @@ def build_predictor_for_range(
     )
 
 
-def apply_haan(
-    model: TransformerModel,
+def build_haan_layers(
+    model_config: ModelConfig,
+    norm_layers: Sequence[BaseNorm],
     config: HaanConfig,
     predictor: Optional[IsdPredictor] = None,
     subsample_policy: SubsamplePolicy = SubsamplePolicy.TRUNCATE,
 ) -> List[HaanNormalization]:
-    """Install HAAN normalization layers into a model, in place.
-
-    Every reference normalization layer is replaced by a
-    :class:`HaanNormalization` sharing its affine parameters.  Returns the
-    list of installed layers (execution order) for inspection.
+    """One :class:`HaanNormalization` per reference layer, sharing its affine parameters.
 
     ``config.subsample_length`` is interpreted against the real model hidden
     size and mapped proportionally onto the simulation width via
@@ -172,12 +210,10 @@ def apply_haan(
         raise ValueError("a predictor is required when the skip range is enabled")
     subsample = None
     if config.subsampling_enabled:
-        sim_length = model.config.scale_subsample_length(config.subsample_length)
+        sim_length = model_config.scale_subsample_length(config.subsample_length)
         subsample = SubsampleSettings(length=sim_length, policy=subsample_policy)
-    installed: List[HaanNormalization] = []
-    for layer_index in range(model.num_norm_layers):
-        base = model.norm_layer(layer_index)
-        haan_layer = HaanNormalization(
+    return [
+        HaanNormalization(
             base=base,
             predictor=predictor if config.skipping_enabled else None,
             subsample=subsample,
@@ -186,8 +222,27 @@ def apply_haan(
             use_hardware_inv_sqrt=config.use_hardware_inv_sqrt,
             newton_iterations=config.newton_iterations,
         )
+        for base in norm_layers
+    ]
+
+
+def apply_haan(
+    model: TransformerModel,
+    config: HaanConfig,
+    predictor: Optional[IsdPredictor] = None,
+    subsample_policy: SubsamplePolicy = SubsamplePolicy.TRUNCATE,
+) -> List[HaanNormalization]:
+    """Install HAAN normalization layers into a model, in place.
+
+    Every reference normalization layer is replaced by its
+    :func:`build_haan_layers` counterpart.  Returns the list of installed
+    layers (execution order) for inspection.
+    """
+    installed = build_haan_layers(
+        model.config, model.norm_layers, config, predictor, subsample_policy
+    )
+    for layer_index, haan_layer in enumerate(installed):
         model.replace_norm_layer(layer_index, haan_layer)
-        installed.append(haan_layer)
     return installed
 
 
@@ -200,7 +255,7 @@ def restore_reference_norms(model: TransformerModel, originals: Sequence[BaseNor
 
 
 def resolve_config_and_predictor(
-    model: TransformerModel,
+    model_config: ModelConfig,
     calibration: CalibrationResult,
     config: Optional[HaanConfig] = None,
 ) -> tuple[HaanConfig, IsdPredictor]:
@@ -216,7 +271,7 @@ def resolve_config_and_predictor(
     if config is None:
         config = HaanConfig(
             skip_range=calibration.skip_range,
-            subsample_length=model.config.hidden_size // 2,
+            subsample_length=model_config.hidden_size // 2,
         )
     if config.skipping_enabled and config.skip_range != calibration.skip_range:
         predictor = build_predictor_for_range(calibration.profile, config.skip_range)
@@ -235,6 +290,6 @@ def build_haan_model(
     """Convenience entry point: build, calibrate and HAAN-ify a model."""
     model = TransformerModel.from_name(model_name, **model_overrides)
     calibration = calibration or calibrate_model(model, settings=settings)
-    config, predictor = resolve_config_and_predictor(model, calibration, config)
+    config, predictor = resolve_config_and_predictor(model.config, calibration, config)
     apply_haan(model, config, predictor=predictor)
     return model, calibration, config

@@ -17,9 +17,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.llm.config import NormKind
+from repro.llm.config import ModelConfig, NormKind
 from repro.llm.hooks import StatisticsTrace
 from repro.llm.model import TransformerModel
+from repro.llm.tokenizer import Tokenizer
 
 
 def compute_isd(rows: np.ndarray, kind: NormKind = NormKind.LAYERNORM, eps: float = 1e-5) -> np.ndarray:
@@ -133,6 +134,20 @@ class IsdProfile:
         return cls(layer_names=list(trace.layer_names), isd_matrix=trace.isd_matrix())
 
 
+def calibration_batches(
+    config: ModelConfig, texts: Sequence[str], max_seq_len: int, batch_size: int
+) -> List[np.ndarray]:
+    """Tokenize texts into the padded ``(batch, seq)`` id batches a profile runs."""
+    tokenizer = Tokenizer(vocab_size=config.vocab_size)
+    token_matrix = np.asarray(
+        tokenizer.encode_batch(list(texts), max_len=max_seq_len), dtype=np.int64
+    )
+    return [
+        token_matrix[start : start + batch_size]
+        for start in range(0, token_matrix.shape[0], batch_size)
+    ]
+
+
 def profile_model_isd(
     model: TransformerModel,
     texts: Sequence[str],
@@ -144,10 +159,6 @@ def profile_model_isd(
     This is the measurement behind Figure 2: feed tokens, record the ISD at
     every normalization layer.
     """
-    token_matrix = model.encode_texts(list(texts), max_len=max_seq_len)
-    batches = [
-        token_matrix[start : start + batch_size]
-        for start in range(0, token_matrix.shape[0], batch_size)
-    ]
-    trace = model.collect_statistics(batches)
-    return IsdProfile.from_trace(trace)
+    batches = calibration_batches(model.config, texts, max_seq_len, batch_size)
+    return IsdProfile.from_trace(model.collect_statistics(batches))
+

@@ -15,11 +15,15 @@ The model exposes exactly the hooks HAAN needs:
   layers and calibration can record statistics.
 * :meth:`collect_statistics` runs a calibration set through the model and
   returns the per-layer ISD trace consumed by Algorithm 1.
+
+:func:`stream_statistics` runs the same layer-major pass without building
+the model: it draws, runs and drops one block at a time and keeps only the
+normalization layers, which is all the online phase serves.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +32,13 @@ from repro.llm.hooks import ActivationContext, StatisticsTrace
 from repro.llm.layers import FeedForward, MultiHeadAttention, log_softmax
 from repro.llm.normalization import BaseNorm, make_norm
 from repro.llm.tokenizer import Tokenizer
-from repro.llm.weights import ModelWeights, generate_model_weights
+from repro.llm.weights import (
+    BlockWeights,
+    ModelWeights,
+    NormParameters,
+    WeightStream,
+    generate_model_weights,
+)
 
 
 class TransformerBlock:
@@ -73,44 +83,12 @@ class TransformerModel:
     # -- construction ------------------------------------------------------
 
     def _build(self) -> None:
-        config = self.config
-        names = config.norm_layer_names()
-        layer_index = 0
         for block_index, block_weights in enumerate(self.weights.blocks):
-            attn_norm = make_norm(
-                config.norm_kind,
-                config.sim_hidden_size,
-                layer_index,
-                names[layer_index],
-                gamma=block_weights.attn_norm.gamma,
-                beta=block_weights.attn_norm.beta,
-            )
-            layer_index += 1
-            mlp_norm = make_norm(
-                config.norm_kind,
-                config.sim_hidden_size,
-                layer_index,
-                names[layer_index],
-                gamma=block_weights.mlp_norm.gamma,
-                beta=block_weights.mlp_norm.beta,
-            )
-            layer_index += 1
-            attention = MultiHeadAttention(block_weights.attention, config.num_heads)
-            mlp = FeedForward(block_weights.mlp)
-            block = TransformerBlock(attention, mlp, attn_norm, mlp_norm)
+            block = build_block(self.config, block_index, block_weights)
             self.blocks.append(block)
-            self.norm_layers.extend([attn_norm, mlp_norm])
-        self.final_norm: Optional[BaseNorm] = None
-        if config.final_norm:
-            params = self.weights.final_norm
-            self.final_norm = make_norm(
-                config.norm_kind,
-                config.sim_hidden_size,
-                layer_index,
-                names[layer_index],
-                gamma=params.gamma,
-                beta=params.beta,
-            )
+            self.norm_layers.extend([block.attn_norm, block.mlp_norm])
+        self.final_norm = build_final_norm(self.config, self.weights.final_norm)
+        if self.final_norm is not None:
             self.norm_layers.append(self.final_norm)
 
     @property
@@ -146,16 +124,8 @@ class TransformerModel:
 
     def embed(self, token_ids: np.ndarray) -> np.ndarray:
         """Token plus positional embedding of an id batch (batch, seq)."""
-        ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.ndim == 1:
-            ids = ids[None, :]
-        if ids.shape[1] > self.config.max_seq_len:
-            raise ValueError(
-                f"sequence length {ids.shape[1]} exceeds max_seq_len {self.config.max_seq_len}"
-            )
-        hidden = self.weights.embedding[ids]
-        hidden = hidden + self.weights.positional[None, : ids.shape[1], :]
-        return hidden
+        weights = self.weights
+        return embed_tokens(self.config, weights.embedding, weights.positional, token_ids)
 
     def forward_hidden(
         self, token_ids: np.ndarray, context: Optional[ActivationContext] = None
@@ -268,6 +238,9 @@ class TransformerModel:
     ) -> StatisticsTrace:
         """Run batches through the model recording per-layer ISD statistics.
 
+        The pass is layer-major (:func:`record_statistics`): each block runs
+        over every batch before the next block starts.
+
         Parameters
         ----------
         token_batches:
@@ -275,21 +248,137 @@ class TransformerModel:
         max_tokens_per_batch:
             Optional cap on sequence length, to bound calibration cost.
         """
-        trace = StatisticsTrace(
-            num_layers=self.num_norm_layers,
-            layer_names=[norm.name for norm in self.norm_layers],
+        return record_statistics(
+            [norm.name for norm in self.norm_layers],
+            [self.embed(_token_batch(batch, max_tokens_per_batch)) for batch in token_batches],
+            self.blocks,
+            lambda: self.final_norm,
         )
-        for batch in token_batches:
-            ids = np.asarray(batch, dtype=np.int64)
-            if ids.ndim == 1:
-                ids = ids[None, :]
-            if max_tokens_per_batch is not None:
-                ids = ids[:, :max_tokens_per_batch]
-            context = ActivationContext(record_statistics=True)
-            self.forward_hidden(ids, context)
-            trace.absorb(context)
-        return trace
 
     def encode_texts(self, texts: Sequence[str], max_len: int) -> np.ndarray:
         """Tokenize and pad a list of texts into an id matrix."""
         return np.asarray(self.tokenizer.encode_batch(texts, max_len=max_len), dtype=np.int64)
+
+
+# -- construction and the statistics pass, shared with the streamed path ------
+
+
+def _norm(config: ModelConfig, layer_index: int, params: NormParameters) -> BaseNorm:
+    return make_norm(
+        config.norm_kind,
+        config.sim_hidden_size,
+        layer_index,
+        config.norm_layer_names()[layer_index],
+        gamma=params.gamma,
+        beta=params.beta,
+    )
+
+
+def build_block(config: ModelConfig, block_index: int, weights: BlockWeights) -> TransformerBlock:
+    """One pre-norm block; its norms take the block's two execution-order indices."""
+    first = block_index * config.norms_per_block
+    return TransformerBlock(
+        MultiHeadAttention(weights.attention, config.num_heads),
+        FeedForward(weights.mlp),
+        _norm(config, first, weights.attn_norm),
+        _norm(config, first + 1, weights.mlp_norm),
+    )
+
+
+def build_final_norm(config: ModelConfig, params: Optional[NormParameters]) -> Optional[BaseNorm]:
+    """The final normalization layer, or ``None`` for a model without one."""
+    if not config.final_norm:
+        return None
+    return _norm(config, config.num_norm_layers - 1, params)
+
+
+def embed_tokens(
+    config: ModelConfig, embedding: np.ndarray, positional: np.ndarray, token_ids: np.ndarray
+) -> np.ndarray:
+    """Token plus positional embedding of an id batch (batch, seq)."""
+    ids = np.asarray(token_ids, dtype=np.int64)
+    if ids.ndim == 1:
+        ids = ids[None, :]
+    if ids.shape[1] > config.max_seq_len:
+        raise ValueError(
+            f"sequence length {ids.shape[1]} exceeds max_seq_len {config.max_seq_len}"
+        )
+    hidden = embedding[ids]
+    hidden = hidden + positional[None, : ids.shape[1], :]
+    return hidden
+
+
+def _token_batch(batch: np.ndarray, max_tokens_per_batch: Optional[int]) -> np.ndarray:
+    ids = np.asarray(batch, dtype=np.int64)
+    if ids.ndim == 1:
+        ids = ids[None, :]
+    if max_tokens_per_batch is not None:
+        ids = ids[:, :max_tokens_per_batch]
+    return ids
+
+
+def record_statistics(
+    layer_names: Sequence[str],
+    hidden: List[np.ndarray],
+    blocks: Iterable[TransformerBlock],
+    final_norm: Callable[[], Optional[BaseNorm]],
+) -> StatisticsTrace:
+    """The layer-major statistics pass over embedded calibration batches.
+
+    Each block runs over every batch, each batch with its own recording
+    :class:`ActivationContext`, before the next block starts; the final
+    norm (fetched once the blocks are done) runs last.  Every batch sees
+    the operations of a batch-at-a-time forward pass in the same order, and
+    the contexts are absorbed in batch order, so the trace is bit-identical
+    to one.  ``hidden`` is overwritten with each batch's running state.
+    """
+    contexts = [ActivationContext(record_statistics=True) for _ in hidden]
+    for block in blocks:
+        for index, context in enumerate(contexts):
+            hidden[index] = block(hidden[index], context)
+        # A streamed block is released before the next one is drawn.
+        del block
+    norm = final_norm()
+    if norm is not None:
+        for states, context in zip(hidden, contexts):
+            norm(states, context)
+    trace = StatisticsTrace(num_layers=len(layer_names), layer_names=list(layer_names))
+    for context in contexts:
+        trace.absorb(context)
+    return trace
+
+
+def stream_statistics(
+    config: ModelConfig, token_batches: Iterable[np.ndarray]
+) -> Tuple[StatisticsTrace, List[BaseNorm]]:
+    """:meth:`TransformerModel.collect_statistics` without building the model.
+
+    Draws each block's weights from a :class:`WeightStream`, runs the block
+    over every batch and drops it before drawing the next, so at most one
+    block's projection weights are alive.  Returns the trace, bit-identical
+    to the built model's, and the model's reference normalization layers in
+    execution order.
+    """
+    weights = WeightStream(config)
+    hidden = [
+        embed_tokens(config, weights.embedding, weights.positional, batch)
+        for batch in token_batches
+    ]
+    norm_layers: List[BaseNorm] = []
+
+    def blocks():
+        drawn = weights.blocks()
+        for block_index in range(config.num_blocks):
+            block = build_block(config, block_index, next(drawn))
+            norm_layers.extend([block.attn_norm, block.mlp_norm])
+            yield block
+            del block
+
+    def final_norm() -> Optional[BaseNorm]:
+        norm = build_final_norm(config, weights.final_norm())
+        if norm is not None:
+            norm_layers.append(norm)
+        return norm
+
+    trace = record_statistics(config.norm_layer_names(), hidden, blocks(), final_norm)
+    return trace, norm_layers

@@ -22,7 +22,7 @@ bit-identical models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -149,21 +149,50 @@ def sinusoidal_positions(max_seq_len: int, hidden: int) -> np.ndarray:
     return 0.1 * table
 
 
+class WeightStream:
+    """A model's weights drawn in seed order, one block at a time.
+
+    The embedding tables are drawn on construction, :meth:`blocks` yields
+    each block's weights in turn and :meth:`final_norm` draws the final
+    norm's parameters after the last block.  This is the RNG stream
+    :func:`generate_model_weights` consumes, so a streamed block is
+    bit-identical to the same block of a fully built model, and a caller
+    that drops each block before drawing the next holds one at a time.
+    """
+
+    def __init__(self, config: ModelConfig):
+        self.config = config
+        self._rng = np.random.default_rng(config.seed)
+        hidden = config.sim_hidden_size
+        self.embedding = self._rng.normal(0.0, 0.7, size=(config.vocab_size, hidden))
+        self.positional = sinusoidal_positions(config.max_seq_len, hidden)
+        self._blocks_drawn = 0
+
+    def blocks(self) -> Iterator[BlockWeights]:
+        """Draw the remaining blocks' weights, one per step."""
+        for block_index in range(self._blocks_drawn, self.config.num_blocks):
+            self._blocks_drawn = block_index + 1
+            # Yielded unnamed: the generator keeps no reference to a block
+            # while it draws the next one.
+            yield generate_block_weights(self.config, block_index, self._rng)
+
+    def final_norm(self) -> Optional[NormParameters]:
+        """The final norm's parameters (``None`` without one); draw every block first."""
+        if self._blocks_drawn != self.config.num_blocks:
+            raise RuntimeError("the final norm is drawn after every block")
+        if not self.config.final_norm:
+            return None
+        return _norm_parameters(self._rng, self.config.sim_hidden_size, self.config.norm_kind)
+
+
 def generate_model_weights(config: ModelConfig) -> ModelWeights:
     """Generate all parameters of a model from its configuration seed."""
-    rng = np.random.default_rng(config.seed)
-    hidden = config.sim_hidden_size
-    embedding = rng.normal(0.0, 0.7, size=(config.vocab_size, hidden))
-    positional = sinusoidal_positions(config.max_seq_len, hidden)
-    blocks = [
-        generate_block_weights(config, block_index, rng)
-        for block_index in range(config.num_blocks)
-    ]
-    final_norm = _norm_parameters(rng, hidden, config.norm_kind) if config.final_norm else None
+    stream = WeightStream(config)
+    blocks = list(stream.blocks())
     return ModelWeights(
         config=config,
-        embedding=embedding,
-        positional=positional,
+        embedding=stream.embedding,
+        positional=stream.positional,
         blocks=blocks,
-        final_norm=final_norm,
+        final_norm=stream.final_norm(),
     )

@@ -490,7 +490,7 @@ def inv_sqrt_stat(spread: np.ndarray, eps: float) -> np.ndarray:
 
 def normalize_affine(
     rows: np.ndarray,
-    mean: np.ndarray,
+    mean: Optional[np.ndarray],
     isd: np.ndarray,
     gamma: np.ndarray,
     beta: np.ndarray,
@@ -500,11 +500,17 @@ def normalize_affine(
 
     The in-place chain applies the exact operation order of the reference
     layers, so outputs are bit-identical; only the four temporaries vanish.
+    ``mean=None`` stands for an all-zero mean (RMSNorm) and skips the
+    subtraction: ``x - 0.0`` is ``x`` bit for bit, ``-0.0``, infinities and
+    NaN payloads included.
     """
     if out is None:
         out = np.empty_like(rows)
-    np.subtract(rows, mean[:, None], out=out)
-    np.multiply(out, isd[:, None], out=out)
+    if mean is None:
+        np.multiply(rows, isd[:, None], out=out)
+    else:
+        np.subtract(rows, mean[:, None], out=out)
+        np.multiply(out, isd[:, None], out=out)
     np.multiply(out, gamma[None, :], out=out)
     np.add(out, beta[None, :], out=out)
     return out
@@ -617,6 +623,7 @@ def haan_normalize_rows(
         if refine_isd is not None:
             isd = refine_isd(isd)
 
-    # 3. affine transform straight into the output buffer.
-    normalize_affine(quantized, mean, isd, gamma, beta, out=out)
+    # 3. affine transform straight into the output buffer; RMSNorm's mean is
+    #    all zeros, so its subtraction is skipped.
+    normalize_affine(quantized, None if rms else mean, isd, gamma, beta, out=out)
     return out, mean, isd

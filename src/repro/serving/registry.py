@@ -2,11 +2,16 @@
 
 Algorithm 1 (skip-range search) and the predictor fit are offline costs the
 serving runtime must never pay per request.  The registry runs them once
-per ``(model, dataset)`` pair, caches the resulting artifact -- the
-calibrated model with HAAN layers installed, plus the untouched reference
-layers for golden-model comparison -- and evicts least-recently-used
-entries once ``capacity`` is exceeded (multi-tenant deployments rotate
-through more models than fit in memory).
+per ``(model, dataset)`` pair, caches the resulting artifact -- the served
+HAAN normalization layers, the untouched reference layers for golden-model
+comparison, the HAAN config and the calibration result -- and evicts
+least-recently-used entries once ``capacity`` is exceeded (multi-tenant
+deployments rotate through more models than fit in memory).
+
+An artifact holds no projection weights: the loader calibrates with
+:func:`repro.core.calibration.calibrate_streamed`, which draws, runs and
+drops one transformer block at a time, and keeps only the normalization
+layers the online phase serves.
 """
 
 from __future__ import annotations
@@ -20,23 +25,27 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.calibration import (
     CalibrationResult,
     CalibrationSettings,
-    apply_haan,
-    calibrate_model,
+    build_haan_layers,
+    calibrate_streamed,
     resolve_config_and_predictor,
 )
 from repro.core.config import HaanConfig, PAPER_MODEL_SETTINGS
 from repro.core.haan_norm import HaanNormalization
-from repro.llm.model import TransformerModel
+from repro.llm.config import ModelConfig, get_model_config
 from repro.llm.normalization import BaseNorm
 
 
 @dataclass
 class CalibrationArtifact:
-    """Everything the serving runtime needs for one (model, dataset) pair."""
+    """Everything the serving runtime needs for one (model, dataset) pair.
+
+    The HAAN layers it serves, the exact reference layers they wrap, the
+    HAAN config and the calibration result -- not the model they were
+    calibrated on.
+    """
 
     model_name: str
     dataset: str
-    model: TransformerModel
     config: HaanConfig
     calibration: CalibrationResult
     haan_layers: List[HaanNormalization]
@@ -49,16 +58,10 @@ class CalibrationArtifact:
 
     @property
     def hidden_size(self) -> int:
-        """Width of the activation vectors this artifact normalizes.
-
-        Falls back to the layers' width for model-less artifact stubs
-        (tests and synthetic loaders build those).
-        """
-        if self.model is not None:
-            return self.model.config.sim_hidden_size
+        """Width of the activation vectors this artifact normalizes."""
         layers = self.haan_layers or self.reference_layers
         if not layers:
-            raise ValueError("artifact has neither a model nor layers")
+            raise ValueError("artifact has no layers")
         return layers[0].hidden_size
 
     def layer(self, layer_index: int, reference: bool = False) -> BaseNorm:
@@ -78,7 +81,7 @@ def _dataset_seed(dataset: str) -> int:
 
 
 def default_calibration_settings(
-    model: TransformerModel, dataset: str = "default"
+    model_config: ModelConfig, dataset: str = "default"
 ) -> CalibrationSettings:
     """Serving-grade calibration settings scaled to the model's depth.
 
@@ -86,7 +89,7 @@ def default_calibration_settings(
     on a cache miss in the serving path, so the pass is sized to finish in
     seconds while still fitting the log-linear decay on a real profile.
     """
-    num_layers = model.num_norm_layers
+    num_layers = model_config.num_norm_layers
     return CalibrationSettings(
         num_samples=8,
         max_seq_len=32,
@@ -102,34 +105,32 @@ def default_artifact_loader(
     dataset: str = "default",
     settings: Optional[CalibrationSettings] = None,
 ) -> CalibrationArtifact:
-    """Build, calibrate and HAAN-ify a model for serving.
+    """Calibrate a model and build the HAAN layers it serves.
 
     Uses the paper's per-model configuration when one exists (clamped to
     the simulated layer count) and otherwise the shared
     :func:`repro.core.calibration.resolve_config_and_predictor` policy, so
     offline experiments and the serving registry always calibrate a model
-    identically.
+    identically.  The calibration pass holds one block's projection weights
+    at a time, and the artifact keeps none.
     """
-    model = TransformerModel.from_name(model_name)
-    reference_layers = list(model.norm_layers)
-    settings = settings or default_calibration_settings(model, dataset)
-    calibration = calibrate_model(model, settings=settings)
+    model_config = get_model_config(model_name)
+    settings = settings or default_calibration_settings(model_config, dataset)
+    calibration, reference_layers = calibrate_streamed(model_config, settings=settings)
     config = PAPER_MODEL_SETTINGS.get(model_name.strip().lower())
     if (
         config is not None
         and config.skipping_enabled
-        and config.skip_range[1] >= model.num_norm_layers
+        and config.skip_range[1] >= model_config.num_norm_layers
     ):
         config = config.with_overrides(skip_range=calibration.skip_range)
-    config, predictor = resolve_config_and_predictor(model, calibration, config)
-    haan_layers = apply_haan(model, config, predictor=predictor)
+    config, predictor = resolve_config_and_predictor(model_config, calibration, config)
     return CalibrationArtifact(
         model_name=model_name,
         dataset=dataset,
-        model=model,
         config=config,
         calibration=calibration,
-        haan_layers=haan_layers,
+        haan_layers=build_haan_layers(model_config, reference_layers, config, predictor),
         reference_layers=reference_layers,
     )
 

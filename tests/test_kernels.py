@@ -321,6 +321,49 @@ class TestFusedNormalization:
             assert np.array_equal(fast, golden)
         assert layer._last_was_predicted()
 
+    @pytest.mark.parametrize("skipped", [False, True], ids=["computed", "skipped"])
+    @pytest.mark.parametrize("data_format", list(DataFormat), ids=lambda f: f.value)
+    def test_rms_special_values_byte_identical(self, data_format, skipped):
+        """The RMSNorm affine skips subtracting its all-zero mean: -0.0,
+        +-inf and NaN payloads still come out byte for byte as the
+        reference backend's, on the computed and the predicted path."""
+        rng = np.random.default_rng(101)
+        hidden = 16
+        # beta = -0.0 keeps the sign of a zero product visible in the output.
+        base = RMSNorm(
+            hidden, layer_index=3, name="test.rms",
+            gamma=rng.uniform(0.5, 1.5, hidden), beta=np.full(hidden, -0.0),
+        )
+        predictor = (
+            IsdPredictor(anchor_layer=1, last_layer=5, decay=-0.05, anchor_log_isd=0.2)
+            if skipped
+            else None
+        )
+        layer = HaanNormalization(base, predictor=predictor, data_format=data_format)
+        nan_payload = np.array([0x7FF81234_00000000], dtype=np.uint64).view(np.float64)[0]
+        negative_nan = np.array([0xFFF85678_00000000], dtype=np.uint64).view(np.float64)[0]
+        rows = rng.normal(size=(5, hidden))
+        rows[0, ::2] = -0.0
+        rows[1, :] = -0.0
+        rows[2, 3], rows[2, 5] = np.inf, -np.inf
+        rows[3, 7] = nan_payload
+        rows[4, 1] = negative_nan
+        anchor = np.array([1.5, 0.7, np.nan, 2.0, 0.9]) if skipped else None
+        starts = np.arange(5)  # one request per row: INT8 scales each alone
+        with np.errstate(invalid="ignore", divide="ignore"):
+            fused = layer.forward_batched(rows, starts, anchor)
+            reference = layer.forward_batched_reference(rows, starts, anchor)
+        assert layer.plan.spec.is_rms and layer.plan.spec.skipped is skipped
+        for fast, golden in zip(fused, reference):
+            assert fast.tobytes() == golden.tobytes()
+        out = fused[0]
+        assert np.signbit(out[1]).all() and (out[1] == 0.0).all()
+        if data_format is DataFormat.FP32 and skipped:
+            # The storage round trip keeps these payload bits; the affine
+            # must too.
+            assert np.isinf(out[2, 3]) and np.isinf(out[2, 5])
+            assert out[3, 7].tobytes() == nan_payload.tobytes()
+
     def test_fused_hardware_inv_sqrt_matches_reference(self):
         rng = np.random.default_rng(53)
         layer = make_haan_layer(rng, use_hardware_inv_sqrt=True)

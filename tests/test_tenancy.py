@@ -531,7 +531,6 @@ def _instant_loader(model_name, dataset):
     return CalibrationArtifact(
         model_name=model_name,
         dataset=dataset,
-        model=None,
         config=HaanConfig(subsample_length=8, data_format=DataFormat.INT8),
         calibration=None,
         haan_layers=[haan],
